@@ -46,7 +46,6 @@ class RunConfig:
     seed: int = 0
     time_limit: float = 300.0
     bypass: bool = True
-    parallel: bool = False
     include_timing: bool = True
     horizon: float = DEFAULT_HORIZON
 
@@ -128,7 +127,6 @@ def cmd_pareto(config: RunConfig) -> int:
         config.grid_count,
         config.eps,
         bypass=config.bypass,
-        parallel=config.parallel,
         limits=config.limits(),
     )
     if front.diagnosis:
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=_parse_weights, default=(0.5, 0.5), metavar="a,b")
     p.add_argument("--v", type=float, default=0.5, help="VIKOR strategy weight")
     p.add_argument("--no-bypass", action="store_true", help="solve every grid point")
-    p.add_argument("--parallel", action="store_true", help="parallel grid (implies --no-bypass)")
 
     p = sub.add_parser("sweep", help="sensitivity of the front to reliability scaling")
     common(p)
@@ -397,7 +394,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         time_limit=args.time_limit,
         bypass=not getattr(args, "no_bypass", False),
-        parallel=getattr(args, "parallel", False),
         include_timing=not args.no_timing,
         horizon=getattr(args, "horizon", DEFAULT_HORIZON),
     )

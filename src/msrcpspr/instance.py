@@ -11,6 +11,7 @@ from the parsed file when none is supplied.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -18,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -282,31 +283,35 @@ def parse_psplib(text: str) -> PartialInstance:
         requests=tuple(requests[j] for j in range(1, job_count + 1)),
         availabilities=availabilities,
     )
-    cycle = _find_cycle(partial.successors)
-    if cycle:
-        raise ValidationError(f"precedence is not a DAG: cycle through jobs {cycle}")
+    _, stuck = topological_order([[s - 1 for s in succs] for succs in partial.successors])
+    if stuck:
+        raise ValidationError(f"precedence is not a DAG: cycle through jobs {stuck}")
     return partial
 
 
-def _find_cycle(successors: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
-    """Kahn peel; returns the jobs stuck on a cycle, or None for a DAG."""
+def topological_order(successors: Sequence[Iterable[int]]) -> tuple[list[int], tuple[int, ...]]:
+    """Kahn order of 0-based successor lists, smallest ready node first.
+
+    Returns (order, stuck): ``stuck`` lists, 1-based, the nodes on or
+    behind a cycle, so it is empty exactly for a DAG.
+    """
     n = len(successors)
-    indegree = [0] * (n + 1)
+    indegree = [0] * n
     for succs in successors:
-        for succ in succs:
-            indegree[succ] += 1
-    stack = [j for j in range(1, n + 1) if indegree[j] == 0]
-    seen = 0
-    while stack:
-        job = stack.pop()
-        seen += 1
-        for succ in successors[job - 1]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                stack.append(succ)
-    if seen == n:
-        return None
-    return tuple(j for j in range(1, n + 1) if indegree[j] > 0)
+        for v in succs:
+            indegree[v] += 1
+    heap = [u for u in range(n) if indegree[u] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in successors[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                heapq.heappush(heap, v)
+    stuck = tuple(u + 1 for u in range(n) if indegree[u] > 0)
+    return order, stuck
 
 
 def serialize_psplib(partial: PartialInstance) -> str:
@@ -589,10 +594,9 @@ def validate(instance: ProjectInstance) -> list[str]:
         violations.append("dummy source (activity 1) must have no predecessors")
     if prec[n - 1].any():
         violations.append(f"dummy sink (activity {n}) must have no successors")
-    successors = tuple(tuple(np.flatnonzero(prec[i]) + 1) for i in range(n))
-    cycle = _find_cycle(successors)
-    if cycle:
-        violations.append(f"precedence not a DAG: cycle through activities {cycle}")
+    _, stuck = topological_order([np.flatnonzero(prec[i]) for i in range(n)])
+    if stuck:
+        violations.append(f"precedence not a DAG: cycle through activities {stuck}")
 
     for res in instance.resources:
         if not res.skills:

@@ -3,17 +3,13 @@
 The cost range between the two lexicographic optima is divided into
 ``grid_count`` steps; each grid level asks for the minimum makespan with
 cost at most that level, rewarding budget slack through the augmented
-objective.  Integer slack jumps let the sequential sweep bypass grid
-levels that would repeat the previous solution; with the bypass off the
-levels are independent and may be solved in parallel.  Both modes yield
-the same filtered front.
+objective.  Integer slack jumps let the sweep bypass grid levels that
+would repeat the previous solution.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .instance import ProjectInstance
@@ -29,7 +25,6 @@ from .solver import (
 DEFAULT_GRID_COUNT = 10
 DEFAULT_EPS = 1e-4
 _RANGE_TOL = 1e-9
-THREADS_ENV_VAR = "MSRCPSPR_THREADS"
 
 
 @dataclass(frozen=True)
@@ -106,28 +101,21 @@ def _grid_spec(level: float, eps: float, objective_range: float) -> SubproblemSp
     )
 
 
-def _solve_grid_level(args) -> tuple[int, object]:
-    instance, level, eps, objective_range, limits = args
-    return solve(instance, _grid_spec(level, eps, objective_range), limits)
-
-
 def enumerate_front(
     instance: ProjectInstance,
     grid_count: int = DEFAULT_GRID_COUNT,
     eps: float = DEFAULT_EPS,
     *,
     bypass: bool = True,
-    parallel: bool = False,
-    max_workers: int | None = None,
     limits: SolveLimits | None = None,
 ) -> ParetoFront:
     """Enumerate the nondominated (makespan, cost) points.
 
     Builds the payoff table from the two lexicographic optima, grids the
     cost range into ``grid_count`` steps (levels p = 0..N), and minimizes
-    makespan at every level with the augmented slack reward.  Parallel
-    mode dispatches the levels to worker processes and therefore forces
-    the bypass off; the filtered front is identical either way.
+    makespan at every level with the augmented slack reward.  With
+    ``bypass`` on, levels that an optimal solution's budget slack already
+    covers are skipped.
     """
     if grid_count < 2:
         raise ValueError(f"grid_count must be >= 2, got {grid_count}")
@@ -178,43 +166,28 @@ def enumerate_front(
     records: list[GridRecord] = []
     found: list[ParetoPoint] = []
 
-    if parallel:
-        bypass = False
-        workers = max_workers or _default_workers()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _solve_grid_level,
-                    [(instance, level, eps, objective_range, limits) for level in levels],
+    p = 0
+    while p <= grid_count:
+        result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits)
+        records.append(_record_for(p, levels[p], result))
+        skip = 0
+        if result.solution is not None and result.status == "optimal":
+            found.append(_point_for(p, result))
+            if bypass and result.slack is not None and step > 0:
+                skip = math.floor(result.slack / step + 1e-12)
+        for bypassed in range(p + 1, min(p + skip, grid_count) + 1):
+            records.append(
+                GridRecord(
+                    grid_point=bypassed,
+                    epsilon=levels[bypassed],
+                    status="bypassed",
+                    makespan=None,
+                    cost=None,
+                    slack=None,
+                    wall_time=0.0,
                 )
             )
-        for p, result in enumerate(results):
-            records.append(_record_for(p, levels[p], result))
-            if result.solution is not None and result.status == "optimal":
-                found.append(_point_for(p, result))
-    else:
-        p = 0
-        while p <= grid_count:
-            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits)
-            records.append(_record_for(p, levels[p], result))
-            skip = 0
-            if result.solution is not None and result.status == "optimal":
-                found.append(_point_for(p, result))
-                if bypass and result.slack is not None and step > 0:
-                    skip = math.floor(result.slack / step + 1e-12)
-            for bypassed in range(p + 1, min(p + skip, grid_count) + 1):
-                records.append(
-                    GridRecord(
-                        grid_point=bypassed,
-                        epsilon=levels[bypassed],
-                        status="bypassed",
-                        makespan=None,
-                        cost=None,
-                        slack=None,
-                        wall_time=0.0,
-                    )
-                )
-            p += 1 + skip
+        p += 1 + skip
 
     points = tuple(dominance_filter(found))
     return ParetoFront(
@@ -259,13 +232,6 @@ def _point_for(p: int, result) -> ParetoPoint:
         grid_index=p,
         solution=result.solution,
     )
-
-
-def _default_workers() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def front_csv(front: ParetoFront, include_timing: bool = True) -> str:

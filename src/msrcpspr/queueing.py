@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 _WARMUP_FRACTION = 0.1
 _BATCH_COUNT = 30
+# 97.5% quantile of Student's t with _BATCH_COUNT - 1 = 29 degrees of freedom.
+_T_QUANTILE = 2.045229642132703
 _CHUNK = 1 << 14
 
 
@@ -198,8 +199,7 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     batch_size = kept.size // _BATCH_COUNT
     used = kept[: _BATCH_COUNT * batch_size].reshape(_BATCH_COUNT, batch_size)
     batch_means = used.mean(axis=1)
-    quantile = stats.t.ppf(0.975, _BATCH_COUNT - 1)
-    half_width = float(quantile * batch_means.std(ddof=1) / math.sqrt(_BATCH_COUNT))
+    half_width = float(_T_QUANTILE * batch_means.std(ddof=1) / math.sqrt(_BATCH_COUNT))
     return SimEstimate(
         mean_wait=float(batch_means.mean()),
         half_width=half_width,

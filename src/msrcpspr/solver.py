@@ -13,7 +13,6 @@ exhaustive oracle for small instances.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -22,12 +21,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .instance import ProjectInstance
+from .instance import ProjectInstance, topological_order
 from .queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from .schedule import (
     CycleError,
     ObjectiveValues,
     ScheduleSolution,
+    earliest_starts,
     evaluate,
     tighten_starts,
 )
@@ -132,27 +132,6 @@ def enumerate_assignments(
     return results
 
 
-def _deterministic_topo_order(n: int, succ: list[list[int]]) -> list[int]:
-    """Kahn order taking the smallest available node first (0-based)."""
-    indeg = [0] * n
-    for u in range(n):
-        for v in succ[u]:
-            indeg[v] += 1
-    heap = [u for u in range(n) if indeg[u] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) != n:
-        raise CycleError("instance precedence graph is cyclic")
-    return order
-
-
 class _Context:
     """Precomputed search data shared by every node of one solve call."""
 
@@ -165,7 +144,9 @@ class _Context:
         self.prec_succ: list[list[int]] = [
             list(np.flatnonzero(instance.precedence[u])) for u in range(n)
         ]
-        topo = _deterministic_topo_order(n, self.prec_succ)
+        topo, stuck = topological_order(self.prec_succ)
+        if stuck:
+            raise CycleError("instance precedence graph is cyclic")
         self.acts = [u for u in topo if 0 < u < n - 1]
 
         # Reachability bitmask over precedence arcs: bit v of reach[u] means
@@ -218,44 +199,22 @@ class _Context:
             self.wait_table.append(table)
             self.max_stable.append(stable)
 
-    def sink_start(self, succ: list[list[int]], weights: list[float]) -> float:
-        """Longest-path start of the sink; raises CycleError on a cycle."""
-        n = self.n
-        indeg = [0] * n
-        for u in range(n):
-            for v in succ[u]:
-                indeg[v] += 1
-        starts = [0.0] * n
-        stack = [u for u in range(n) if indeg[u] == 0]
-        seen = 0
-        while stack:
-            u = stack.pop()
-            seen += 1
-            release = starts[u] + weights[u]
-            for v in succ[u]:
-                if release > starts[v]:
-                    starts[v] = release
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-        if seen != n:
-            raise CycleError("sequencing created a cycle")
-        return starts[self.sink]
-
 
 class _SequencingSearch:
     """Minimum-makespan orientation of the resource-sharing pairs.
 
     All durations and waits are fixed when this runs, so each node's
     bound is just the longest path in the partially oriented graph.
+    Its nodes count toward, and stop at, the limits of the enclosing
+    assignment search.
     """
 
-    def __init__(self, ctx: _Context, weights: list[float]):
-        self.ctx = ctx
+    def __init__(self, bb: _BranchAndBound, weights: list[float]):
+        self.bb = bb
+        self.ctx = bb.ctx
         self.weights = weights
-        self.succ = [list(arcs) for arcs in ctx.prec_succ]
-        self.reach = list(ctx.prec_reach)
-        self.nodes = 0
+        self.succ = [list(arcs) for arcs in self.ctx.prec_succ]
+        self.reach = list(self.ctx.prec_reach)
 
     def _add_arc(self, u: int, v: int) -> list[tuple[int, int]] | None:
         """Insert u->v; returns the undo log, or None when it closes a cycle."""
@@ -292,8 +251,11 @@ class _SequencingSearch:
         return self.best, self.best_dirs
 
     def _dfs(self, decisions: list[tuple[int, int]], idx: int) -> None:
-        self.nodes += 1
-        bound = self.ctx.sink_start(self.succ, self.weights)
+        if self.bb._out_of_budget():
+            return
+        self.bb.nodes += 1
+        ctx = self.ctx
+        bound = earliest_starts(ctx.n, self.succ, self.weights)[ctx.sink]
         if bound >= self.best:
             return
         if idx == len(decisions):
@@ -306,7 +268,7 @@ class _SequencingSearch:
             undo = self._add_arc(u, v)
             if undo is None:
                 continue
-            child_bound = self.ctx.sink_start(self.succ, self.weights)
+            child_bound = earliest_starts(ctx.n, self.succ, self.weights)[ctx.sink]
             self._remove_arc(u, undo)
             options.append((child_bound, u, v))
         options.sort(key=lambda opt: (opt[0], opt[1]))
@@ -354,7 +316,7 @@ class _BranchAndBound:
             resources = ctx.cand_resources[idx][cand_idx]
             if resources:
                 weights[u] += max(waits[k] for k in resources)
-        path_bound = ctx.sink_start(ctx.prec_succ, weights)
+        path_bound = earliest_starts(ctx.n, ctx.prec_succ, weights)[ctx.sink]
         load_bound = 0.0
         for k, count in enumerate(self.lam):
             if count:
@@ -482,9 +444,7 @@ class _BranchAndBound:
                         (self.best_f - cost) * spec.objective_range / spec.eps + spec.budget,
                     )
 
-        search = _SequencingSearch(self.ctx, weights)
-        outcome = search.run(decisions, upper)
-        self.nodes += search.nodes
+        outcome = _SequencingSearch(self, weights).run(decisions, upper)
         if outcome is None:
             return
         makespan, dirs = outcome

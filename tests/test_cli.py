@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import msrcpspr
 from msrcpspr.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
@@ -80,6 +82,13 @@ class TestPareto:
         assert got == want
         assert (tmp_path / "ranking.csv").exists()
         assert list(tmp_path.glob("gantt_rank*.svg"))
+
+    def test_parallel_flag_is_rejected(self, toy_paths, tmp_path):
+        sm, ext = toy_paths
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", "--instance", sm, "--extension", ext, "--out", str(tmp_path),
+                  "--parallel"])
+        assert exc.value.code == 2
 
     def test_golden_points_backed_by_oracle(self, toy5):
         from msrcpspr.solver import brute_force_front
@@ -236,6 +245,20 @@ class TestSolveAndGantt:
                          "--out", str(tmp_path / sub)]) == 0
         assert (tmp_path / "a" / "gantt.csv").read_bytes() == (tmp_path / "b" / "gantt.csv").read_bytes()
         assert (tmp_path / "a" / "gantt.svg").read_bytes() == (tmp_path / "b" / "gantt.svg").read_bytes()
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(msrcpspr.__file__).resolve().parent.parent)
+        code = (
+            "import sys, msrcpspr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConsoleScript:

@@ -266,11 +266,13 @@ class TestValidate:
         assert any("demands 5 resources" in v for v in validate(instance))
 
     def test_topological_order_exists_for_accepted(self, corpus):
-        from msrcpspr.solver import _deterministic_topo_order
+        from msrcpspr.instance import topological_order
 
         for instance in corpus.values():
             succ = [list(np.flatnonzero(instance.precedence[u])) for u in range(instance.n_nodes)]
-            order = _deterministic_topo_order(instance.n_nodes, succ)
+            order, stuck = topological_order(succ)
+            assert stuck == ()
+            assert sorted(order) == list(range(instance.n_nodes))
             position = {u: i for i, u in enumerate(order)}
             for u in range(instance.n_nodes):
                 for v in succ[u]:

@@ -154,23 +154,6 @@ class TestPlainVersusAugmented:
                 ), (name, makespan, cost)
 
 
-class TestParallelMode:
-    def test_matches_sequential(self, toy5):
-        sequential = enumerate_front(toy5, 8, bypass=False)
-        parallel = enumerate_front(toy5, 8, parallel=True, max_workers=2)
-        assert parallel.pairs() == sequential.pairs()
-
-    def test_env_var_caps_workers(self, monkeypatch):
-        from msrcpspr.pareto import _default_workers
-
-        monkeypatch.setenv("MSRCPSPR_THREADS", "3")
-        assert _default_workers() == 3
-        monkeypatch.setenv("MSRCPSPR_THREADS", "0")
-        assert _default_workers() == 1
-        monkeypatch.delenv("MSRCPSPR_THREADS")
-        assert _default_workers() >= 1
-
-
 class TestFrontCsv:
     def test_columns_and_timing_toggle(self, toy5):
         front = enumerate_front(toy5, 6)

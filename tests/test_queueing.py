@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from msrcpspr.queueing import (
+    _BATCH_COUNT,
+    _T_QUANTILE,
     InstabilityError,
     QueueOperatingPoint,
     ReliabilityParams,
@@ -216,3 +218,7 @@ class TestSimulation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             simulate_queue(point(0.5, 2.0, 0.5, 0.5), horizon=0.0, seed=1)
+
+    def test_t_quantile_is_scipy_value(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert _T_QUANTILE == stats.t.ppf(0.975, _BATCH_COUNT - 1)

@@ -14,6 +14,7 @@ from msrcpspr.solver import (
     lexicographic_outcome,
     solve,
 )
+from msrcpspr.schedule import earliest_starts
 
 from conftest import build_instance, chain3_instance, single1_instance
 
@@ -127,6 +128,33 @@ class TestSolve:
         result = solve(toy5, SubproblemSpec(primary="makespan"), SolveLimits(node_limit=1))
         assert result.status == "timeout"
 
+    def test_node_limit_counts_inner_and_outer_nodes(self, toy5):
+        spec = SubproblemSpec(primary="makespan")
+        full = solve(toy5, spec)
+        exact = solve(toy5, spec, SolveLimits(node_limit=full.nodes_explored))
+        assert exact.status == "optimal"
+        assert exact.nodes_explored == full.nodes_explored
+        limit = full.nodes_explored // 2
+        short = solve(toy5, spec, SolveLimits(node_limit=limit))
+        assert short.status == "timeout"
+        assert short.nodes_explored == limit + 1
+
+    def test_sequencing_search_honours_limits(self):
+        # Seven unrelated activities on one resource: a single assignment
+        # leaf whose 21 sequencing decisions hold nearly all the nodes.
+        executables = range(2, 9)
+        instance = build_instance(
+            durations={1: 0, **{i: i for i in executables}, 9: 0},
+            successors={1: tuple(executables), **{i: (9,) for i in executables}},
+            skill_count=1,
+            resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0))],
+            requirements={i: {1: 1} for i in executables},
+        )
+        limits = SolveLimits(time_limit=0.2, node_limit=100)
+        result = solve(instance, SubproblemSpec(primary="makespan"), limits)
+        assert result.status == "timeout"
+        assert result.nodes_explored <= 101
+
     def test_infeasible_activity(self):
         instance = build_instance(
             durations={1: 0, 2: 3, 3: 0},
@@ -167,7 +195,7 @@ class TestBounds:
     def test_critical_path_bound_admissible(self, corpus):
         for instance in corpus.values():
             ctx = _Context(instance)
-            lb = ctx.sink_start(ctx.prec_succ, list(instance.duration_array))
+            lb = earliest_starts(ctx.n, ctx.prec_succ, list(instance.duration_array))[ctx.sink]
             front = brute_force_front(instance)
             for point in front.points:
                 assert lb <= point.makespan + 1e-9
