@@ -418,6 +418,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gantt":
             return cmd_gantt(config)
         parser.error(f"unknown command {args.command!r}")
+    except (schedule.CycleError, queueing.InstabilityError):
+        # Parsing rejects cyclic precedence and the solver skips unstable
+        # counts, so these are program faults, not input errors.
+        raise
     except (ParseError, ValidationError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         if isinstance(exc, InfeasibleProblemError):
             print(f"infeasible: {exc}", file=sys.stderr)

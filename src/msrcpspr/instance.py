@@ -594,9 +594,18 @@ def validate(instance: ProjectInstance) -> list[str]:
         violations.append("dummy source (activity 1) must have no predecessors")
     if prec[n - 1].any():
         violations.append(f"dummy sink (activity {n}) must have no successors")
-    _, stuck = topological_order([np.flatnonzero(prec[i]) for i in range(n)])
+    successors = [np.flatnonzero(prec[i]) for i in range(n)]
+    order, stuck = topological_order(successors)
     if stuck:
         violations.append(f"precedence not a DAG: cycle through activities {stuck}")
+    else:
+        reaches_sink = {n - 1}
+        for u in reversed(order):
+            if any(v in reaches_sink for v in successors[u]):
+                reaches_sink.add(u)
+        dangling = [u + 1 for u in range(n) if u not in reaches_sink]
+        if dangling:
+            violations.append(f"activities {dangling} have no path to the dummy sink {n}")
 
     for res in instance.resources:
         if not res.skills:

@@ -4,11 +4,13 @@ The search branches on (a) the skill-to-resource assignment of every
 activity and (b) the orientation of every pair of activities that share
 a resource.  Because arrival rates are integer assignment counts, each
 resource has finitely many possible waits; they are tabulated up front,
-which keeps the whole problem combinatorial.  Node bounds combine a
-critical-path relaxation (precedence only, waits of assigned activities
-at their current counts) with a per-resource load bound, plus the exact
-remaining-cost minimum.  ``brute_force_front`` is the independent
-exhaustive oracle for small instances.
+which keeps the whole problem combinatorial.  Assignment node bounds
+combine a critical-path relaxation (precedence only, waits of assigned
+activities at their current counts) with a per-resource load bound, plus
+the exact remaining-cost minimum.  The sequencing search below each
+assignment bounds its nodes with heads and tails of the disjunctive graph
+and a one-machine floor per shared resource.  ``brute_force_front`` is
+the independent exhaustive oracle for small instances.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .instance import ProjectInstance, topological_order
+from .instance import ProjectInstance, ValidationError, topological_order
 from .queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from .schedule import (
     CycleError,
@@ -144,6 +146,10 @@ class _Context:
         self.prec_succ: list[list[int]] = [
             list(np.flatnonzero(instance.precedence[u])) for u in range(n)
         ]
+        self.prec_pred: list[list[int]] = [[] for _ in range(n)]
+        for u in range(n):
+            for v in self.prec_succ[u]:
+                self.prec_pred[v].append(u)
         topo, stuck = topological_order(self.prec_succ)
         if stuck:
             raise CycleError("instance precedence graph is cyclic")
@@ -158,6 +164,11 @@ class _Context:
                 mask |= (1 << v) | reach[v]
             reach[u] = mask
         self.prec_reach = reach
+        # The makespan is the sink's start, so sequencing tails are measured
+        # to the sink; an activity with no path there would escape them.
+        dangling = [u + 1 for u in range(n - 1) if not (reach[u] >> self.sink) & 1]
+        if dangling:
+            raise ValidationError(f"activities {dangling} have no path to the dummy sink {n}")
 
         # Candidate assignments per activity, cheapest first.
         self.candidates: list[list[tuple[tuple[int, int], ...]]] = []
@@ -203,23 +214,36 @@ class _Context:
 class _SequencingSearch:
     """Minimum-makespan orientation of the resource-sharing pairs.
 
-    All durations and waits are fixed when this runs, so each node's
-    bound is just the longest path in the partially oriented graph.
-    Its nodes count toward, and stop at, the limits of the enclosing
-    assignment search.
+    All durations and waits are fixed when this runs.  Every node computes
+    heads (earliest starts, over successor lists) and tails (longest path
+    from a node's start to the sink's, over predecessor lists) with one
+    :func:`earliest_starts` pass each.  Adding arc u->v then gives the
+    exact child makespan ``max(current, head[u] + w[u] + tail[v])`` in
+    O(1), which is passed down as the child's bound; only a leaf runs a
+    full pass for its makespan.  Users of one resource run one at a time,
+    so no leaf below a node beats that resource's one-machine floor
+    ``min head + sum w + min (tail - w)`` over its users.  A node is
+    pruned when its makespan or a floor reaches the incumbent, and the
+    search stops once a leaf reaches the root's bound.  Its nodes count
+    toward, and stop at, the limits of the enclosing assignment search.
     """
 
-    def __init__(self, bb: _BranchAndBound, weights: list[float]):
+    def __init__(
+        self,
+        bb: _BranchAndBound,
+        weights: list[float],
+        machines: list[tuple[list[int], float]],
+    ):
         self.bb = bb
         self.ctx = bb.ctx
         self.weights = weights
+        self.machines = machines
         self.succ = [list(arcs) for arcs in self.ctx.prec_succ]
+        self.pred = [list(arcs) for arcs in self.ctx.prec_pred]
         self.reach = list(self.ctx.prec_reach)
 
-    def _add_arc(self, u: int, v: int) -> list[tuple[int, int]] | None:
-        """Insert u->v; returns the undo log, or None when it closes a cycle."""
-        if (self.reach[v] >> u) & 1:
-            return None
+    def _add_arc(self, u: int, v: int) -> list[tuple[int, int]]:
+        """Insert u->v, which must not close a cycle; returns the undo log."""
         gain = self.reach[v] | (1 << v)
         undo: list[tuple[int, int]] = []
         bit_u = 1 << u
@@ -231,10 +255,12 @@ class _SequencingSearch:
                     undo.append((x, mask))
                     self.reach[x] = new
         self.succ[u].append(v)
+        self.pred[v].append(u)
         return undo
 
-    def _remove_arc(self, u: int, undo: list[tuple[int, int]]) -> None:
+    def _remove_arc(self, u: int, v: int, undo: list[tuple[int, int]]) -> None:
         self.succ[u].pop()
+        self.pred[v].pop()
         for x, old in undo:
             self.reach[x] = old
 
@@ -245,41 +271,52 @@ class _SequencingSearch:
         self.best: float = upper
         self.best_dirs: list[tuple[int, int]] | None = None
         self.chosen: list[tuple[int, int]] = []
-        self._dfs(decisions, 0)
+        self.root_bound = -math.inf
+        self._dfs(decisions, 0, -math.inf)
         if self.best_dirs is None:
             return None
         return self.best, self.best_dirs
 
-    def _dfs(self, decisions: list[tuple[int, int]], idx: int) -> None:
-        if self.bb._out_of_budget():
+    def _dfs(self, decisions: list[tuple[int, int]], idx: int, bound: float) -> None:
+        if bound >= self.best or self.bb._out_of_budget():
             return
         self.bb.nodes += 1
         ctx = self.ctx
-        bound = earliest_starts(ctx.n, self.succ, self.weights)[ctx.sink]
-        if bound >= self.best:
-            return
+        w = self.weights
+        heads = earliest_starts(ctx.n, self.succ, w)
+        current = heads[ctx.sink]
         if idx == len(decisions):
-            self.best = bound
-            self.best_dirs = list(self.chosen)
+            if current < self.best:
+                self.best = current
+                self.best_dirs = list(self.chosen)
             return
+        # after[v] = tail[v] - w[v]: longest path from v's end to the sink's start.
+        after = earliest_starts(ctx.n, self.pred, w)
+        floor = current
+        for users, load in self.machines:
+            machine = min(heads[x] for x in users) + load + min(after[x] for x in users)
+            if machine > floor:
+                floor = machine
+        if floor >= self.best:
+            return
+        if idx == 0:
+            self.root_bound = floor
         i, j = decisions[idx]
         options = []
         for u, v in ((i, j), (j, i)):
-            undo = self._add_arc(u, v)
-            if undo is None:
+            if (self.reach[v] >> u) & 1:
                 continue
-            child_bound = earliest_starts(ctx.n, self.succ, self.weights)[ctx.sink]
-            self._remove_arc(u, undo)
-            options.append((child_bound, u, v))
-        options.sort(key=lambda opt: (opt[0], opt[1]))
-        for _, u, v in options:
+            child = heads[u] + w[u] + (after[v] + w[v])
+            options.append((child if child > current else current, u, v))
+        options.sort()
+        for child, u, v in options:
             undo = self._add_arc(u, v)
-            if undo is None:
-                continue
             self.chosen.append((u, v))
-            self._dfs(decisions, idx + 1)
+            self._dfs(decisions, idx + 1, child)
             self.chosen.pop()
-            self._remove_arc(u, undo)
+            self._remove_arc(u, v, undo)
+            if self.best <= self.root_bound:
+                return
 
 
 class _BranchAndBound:
@@ -387,8 +424,11 @@ class _BranchAndBound:
             if self.timed_out:
                 return
 
-    def _sharing_pairs(self) -> tuple[list[tuple[int, int]], list[float]]:
-        """Pairs of activities sharing a resource, plus final node weights."""
+    def _sharing_pairs(
+        self,
+    ) -> tuple[list[tuple[int, int]], list[float], list[tuple[list[int], float]]]:
+        """Pairs of activities sharing a resource, the final node weights,
+        and the users with their total weight of every shared resource."""
         ctx = self.ctx
         users: dict[int, list[int]] = {}
         weights = list(ctx.durations)
@@ -404,12 +444,17 @@ class _BranchAndBound:
             for nodes in users.values()
             for a, b in itertools.combinations(nodes, 2)
         }
-        return sorted(pairs), weights
+        machines = [
+            (nodes, sum(weights[u] for u in nodes))
+            for _, nodes in sorted(users.items())
+            if len(nodes) > 1
+        ]
+        return sorted(pairs), weights, machines
 
     def _leaf(self) -> None:
         spec = self.spec
         cost = self.cost_so_far
-        pairs, weights = self._sharing_pairs()
+        pairs, weights, machines = self._sharing_pairs()
 
         fixed: list[tuple[int, int]] = []
         decisions: list[tuple[int, int]] = []
@@ -444,7 +489,7 @@ class _BranchAndBound:
                         (self.best_f - cost) * spec.objective_range / spec.eps + spec.budget,
                     )
 
-        outcome = _SequencingSearch(self, weights).run(decisions, upper)
+        outcome = _SequencingSearch(self, weights, machines).run(decisions, upper)
         if outcome is None:
             return
         makespan, dirs = outcome

@@ -9,6 +9,8 @@ import pytest
 
 import msrcpspr
 from msrcpspr.cli import main
+from msrcpspr.queueing import InstabilityError
+from msrcpspr.schedule import CycleError
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
@@ -89,6 +91,24 @@ class TestPareto:
             main(["pareto", "--instance", sm, "--extension", ext, "--out", str(tmp_path),
                   "--parallel"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "error",
+        [CycleError("sequencing closed a cycle"), InstabilityError(3.0, 2.5, resource=1)],
+        ids=["cycle", "instability"],
+    )
+    def test_internal_error_is_not_an_input_error(self, toy_paths, tmp_path, monkeypatch, error):
+        # A fault raised inside a solve is a program error: it must surface
+        # instead of exiting with the input-error code 2.
+        from msrcpspr import pareto
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pareto, "enumerate_front", broken)
+        sm, ext = toy_paths
+        with pytest.raises(type(error)):
+            main(["pareto", "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
 
     def test_golden_points_backed_by_oracle(self, toy5):
         from msrcpspr.solver import brute_force_front

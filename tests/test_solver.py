@@ -1,20 +1,25 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from msrcpspr.instance import ValidationError, validate
+from msrcpspr.queueing import QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
     GuardRailError,
     SolveLimits,
     SubproblemSpec,
+    _BranchAndBound,
     _Context,
+    _SequencingSearch,
     brute_force_front,
     enumerate_assignments,
     lexicographic_optimum,
     lexicographic_outcome,
     solve,
 )
-from msrcpspr.schedule import earliest_starts
+from msrcpspr.schedule import CycleError, earliest_starts
 
 from conftest import build_instance, chain3_instance, single1_instance
 
@@ -140,20 +145,61 @@ class TestSolve:
         assert short.nodes_explored == limit + 1
 
     def test_sequencing_search_honours_limits(self):
-        # Seven unrelated activities on one resource: a single assignment
-        # leaf whose 21 sequencing decisions hold nearly all the nodes.
-        executables = range(2, 9)
+        # Seven activities share one resource, each behind a private head
+        # and ahead of a private tail activity (one machine with release and
+        # delivery times): a single assignment leaf whose 21 sequencing
+        # decisions hold nearly all the nodes and are not settled by the
+        # one-machine floor at the root.
+        heads = (1, 9, 4, 12, 6, 2, 10)
+        shared = (5, 3, 6, 4, 7, 2, 5)
+        tails = (11, 2, 8, 5, 1, 9, 3)
+        sink = 3 * 7 + 2
+        durations = {1: 0, sink: 0}
+        successors = {1: tuple(range(2, 9))}
+        for i in range(7):
+            head, mid, tail = 2 + i, 9 + i, 16 + i
+            durations.update({head: heads[i], mid: shared[i], tail: tails[i]})
+            successors.update({head: (mid,), mid: (tail,), tail: (sink,)})
         instance = build_instance(
-            durations={1: 0, **{i: i for i in executables}, 9: 0},
-            successors={1: tuple(executables), **{i: (9,) for i in executables}},
+            durations=durations,
+            successors=successors,
             skill_count=1,
             resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0))],
-            requirements={i: {1: 1} for i in executables},
+            requirements={9 + i: {1: 1} for i in range(7)},
         )
         limits = SolveLimits(time_limit=0.2, node_limit=100)
         result = solve(instance, SubproblemSpec(primary="makespan"), limits)
         assert result.status == "timeout"
         assert result.nodes_explored <= 101
+
+    def test_one_resource_proved_at_its_floor(self):
+        # Nine unrelated activities on one resource: every order has the
+        # same makespan, which the one-machine floor proves at the first leaf.
+        executables = range(2, 11)
+        instance = build_instance(
+            durations={1: 0, **{i: i for i in executables}, 11: 0},
+            successors={1: tuple(executables), **{i: (11,) for i in executables}},
+            skill_count=1,
+            resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0))],
+            requirements={i: {1: 1} for i in executables},
+        )
+        result = solve(instance, SubproblemSpec(primary="makespan"), SolveLimits(node_limit=100))
+        assert result.status == "optimal"
+        wait = waiting_time(QueueOperatingPoint(9.0, instance.resources[0].reliability))
+        assert result.objectives.makespan == pytest.approx(sum(executables) + 9 * wait, abs=1e-9)
+
+    def test_dangling_activity_rejected(self):
+        # Activity 3 has no successor, so the makespan S_sink would not cover it.
+        instance = build_instance(
+            durations={1: 0, 2: 3, 3: 4, 4: 0},
+            successors={1: (2, 3), 2: (4,)},
+            skill_count=1,
+            resources=[({1}, {1: 10.0}, (0.5, 0.5, 8.0))],
+            requirements={2: {1: 1}, 3: {1: 1}},
+        )
+        assert any("no path to the dummy sink" in v for v in validate(instance))
+        with pytest.raises(ValidationError, match="no path to the dummy sink"):
+            solve(instance, SubproblemSpec(primary="makespan"))
 
     def test_infeasible_activity(self):
         instance = build_instance(
@@ -189,6 +235,81 @@ class TestSolve:
         assert augmented.objectives.makespan == pytest.approx(plain.objectives.makespan, abs=1e-9)
         assert augmented.objectives.cost <= plain.objectives.cost + 1e-9
         assert augmented.objectives.cost == pytest.approx(front.points[0].cost, abs=1e-9)
+
+
+def _sequencing_case(rng: np.random.Generator):
+    """A small project with zero durations and tied weights, one random
+    assignment fixed, and the sharing pairs that precedence leaves open."""
+    n = int(rng.integers(6, 10))
+    durations = {1: 0, n: 0}
+    successors = {}
+    has_pred = set()
+    for act in range(2, n):
+        durations[act] = int(rng.choice([0, 0, 2, 3, 3, 5]))
+        later = {int(v) for v in range(act + 1, n) if rng.random() < 0.2}
+        successors[act] = tuple(sorted(later)) or (n,)
+        has_pred |= later
+    successors[1] = tuple(act for act in range(2, n) if act not in has_pred)
+    instance = build_instance(
+        durations=durations,
+        successors=successors,
+        skill_count=1,
+        resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0)), ({1}, {1: 20.0}, (0.5, 0.5, 40.0))],
+        requirements={act: {1: int(rng.choice([0, 1, 1, 2]))} for act in range(2, n)},
+    )
+    ctx = _Context(instance)
+    bb = _BranchAndBound(ctx, SubproblemSpec(primary="makespan"), SolveLimits())
+    for idx in range(len(ctx.acts)):
+        cand_idx = int(rng.integers(len(ctx.candidates[idx])))
+        bb.chosen.append(cand_idx)
+        for k in ctx.cand_resources[idx][cand_idx]:
+            bb.lam[k] += 1
+    pairs, weights, machines = bb._sharing_pairs()
+    reach = ctx.prec_reach
+    decisions = [
+        (i, j) for i, j in pairs if not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1
+    ]
+    return ctx, bb, weights, machines, decisions
+
+
+def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
+    # Every child value passed down must be the full longest path of the
+    # child graph, and the search must return the best of all orientations.
+    original = _SequencingSearch._dfs
+    checked = []
+
+    def checking_dfs(self, decisions, idx, bound):
+        if idx:
+            full = earliest_starts(self.ctx.n, self.succ, self.weights)[self.ctx.sink]
+            assert bound == pytest.approx(full, abs=1e-12)
+            checked.append(bound)
+        original(self, decisions, idx, bound)
+
+    monkeypatch.setattr(_SequencingSearch, "_dfs", checking_dfs)
+    rng = np.random.default_rng(20261018)
+    cases = 0
+    while cases < 40:
+        ctx, bb, weights, machines, decisions = _sequencing_case(rng)
+        if not decisions or len(decisions) > 10:
+            continue
+        cases += 1
+        brute = math.inf
+        for flips in itertools.product((False, True), repeat=len(decisions)):
+            succ = [list(arcs) for arcs in ctx.prec_succ]
+            for (i, j), flip in zip(decisions, flips):
+                u, v = (j, i) if flip else (i, j)
+                succ[u].append(v)
+            try:
+                brute = min(brute, earliest_starts(ctx.n, succ, weights)[ctx.sink])
+            except CycleError:
+                continue
+        makespan, dirs = _SequencingSearch(bb, weights, machines).run(decisions, math.inf)
+        assert makespan == pytest.approx(brute, abs=1e-12)
+        succ = [list(arcs) for arcs in ctx.prec_succ]
+        for u, v in dirs:
+            succ[u].append(v)
+        assert earliest_starts(ctx.n, succ, weights)[ctx.sink] == makespan
+    assert checked
 
 
 class TestBounds:
@@ -254,6 +375,17 @@ class TestJ20Smoke:
         rows = to_gantt(instance, outcome.result.solution)
         assert len(rows) == 20
         assert any(row.wait > 0 for row in rows)
+
+
+class TestJ20Exact:
+    def test_payoff_row_is_proved(self, data_dir):
+        from msrcpspr.instance import instance_from_files
+
+        instance = instance_from_files(data_dir / "j20.sm", data_dir / "j20_skills.json")
+        outcome = lexicographic_outcome(instance, ("makespan", "cost"))
+        assert outcome.statuses == ("optimal", "optimal")
+        assert outcome.objectives.makespan == pytest.approx(205 / 3, abs=1e-9)
+        assert outcome.objectives.cost == pytest.approx(65500.0, abs=1e-9)
 
 
 class TestBruteForce:
