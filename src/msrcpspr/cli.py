@@ -33,27 +33,6 @@ DEFAULT_HORIZON = 1e6
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs beyond the instance itself."""
-
-    instance_path: Path
-    extension_path: Path | None
-    out_dir: Path
-    grid_count: int = pareto_mod.DEFAULT_GRID_COUNT
-    eps: float = pareto_mod.DEFAULT_EPS
-    weights: tuple[float, float] = (0.5, 0.5)
-    v: float = 0.5
-    seed: int = 0
-    time_limit: float = 300.0
-    bypass: bool = True
-    include_timing: bool = True
-    horizon: float = DEFAULT_HORIZON
-
-    def limits(self) -> SolveLimits:
-        return SolveLimits(time_limit=self.time_limit)
-
-
-@dataclass(frozen=True)
 class SweepRow:
     grid_point: int
     multiplier: float
@@ -64,10 +43,14 @@ class SweepRow:
     flagged: bool
 
 
-def load_problem(config: RunConfig) -> ProjectInstance:
-    if config.extension_path is None:
+def load_problem(args: argparse.Namespace) -> ProjectInstance:
+    if args.extension is None:
         raise ValidationError("extension required: supply --extension with the skill sidecar")
-    return instance_mod.instance_from_files(config.instance_path, config.extension_path)
+    return instance_mod.instance_from_files(args.instance, args.extension)
+
+
+def _limits(args: argparse.Namespace) -> SolveLimits:
+    return SolveLimits(time_limit=args.time_limit)
 
 
 def _write(out_dir: Path, name: str, content: str) -> Path:
@@ -78,8 +61,8 @@ def _write(out_dir: Path, name: str, content: str) -> Path:
     return path
 
 
-def cmd_validate(config: RunConfig) -> int:
-    problem = load_problem(config)
+def cmd_validate(args: argparse.Namespace) -> int:
+    problem = load_problem(args)
     violations = instance_mod.validate(problem)
     warnings = instance_mod.skill_coverage_issues(problem)
     for issue in warnings:
@@ -96,17 +79,18 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_solve(config: RunConfig, primary: str, budget: float | None, eps: float) -> int:
-    problem = load_problem(config)
+def cmd_solve(args: argparse.Namespace) -> int:
+    problem = load_problem(args)
+    primary, budget, eps = args.primary, args.budget, args.eps
     objective_range = None
     if eps:
         if budget is None:
             raise ValidationError("--eps needs --budget to produce slack")
         secondary = "cost" if primary == "makespan" else "makespan"
-        lex = lexicographic_outcome(problem, (primary, secondary), config.limits())
+        lex = lexicographic_outcome(problem, (primary, secondary), _limits(args))
         objective_range = abs(getattr(lex.objectives, secondary) - budget) or 1.0
     spec = SubproblemSpec(primary=primary, budget=budget, eps=eps, objective_range=objective_range)
-    result = solve(problem, spec, config.limits())
+    result = solve(problem, spec, _limits(args))
     print(f"status: {result.status}")
     print(f"nodes explored: {result.nodes_explored}")
     if result.objectives is not None:
@@ -115,29 +99,25 @@ def cmd_solve(config: RunConfig, primary: str, budget: float | None, eps: float)
         if result.slack is not None:
             print(f"budget slack: {_fmt(result.slack)}")
         rows = schedule.to_gantt(problem, result.solution)
-        _write(config.out_dir, "solution_gantt.csv", schedule.gantt_csv(rows))
-        _write(config.out_dir, "solution_gantt.svg", schedule.gantt_svg(rows))
+        _write(args.out, "solution_gantt.csv", schedule.gantt_csv(rows))
+        _write(args.out, "solution_gantt.svg", schedule.gantt_svg(rows))
     return EXIT_OK if result.status == "optimal" else EXIT_UNSOLVED
 
 
-def cmd_pareto(config: RunConfig) -> int:
-    problem = load_problem(config)
+def cmd_pareto(args: argparse.Namespace) -> int:
+    problem = load_problem(args)
     front = pareto_mod.enumerate_front(
-        problem,
-        config.grid_count,
-        config.eps,
-        bypass=config.bypass,
-        limits=config.limits(),
+        problem, args.grid, args.eps, bypass=not args.no_bypass, limits=_limits(args)
     )
     if front.diagnosis:
         logger.warning("%s", front.diagnosis)
-    _write(config.out_dir, "front.csv", pareto_mod.front_csv(front, config.include_timing))
+    _write(args.out, "front.csv", pareto_mod.front_csv(front, not args.no_timing))
     if not front.points:
         print("no Pareto points found")
         return EXIT_UNSOLVED
 
-    ranking = vikor.rank(front, config.weights, config.v)
-    _write(config.out_dir, "ranking.csv", vikor.ranking_csv(ranking))
+    ranking = vikor.rank(front, args.weights, args.v)
+    _write(args.out, "ranking.csv", vikor.ranking_csv(ranking))
 
     print("point  makespan      cost")
     for idx, point in enumerate(front.points, start=1):
@@ -149,9 +129,11 @@ def cmd_pareto(config: RunConfig) -> int:
         if point.solution is None:
             continue
         rows = schedule.to_gantt(problem, point.solution)
-        _write(config.out_dir, f"gantt_rank{rank_pos}.svg", schedule.gantt_svg(rows))
+        _write(args.out, f"gantt_rank{rank_pos}.svg", schedule.gantt_svg(rows))
+    # A diagnosis means a payoff-table solve was not proved, even when the
+    # sweep bypassed the grid level that row stands for.
     statuses = {rec.status for rec in front.grid_log}
-    if statuses & {"timeout"}:
+    if front.diagnosis or "timeout" in statuses:
         return EXIT_UNSOLVED
     return EXIT_OK
 
@@ -226,13 +208,14 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(config: RunConfig, parameter: str, multipliers: list[float]) -> int:
-    problem = load_problem(config)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    problem = load_problem(args)
+    parameter = args.parameter
     rows, fronts = run_sweep(
-        problem, parameter, multipliers, config.grid_count, config.eps, config.limits(),
-        bypass=config.bypass,
+        problem, parameter, args.multipliers, args.grid, args.eps, _limits(args),
+        bypass=not args.no_bypass,
     )
-    _write(config.out_dir, f"sweep_{parameter}.csv", sweep_csv(rows))
+    _write(args.out, f"sweep_{parameter}.csv", sweep_csv(rows))
     flagged = sum(1 for row in rows if row.flagged)
     print(f"sweep over {parameter}: {len(rows)} rows, {flagged} flagged")
     for multiplier, front in fronts.items():
@@ -288,10 +271,10 @@ def simulation_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    problem = load_problem(config)
-    rows = simulation_rows(problem, config.horizon, config.seed)
-    _write(config.out_dir, "simulate.csv", simulation_csv(rows))
+def cmd_simulate(args: argparse.Namespace) -> int:
+    problem = load_problem(args)
+    rows = simulation_rows(problem, args.horizon, args.seed)
+    _write(args.out, "simulate.csv", simulation_csv(rows))
     worst_gap = 0.0
     for lam, mu, upsilon, r, analytic, estimate in rows:
         gap = abs(estimate.mean_wait - analytic) / analytic
@@ -306,15 +289,15 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gantt(config: RunConfig) -> int:
-    problem = load_problem(config)
-    outcome = lexicographic_outcome(problem, ("makespan", "cost"), config.limits())
+def cmd_gantt(args: argparse.Namespace) -> int:
+    problem = load_problem(args)
+    outcome = lexicographic_outcome(problem, ("makespan", "cost"), _limits(args))
     if outcome.result.solution is None:
         print("no feasible solution to render")
         return EXIT_UNSOLVED
     rows = schedule.to_gantt(problem, outcome.result.solution)
-    _write(config.out_dir, "gantt.csv", schedule.gantt_csv(rows))
-    _write(config.out_dir, "gantt.svg", schedule.gantt_svg(rows))
+    _write(args.out, "gantt.csv", schedule.gantt_csv(rows))
+    _write(args.out, "gantt.svg", schedule.gantt_svg(rows))
     print(
         f"rendered {len(rows)} activities, makespan {_fmt(outcome.objectives.makespan)}, "
         f"cost {_fmt(outcome.objectives.cost)}"
@@ -382,42 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        instance_path=args.instance,
-        extension_path=args.extension,
-        out_dir=args.out,
-        grid_count=getattr(args, "grid", pareto_mod.DEFAULT_GRID_COUNT),
-        eps=getattr(args, "eps", pareto_mod.DEFAULT_EPS),
-        weights=getattr(args, "weights", (0.5, 0.5)),
-        v=getattr(args, "v", 0.5),
-        seed=args.seed,
-        time_limit=args.time_limit,
-        bypass=not getattr(args, "no_bypass", False),
-        include_timing=not args.no_timing,
-        horizon=getattr(args, "horizon", DEFAULT_HORIZON),
-    )
+_COMMANDS = {
+    "validate": cmd_validate,
+    "solve": cmd_solve,
+    "pareto": cmd_pareto,
+    "sweep": cmd_sweep,
+    "simulate": cmd_simulate,
+    "gantt": cmd_gantt,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=os.environ.get("MSRCPSPR_LOG", "INFO"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from(args)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "solve":
-            return cmd_solve(config, args.primary, args.budget, args.eps)
-        if args.command == "pareto":
-            return cmd_pareto(config)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.parameter, args.multipliers)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "gantt":
-            return cmd_gantt(config)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (schedule.CycleError, queueing.InstabilityError):
         # Parsing rejects cyclic precedence and the solver skips unstable
         # counts, so these are program faults, not input errors.
@@ -428,7 +390,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_UNSOLVED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -54,12 +54,6 @@ class Activity:
     duration: int
     skill_requirements: tuple[tuple[int, int], ...]  # (skill, required count)
 
-    def requirement(self, skill: int) -> int:
-        for s, count in self.skill_requirements:
-            if s == skill:
-                return count
-        return 0
-
 
 @dataclass(frozen=True)
 class ResourceProfile:
@@ -69,12 +63,6 @@ class ResourceProfile:
     skills: frozenset[int]
     cost_per_skill: tuple[tuple[int, float], ...]  # (skill, cost per time unit)
     reliability: ReliabilityParams
-
-    def cost_for(self, skill: int) -> float:
-        for s, cost in self.cost_per_skill:
-            if s == skill:
-                return cost
-        raise KeyError(f"resource {self.id} has no cost for skill {skill}")
 
 
 @dataclass(frozen=True)
@@ -151,18 +139,6 @@ class ProjectInstance:
             for skill, cost in res.cost_per_skill:
                 c[skill - 1, res.id - 1] = cost
         return c
-
-    @cached_property
-    def successor_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(np.flatnonzero(self.precedence[i]) + 1) for i in range(self.n_nodes)
-        )
-
-    @cached_property
-    def predecessor_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(np.flatnonzero(self.precedence[:, j]) + 1) for j in range(self.n_nodes)
-        )
 
 
 _JOBS_RE = re.compile(r"jobs\s*\(incl\.\s*supersource/sink\s*\)\s*:\s*(\d+)")

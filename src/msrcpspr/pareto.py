@@ -5,19 +5,33 @@ The cost range between the two lexicographic optima is divided into
 cost at most that level, rewarding budget slack through the augmented
 objective.  Integer slack jumps let the sweep bypass grid levels that
 would repeat the previous solution.
+
+Grid levels 0 and N are the payoff table's own points, so they are
+read from it instead of being solved again (as AUGMECON-R does).
+Level N (budget ``cost_pis``) leaves no slack, so its subproblem is the
+makespan stage of the cost-first row.  Level 0 (budget ``cost_nis``) is
+the makespan-first row: a makespan-optimal schedule within that budget
+costs exactly ``cost_nis``, and the slack reward (at most ``eps``) could
+only trade it for a point within ``eps`` of the optimal makespan, which
+would drop the table's proven point from the front.  A zero cost range
+leaves level 0 alone.  An end level reads "optimal" only when both
+stages of its table row were proved, and "timeout" otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .instance import ProjectInstance
 from .schedule import ScheduleSolution, _fmt
 from .solver import (
     InfeasibleProblemError,
+    LexOutcome,
     SolveLimits,
+    SolveResult,
     SubproblemSpec,
+    check_eps,
     lexicographic_outcome,
     solve,
 )
@@ -113,12 +127,14 @@ def enumerate_front(
 
     Builds the payoff table from the two lexicographic optima, grids the
     cost range into ``grid_count`` steps (levels p = 0..N), and minimizes
-    makespan at every level with the augmented slack reward.  With
-    ``bypass`` on, levels that an optimal solution's budget slack already
-    covers are skipped.
+    makespan at every interior level with the augmented slack reward;
+    levels 0 and N are the payoff table's points.  With ``bypass`` on,
+    levels that an optimal solution's budget slack already covers are
+    skipped.  An unproven payoff table makes its end levels "timeout".
     """
     if grid_count < 2:
         raise ValueError(f"grid_count must be >= 2, got {grid_count}")
+    check_eps(eps)
     try:
         lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits)
         lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits)
@@ -137,45 +153,27 @@ def enumerate_front(
         diagnosis = f"payoff table built from non-optimal solves: {sorted(statuses)}"
 
     objective_range = payoff.cost_nis - payoff.cost_pis
-    if objective_range <= _RANGE_TOL:
-        point = ParetoPoint(
-            makespan=lex_makespan.objectives.makespan,
-            cost=lex_makespan.objectives.cost,
-            grid_index=0,
-            solution=lex_makespan.result.solution,
-        )
-        record = GridRecord(
-            grid_point=0,
-            epsilon=payoff.cost_nis,
-            status=lex_makespan.result.status,
-            makespan=point.makespan,
-            cost=point.cost,
-            slack=0.0,
-            wall_time=lex_makespan.result.wall_time,
-        )
-        return ParetoFront(
-            points=(point,),
-            payoff=payoff,
-            grid_count=grid_count,
-            grid_log=(record,),
-            diagnosis=diagnosis,
-        )
-
+    last = grid_count if objective_range > _RANGE_TOL else 0
     step = objective_range / grid_count
-    levels = [payoff.cost_nis - p * step for p in range(grid_count + 1)]
+    levels = [payoff.cost_nis - p * step for p in range(last + 1)]
     records: list[GridRecord] = []
     found: list[ParetoPoint] = []
 
     p = 0
-    while p <= grid_count:
-        result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits)
+    while p <= last:
+        if p == 0:
+            result = _table_level(lex_makespan, levels[p])
+        elif p == last:
+            result = _table_level(lex_cost, levels[p])
+        else:
+            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits)
         records.append(_record_for(p, levels[p], result))
         skip = 0
         if result.solution is not None and result.status == "optimal":
             found.append(_point_for(p, result))
             if bypass and result.slack is not None and step > 0:
                 skip = math.floor(result.slack / step + 1e-12)
-        for bypassed in range(p + 1, min(p + skip, grid_count) + 1):
+        for bypassed in range(p + 1, min(p + skip, last) + 1):
             records.append(
                 GridRecord(
                     grid_point=bypassed,
@@ -211,6 +209,12 @@ def plain_epsilon_front(
     two methods are comparable at equal ``grid_count``.
     """
     return enumerate_front(instance, grid_count, eps=0.0, bypass=False, limits=limits)
+
+
+def _table_level(lex: LexOutcome, level: float) -> SolveResult:
+    """A payoff-table row read as the grid level with budget ``level``."""
+    status = "optimal" if lex.statuses == ("optimal", "optimal") else "timeout"
+    return replace(lex.result, status=status, slack=max(0.0, level - lex.objectives.cost))
 
 
 def _record_for(p: int, level: float, result) -> GridRecord:

@@ -50,6 +50,12 @@ class GuardRailError(ValueError):
     """The brute-force oracle refuses instances beyond its guard rails."""
 
 
+def check_eps(eps: float) -> None:
+    """Reject a slack reward that is neither 0 nor inside ``EPS_RANGE``."""
+    if eps != 0.0 and not EPS_RANGE[0] <= eps <= EPS_RANGE[1]:
+        raise ValueError(f"eps must be 0 or within {EPS_RANGE}, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class SubproblemSpec:
     """One single-objective subproblem, optionally budgeted and augmented."""
@@ -64,9 +70,8 @@ class SubproblemSpec:
             raise ValueError(f"primary must be 'makespan' or 'cost', got {self.primary!r}")
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget!r}")
+        check_eps(self.eps)
         if self.eps != 0.0:
-            if not EPS_RANGE[0] <= self.eps <= EPS_RANGE[1]:
-                raise ValueError(f"eps must be 0 or within {EPS_RANGE}, got {self.eps!r}")
             if self.budget is None:
                 raise ValueError("augmentation needs a budget to produce slack")
             if not self.objective_range or self.objective_range <= 0:
@@ -597,14 +602,11 @@ def lexicographic_outcome(
         )
     first_value = getattr(stage1.objectives, first)
     stage2 = solve(instance, SubproblemSpec(primary=second, budget=first_value), limits)
+    statuses = (stage1.status, stage2.status)
     if stage2.objectives is None:
         # The stage-1 incumbent remains a witness under the stage-2 budget.
         stage2 = stage1
-    return LexOutcome(
-        objectives=stage2.objectives,
-        result=stage2,
-        statuses=(stage1.status, stage2.status),
-    )
+    return LexOutcome(objectives=stage2.objectives, result=stage2, statuses=statuses)
 
 
 def lexicographic_optimum(

@@ -85,6 +85,33 @@ class TestPareto:
         assert (tmp_path / "ranking.csv").exists()
         assert list(tmp_path.glob("gantt_rank*.svg"))
 
+    @pytest.mark.parametrize("cut", [("makespan", "cost"), ("cost", "makespan")])
+    def test_unproven_payoff_table_exits_one(self, toy_paths, tmp_path, monkeypatch, cut):
+        # A payoff row whose first stage was cut short is not a proven end
+        # of the grid.  Level 0 then reads "timeout"; toy5's level 10 is
+        # bypassed, but the command must exit 1 for the cost-first row too.
+        import dataclasses
+
+        from msrcpspr import pareto
+
+        real = pareto.lexicographic_outcome
+
+        def cut_stage1(instance, order, limits=None):
+            outcome = real(instance, order, limits)
+            if order != cut:
+                return outcome
+            return dataclasses.replace(outcome, statuses=("timeout", outcome.statuses[1]))
+
+        monkeypatch.setattr(pareto, "lexicographic_outcome", cut_stage1)
+        sm, ext = toy_paths
+        code = main(["pareto", "--instance", sm, "--extension", ext, "--out", str(tmp_path),
+                     "--no-timing"])
+        assert code == 1
+        rows = (tmp_path / "front.csv").read_text().splitlines()
+        level0_status = "timeout" if cut[0] == "makespan" else "optimal"
+        assert rows[1].startswith("0,") and rows[1].endswith(f",{level0_status},")
+        assert rows[-1] == "10,,,,bypassed,"
+
     def test_parallel_flag_is_rejected(self, toy_paths, tmp_path):
         sm, ext = toy_paths
         with pytest.raises(SystemExit) as exc:

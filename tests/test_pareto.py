@@ -10,7 +10,13 @@ from msrcpspr.pareto import (
     front_csv,
     plain_epsilon_front,
 )
-from msrcpspr.solver import brute_force_front
+from msrcpspr.solver import (
+    SolveLimits,
+    SubproblemSpec,
+    brute_force_front,
+    lexicographic_outcome,
+    solve,
+)
 
 from conftest import build_instance, chain3_instance
 
@@ -52,12 +58,76 @@ class TestDominanceFilter:
         assert dominance_filter([]) == []
 
 
+def count_grid_solves(monkeypatch) -> list:
+    """Record the spec of every grid-level ``solve`` the sweep makes."""
+    from msrcpspr import pareto
+
+    specs = []
+    real_solve = pareto.solve
+
+    def counted(instance, spec, limits=None):
+        specs.append(spec)
+        return real_solve(instance, spec, limits)
+
+    monkeypatch.setattr(pareto, "solve", counted)
+    return specs
+
+
 class TestEnumerateFront:
-    def test_degenerate_range_single_point(self):
+    def test_degenerate_range_single_point(self, monkeypatch):
         instance = chain3_instance()
+        lex = lexicographic_outcome(instance, ("makespan", "cost"))
+        specs = count_grid_solves(monkeypatch)
         for grid_count in (2, 7, 19):
             front = enumerate_front(instance, grid_count)
             assert len(front.points) == 1
+            assert front.pairs() == [(lex.objectives.makespan, lex.objectives.cost)]
+            (record,) = front.grid_log
+            assert (record.grid_point, record.status, record.slack) == (0, "optimal", 0.0)
+            assert (record.makespan, record.cost) == front.pairs()[0]
+        assert specs == []
+
+    def test_end_levels_come_from_the_payoff_table(self, j10, monkeypatch):
+        specs = count_grid_solves(monkeypatch)
+        front = enumerate_front(j10, 10)
+        payoff = front.payoff
+        for spec in specs:
+            assert abs(spec.budget - payoff.cost_nis) > 1e-9
+            assert abs(spec.budget - payoff.cost_pis) > 1e-9
+        interior = [
+            rec for rec in front.grid_log
+            if rec.status != "bypassed" and rec.grid_point not in (0, 10)
+        ]
+        assert len(specs) == len(interior) == 3
+        first, last = front.grid_log[0], front.grid_log[-1]
+        assert (first.grid_point, first.status) == (0, "optimal")
+        assert (first.makespan, first.cost) == (payoff.makespan_pis, payoff.cost_nis)
+        assert (last.grid_point, last.status) == (10, "optimal")
+        assert (last.makespan, last.cost) == (payoff.makespan_nis, payoff.cost_pis)
+
+    def test_unproven_payoff_row_is_a_timed_out_level(self, j10):
+        unbudgeted = solve(j10, SubproblemSpec(primary="makespan"))
+        assert unbudgeted.status == "optimal"
+        # A node_limit of L lets the search count L + 1 nodes, so this is the
+        # largest limit that cuts the makespan-first stage 1 short.
+        limits = SolveLimits(node_limit=unbudgeted.nodes_explored - 2)
+        front = enumerate_front(j10, 10, limits=limits)
+        level0 = front.grid_log[0]
+        assert (level0.grid_point, level0.status) == (0, "timeout")
+        assert all(point.grid_index != 0 for point in front.points)
+        assert "timeout" in front.diagnosis
+
+    def test_bad_eps_rejected_before_any_solve(self, j10, monkeypatch):
+        from msrcpspr import pareto
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting eps")
+
+        monkeypatch.setattr(pareto, "lexicographic_outcome", no_solve)
+        for instance in (chain3_instance(), j10):
+            for eps in (0.5, -1e-4, 1e-8):
+                with pytest.raises(ValueError, match="eps"):
+                    enumerate_front(instance, 4, eps=eps)
 
     def test_oracle_equivalence(self, corpus):
         for name, instance in corpus.items():

@@ -9,6 +9,7 @@ from msrcpspr.queueing import QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
     GuardRailError,
     SolveLimits,
+    SolveResult,
     SubproblemSpec,
     _BranchAndBound,
     _Context,
@@ -352,6 +353,24 @@ class TestLexicographic:
     def test_bad_order_rejected(self, toy5):
         with pytest.raises(ValueError):
             lexicographic_optimum(toy5, ("makespan", "makespan"))
+
+    def test_stage2_timeout_without_incumbent_is_reported(self, toy5, monkeypatch):
+        # When stage 2 finds nothing, the stage-1 schedule stands in for the
+        # row, but the row must still say that stage 2 was not proved.
+        from msrcpspr import solver
+
+        real_solve = solver.solve
+
+        def stage2_cut(instance, spec, limits=None):
+            if spec.budget is not None:
+                return SolveResult("timeout", None, None, None, 0, 0.0)
+            return real_solve(instance, spec, limits)
+
+        monkeypatch.setattr(solver, "solve", stage2_cut)
+        outcome = lexicographic_outcome(toy5, ("makespan", "cost"))
+        assert outcome.statuses == ("optimal", "timeout")
+        assert outcome.result.status == "optimal"
+        assert outcome.result.solution is not None
 
 
 class TestJ20Smoke:
