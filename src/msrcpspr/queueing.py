@@ -7,7 +7,9 @@ while operational.  Repairs are work-conserving: an interrupted job
 resumes where it stopped.  The closed-form mean time in system is
 evaluated by :func:`waiting_time`; :func:`simulate_queue` runs an exact
 event-driven simulation of the same dynamics and acts as the independent
-cross-check for the closed form.
+cross-check for the closed form.  The simulation is vectorised: customers
+are mapped to the server's up-time clock and back by merge-ranks over
+sorted arrays, and the queue itself is a running maximum on that clock.
 """
 
 from __future__ import annotations
@@ -131,6 +133,22 @@ def _environment(
     return up_starts, up_lengths, op_offsets
 
 
+def _clock_rank(keys: np.ndarray, boundaries: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(boundaries, keys, side)`` for non-decreasing ``keys``.
+
+    A merge-rank: each of the m boundaries is searched into the n keys
+    with the opposite tie rule, and a running count of those positions
+    gives, for every key, the number of boundaries before it.  That is one
+    binary search per boundary plus a linear pass over the keys, instead
+    of one binary search per key, and the same integers.  The keys must
+    be sorted; the boundaries need not be.
+    """
+    flipped = "left" if side == "right" else "right"
+    positions = np.searchsorted(keys, boundaries, side=flipped)
+    counts = np.bincount(positions, minlength=keys.size + 1)[:-1]
+    return np.cumsum(counts, out=counts)
+
+
 def _departure_times(
     arrivals: np.ndarray,
     services: np.ndarray,
@@ -144,17 +162,33 @@ def _departure_times(
     arrivals onto that clock turns the halted-server system into an
     ordinary single-server queue, whose departure epochs follow the
     Lindley recursion; mapping back yields real departure times.
+
+    Both clock mappings are merge-ranks (:func:`_clock_rank`), so both
+    need sorted keys: ``arrivals`` must be non-decreasing, and then so are
+    the operational departures, a running sum of services plus a running
+    maximum (rounding is monotone).  They pick the same up periods as
+    ``np.searchsorted(up_starts, arrivals, "right") - 1`` and
+    ``np.searchsorted(op_offsets + up_lengths, op_departures, "left")``,
+    and the arithmetic is the same, only done in place, so the result is
+    bit-identical to that formulation.
     """
-    idx = np.searchsorted(up_starts, arrivals, side="right") - 1
-    op_arrivals = op_offsets[idx] + np.minimum(arrivals - up_starts[idx], up_lengths[idx])
+    idx = _clock_rank(arrivals, up_starts, "right") - 1
+    op = arrivals - up_starts[idx]
+    np.minimum(op, up_lengths[idx], out=op)
+    op += op_offsets[idx]
+    del idx
 
     # delta_n = max(alpha_n, delta_{n-1}) + s_n, unrolled to a running max.
     service_cum = np.cumsum(services)
-    op_departures = service_cum + np.maximum.accumulate(op_arrivals - (service_cum - services))
+    op -= service_cum - services
+    np.maximum.accumulate(op, out=op)
+    op += service_cum
+    del service_cum
 
-    op_ends = op_offsets + up_lengths
-    j = np.searchsorted(op_ends, op_departures, side="left")
-    return up_starts[j] + (op_departures - op_offsets[j])
+    j = _clock_rank(op, op_offsets + up_lengths, "left")
+    op -= op_offsets[j]
+    op += up_starts[j]
+    return op
 
 
 def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> SimEstimate:
@@ -178,7 +212,7 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
 
     rng = np.random.default_rng(seed)
     epochs = _cumulative_exponentials(rng, lam, horizon)
-    arrivals = epochs[epochs <= horizon]
+    arrivals = epochs[: np.searchsorted(epochs, horizon, side="right")]
     if arrivals.size == 0:
         raise ValueError("no arrivals within the horizon; increase it")
     services = rng.exponential(1.0 / params.service_rate, arrivals.size)
@@ -187,8 +221,8 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     up_starts, up_lengths, op_offsets = _environment(
         rng, params.disruption_rate, params.retrieval_rate, operational_needed
     )
-    departures = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
-    sojourns = departures - arrivals
+    sojourns = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
+    sojourns -= arrivals
 
     warmup = int(_WARMUP_FRACTION * sojourns.size)
     kept = sojourns[warmup:]

@@ -80,6 +80,12 @@ class SubproblemSpec:
 
 @dataclass(frozen=True)
 class SolveLimits:
+    """Wall-clock seconds and a cap on nodes (outer and inner counted alike).
+
+    A ``node_limit`` of L explores at most L nodes; a search that needs
+    more stops there and reports "timeout".
+    """
+
     time_limit: float = 300.0
     node_limit: int | None = None
 
@@ -394,7 +400,7 @@ class _BranchAndBound:
         if time.perf_counter() > self.deadline:
             self.timed_out = True
             return True
-        if self.limits.node_limit is not None and self.nodes > self.limits.node_limit:
+        if self.limits.node_limit is not None and self.nodes >= self.limits.node_limit:
             self.timed_out = True
             return True
         return False

@@ -268,6 +268,16 @@ class TestSimulate:
               "--horizon", "20000", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "simulate.csv").read_bytes() != (tmp_path / "b" / "simulate.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["toy5", "j10"])
+    def test_matches_golden_bytes(self, data_dir, name, tmp_path):
+        # Determinism tests compare one version with itself; the golden
+        # bytes also catch a silent change to the simulated numbers.
+        assert main(["simulate", "--instance", str(data_dir / f"{name}.sm"),
+                     "--extension", str(data_dir / f"{name}_skills.json"),
+                     "--horizon", "20000", "--seed", "5", "--out", str(tmp_path)]) == 0
+        golden = (GOLDEN_DIR / f"{name}_simulate_golden.csv").read_bytes()
+        assert (tmp_path / "simulate.csv").read_bytes() == golden
+
 
 class TestSolveAndGantt:
     def test_solve_writes_artifacts(self, toy_paths, tmp_path, capsys):
@@ -309,6 +319,19 @@ class TestColdStart:
 
 
 class TestConsoleScript:
+    def test_module_entry_point_runs(self, toy_paths, tmp_path):
+        src = str(Path(msrcpspr.__file__).resolve().parent.parent)
+        sm, ext = toy_paths
+        proc = subprocess.run(
+            [sys.executable, "-m", "msrcpspr", "validate", "--instance", sm, "--extension", ext,
+             "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        assert "OK" in proc.stdout
+
     def test_entry_point_runs(self, toy_paths, tmp_path):
         exe = shutil.which("msrcpspr")
         if exe is None:

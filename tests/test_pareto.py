@@ -108,9 +108,7 @@ class TestEnumerateFront:
     def test_unproven_payoff_row_is_a_timed_out_level(self, j10):
         unbudgeted = solve(j10, SubproblemSpec(primary="makespan"))
         assert unbudgeted.status == "optimal"
-        # A node_limit of L lets the search count L + 1 nodes, so this is the
-        # largest limit that cuts the makespan-first stage 1 short.
-        limits = SolveLimits(node_limit=unbudgeted.nodes_explored - 2)
+        limits = SolveLimits(node_limit=unbudgeted.nodes_explored - 1)
         front = enumerate_front(j10, 10, limits=limits)
         level0 = front.grid_log[0]
         assert (level0.grid_point, level0.status) == (0, "timeout")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msrcpspr.queueing import (
     _BATCH_COUNT,
@@ -157,6 +159,44 @@ def _reference_departures(arrivals, services, up_starts, up_lengths, op_offsets)
     return np.array(departures)
 
 
+def _searchsorted_departures(arrivals, services, up_starts, up_lengths, op_offsets):
+    """The clock mappings as one binary search per customer: the formulation
+    the merge-rank in ``_departure_times`` must reproduce bit for bit."""
+    idx = np.searchsorted(up_starts, arrivals, side="right") - 1
+    op_arrivals = op_offsets[idx] + np.minimum(arrivals - up_starts[idx], up_lengths[idx])
+    service_cum = np.cumsum(services)
+    op_departures = service_cum + np.maximum.accumulate(op_arrivals - (service_cum - services))
+    op_ends = op_offsets + up_lengths
+    j = np.searchsorted(op_ends, op_departures, side="left")
+    return up_starts[j] + (op_departures - op_offsets[j])
+
+
+def _environment_from(ups, downs):
+    up_lengths = np.asarray(ups, dtype=float)
+    cycle = up_lengths + np.asarray(downs, dtype=float)
+    up_starts = np.concatenate(([0.0], np.cumsum(cycle)[:-1]))
+    op_offsets = np.concatenate(([0.0], np.cumsum(up_lengths)[:-1]))
+    return up_starts, up_lengths, op_offsets
+
+
+@st.composite
+def _tied_queues(draw):
+    """Small queues on a half-unit lattice, so that arrivals fall exactly on
+    up-period starts and departures exactly on up-period ends."""
+    periods = draw(st.integers(1, 6))
+    half = st.integers(1, 6).map(lambda k: k / 2)
+    ups = draw(st.lists(half, min_size=periods, max_size=periods))
+    downs = draw(st.lists(half, min_size=periods, max_size=periods))
+    ups[-1] = 1e3  # the last up period outlasts every departure
+    up_starts, up_lengths, op_offsets = _environment_from(ups, downs)
+    lattice = st.integers(0, int(2 * up_starts[-1]) + 4).map(lambda k: k / 2)
+    points = st.one_of(st.sampled_from(up_starts.tolist()), lattice)
+    n = draw(st.integers(1, 12))
+    arrivals = np.sort(np.array(draw(st.lists(points, min_size=n, max_size=n))))
+    services = np.array(draw(st.lists(st.integers(0, 4).map(lambda k: k / 2), min_size=n, max_size=n)))
+    return arrivals, services, up_starts, up_lengths, op_offsets
+
+
 class TestSimulation:
     def test_hand_trace(self):
         # Up on [0, 1), down on [1, 3), up afterwards.
@@ -169,6 +209,32 @@ class TestSimulation:
         # First job: 1 unit before the breakdown, resumes at 3, done at 4.
         # Second job: queued behind it, served on [4, 6).
         assert departures == pytest.approx([4.0, 6.0])
+        reference = _searchsorted_departures(arrivals, services, up_starts, up_lengths, op_offsets)
+        assert np.array_equal(departures, reference)
+
+    def test_bit_identical_to_searchsorted_mapping(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            arrivals = np.cumsum(rng.exponential(rng.uniform(0.2, 2.0), n))
+            services = rng.exponential(rng.uniform(0.1, 1.0), n)
+            periods = int(rng.integers(1, 400))
+            ups = rng.exponential(rng.uniform(0.5, 5.0), periods)
+            ups[-1] += arrivals[-1] + services.sum()
+            case = (arrivals, services, *_environment_from(ups, rng.exponential(0.8, periods)))
+            assert np.array_equal(_departure_times(*case), _searchsorted_departures(*case))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_queues())
+    @example((  # arrival on an up start, departure on an up end, zero service
+        np.array([0.0, 1.0, 3.0, 3.0]), np.array([1.0, 0.0, 0.0, 2.0]),
+        *_environment_from([1.0, 1e3], [2.0, 1.0]),
+    ))
+    @example((  # a single up period
+        np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.5, 0.5]), *_environment_from([1e3], [1.0]),
+    ))
+    def test_bit_identical_under_ties(self, case):
+        assert np.array_equal(_departure_times(*case), _searchsorted_departures(*case))
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(7)

@@ -143,7 +143,10 @@ class TestSolve:
         limit = full.nodes_explored // 2
         short = solve(toy5, spec, SolveLimits(node_limit=limit))
         assert short.status == "timeout"
-        assert short.nodes_explored == limit + 1
+        assert short.nodes_explored == limit
+        one_short = solve(toy5, spec, SolveLimits(node_limit=full.nodes_explored - 1))
+        assert one_short.status == "timeout"
+        assert one_short.nodes_explored == full.nodes_explored - 1
 
     def test_sequencing_search_honours_limits(self):
         # Seven activities share one resource, each behind a private head
@@ -171,7 +174,7 @@ class TestSolve:
         limits = SolveLimits(time_limit=0.2, node_limit=100)
         result = solve(instance, SubproblemSpec(primary="makespan"), limits)
         assert result.status == "timeout"
-        assert result.nodes_explored <= 101
+        assert result.nodes_explored <= 100
 
     def test_one_resource_proved_at_its_floor(self):
         # Nine unrelated activities on one resource: every order has the
