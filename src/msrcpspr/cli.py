@@ -43,10 +43,20 @@ class SweepRow:
     flagged: bool
 
 
-def load_problem(args: argparse.Namespace) -> ProjectInstance:
+def load_problem(args: argparse.Namespace, check: bool = True) -> ProjectInstance:
+    """The instance named by ``--instance`` and ``--extension``.
+
+    With ``check`` the instance must also pass :func:`instance.validate`,
+    so no command solves or simulates an input that ``validate`` rejects.
+    """
     if args.extension is None:
         raise ValidationError("extension required: supply --extension with the skill sidecar")
-    return instance_mod.instance_from_files(args.instance, args.extension)
+    problem = instance_mod.instance_from_files(args.instance, args.extension)
+    if check:
+        violations = instance_mod.validate(problem)
+        if violations:
+            raise ValidationError("invalid instance: " + "; ".join(violations))
+    return problem
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
@@ -62,7 +72,7 @@ def _write(out_dir: Path, name: str, content: str) -> Path:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    problem = load_problem(args)
+    problem = load_problem(args, check=False)
     violations = instance_mod.validate(problem)
     warnings = instance_mod.skill_coverage_issues(problem)
     for issue in warnings:
@@ -81,15 +91,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = load_problem(args)
-    primary, budget, eps = args.primary, args.budget, args.eps
-    objective_range = None
-    if eps:
-        if budget is None:
-            raise ValidationError("--eps needs --budget to produce slack")
-        secondary = "cost" if primary == "makespan" else "makespan"
-        lex = lexicographic_outcome(problem, (primary, secondary), _limits(args))
-        objective_range = abs(getattr(lex.objectives, secondary) - budget) or 1.0
-    spec = SubproblemSpec(primary=primary, budget=budget, eps=eps, objective_range=objective_range)
+    spec = SubproblemSpec(primary=args.primary, budget=args.budget)
     result = solve(problem, spec, _limits(args))
     print(f"status: {result.status}")
     print(f"nodes explored: {result.nodes_explored}")
@@ -125,10 +127,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     for rank_pos, j in enumerate(ranking.order, start=1):
         if j not in ranking.compromise:
             continue
-        point = front.points[j]
-        if point.solution is None:
-            continue
-        rows = schedule.to_gantt(problem, point.solution)
+        rows = schedule.to_gantt(problem, front.points[j].solution)
         _write(args.out, f"gantt_rank{rank_pos}.svg", schedule.gantt_svg(rows))
     # A diagnosis means a payoff-table solve was not proved, even when the
     # sweep bypassed the grid level that row stands for.
@@ -227,15 +226,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def simulation_rows(
     problem: ProjectInstance, horizon: float, seed: int
 ) -> list[tuple[float, float, float, float, float, queueing.SimEstimate]]:
-    """One row per resource and integer arrival count inside the stable region."""
+    """One row per resource and arrival count 1, 2, ... up to the total
+    demand, for as long as the operating point is stable."""
     total_demand = int(problem.requirement_matrix.sum())
     rows = []
     index = 0
     for res in problem.resources:
-        critical = queueing.critical_arrival_rate(res.reliability)
-        top = min(total_demand, math.ceil(critical) - 1)
-        for lam in range(1, top + 1):
+        for lam in range(1, total_demand + 1):
             point = queueing.QueueOperatingPoint(float(lam), res.reliability)
+            if not point.is_stable():
+                break
             analytic = queueing.waiting_time(point)
             estimate = queueing.simulate_queue(point, horizon, seed + 7919 * index)
             rows.append(
@@ -323,45 +323,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str, solves: bool = False) -> argparse.ArgumentParser:
+        """A subcommand with the input and output flags; ``solves`` adds --time-limit."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--instance", required=True, type=Path, help="PSPLIB .sm file")
         p.add_argument("--extension", type=Path, help="skill/reliability sidecar JSON")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--time-limit", type=float, default=300.0, help="seconds per subproblem")
-        p.add_argument("--no-timing", action="store_true", help="omit wall times from CSV output")
+        if solves:
+            p.add_argument("--time-limit", type=float, default=300.0, help="seconds per subproblem")
+        return p
 
-    p = sub.add_parser("validate", help="check instance and sidecar")
-    common(p)
+    command("validate", "check instance and sidecar")
 
-    p = sub.add_parser("solve", help="single-objective exact solve")
-    common(p)
+    p = command("solve", "single-objective exact solve", solves=True)
     p.add_argument("--primary", choices=("makespan", "cost"), default="makespan")
     p.add_argument("--budget", type=float, help="bound on the other objective")
-    p.add_argument("--eps", type=float, default=0.0, help="slack reward coefficient")
 
-    p = sub.add_parser("pareto", help="enumerate the Pareto front and rank it")
-    common(p)
+    p = command("pareto", "enumerate the Pareto front and rank it", solves=True)
+    p.add_argument("--no-timing", action="store_true", help="omit wall times from front.csv")
     p.add_argument("--grid", type=int, default=pareto_mod.DEFAULT_GRID_COUNT, metavar="N")
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
     p.add_argument("--weights", type=_parse_weights, default=(0.5, 0.5), metavar="a,b")
     p.add_argument("--v", type=float, default=0.5, help="VIKOR strategy weight")
     p.add_argument("--no-bypass", action="store_true", help="solve every grid point")
 
-    p = sub.add_parser("sweep", help="sensitivity of the front to reliability scaling")
-    common(p)
+    p = command("sweep", "sensitivity of the front to reliability scaling", solves=True)
     p.add_argument("--parameter", choices=("retrieval", "disruption"), required=True)
     p.add_argument("--multipliers", type=_parse_multipliers, default=[1.0, 1.4])
     p.add_argument("--grid", type=int, default=pareto_mod.DEFAULT_GRID_COUNT, metavar="N")
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
     p.add_argument("--no-bypass", action="store_true")
 
-    p = sub.add_parser("simulate", help="validate waiting times against simulation")
-    common(p)
+    p = command("simulate", "validate waiting times against simulation")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON, help="simulated time units")
 
-    p = sub.add_parser("gantt", help="render the makespan-optimal schedule")
-    common(p)
+    command("gantt", "render the makespan-optimal schedule", solves=True)
     return parser
 
 

@@ -98,10 +98,6 @@ class ProjectInstance:
         return len(self.activities)
 
     @property
-    def source_id(self) -> int:
-        return 1
-
-    @property
     def sink_id(self) -> int:
         return self.n_nodes
 

@@ -43,7 +43,10 @@ class QueueOperatingPoint:
     params: ReliabilityParams
 
     def is_stable(self) -> bool:
-        return self.arrival_rate < critical_arrival_rate(self.params)
+        """Whether the mean wait is finite: the denominator of
+        :func:`waiting_time` is positive.  That denominator never grows
+        with the arrival rate, so the stable rates form a prefix."""
+        return _denominator(self) > 0.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class SimEstimate:
 
 
 class InstabilityError(ValueError):
-    """Raised when an operating point sits at or above the critical rate."""
+    """Raised when an operating point is not stable (see ``is_stable``)."""
 
     def __init__(self, arrival_rate: float, critical_rate: float, resource: int | None = None):
         self.arrival_rate = arrival_rate
@@ -70,9 +73,19 @@ class InstabilityError(ValueError):
 
 
 def critical_arrival_rate(params: ReliabilityParams) -> float:
-    """Largest arrival rate with a finite mean wait (exclusive bound)."""
+    """Supremum of the stable arrival rates, ``r * mu / (r + v)``.
+
+    Reported in messages only: rounding can put it on either side of the
+    exact stability test, :meth:`QueueOperatingPoint.is_stable`.
+    """
     r, v, mu = params.retrieval_rate, params.disruption_rate, params.service_rate
     return r * mu / (r + v)
+
+
+def _denominator(point: QueueOperatingPoint) -> float:
+    r, v, mu = point.params.retrieval_rate, point.params.disruption_rate, point.params.service_rate
+    lam = point.arrival_rate
+    return (r + v) * (r * mu - r * lam - lam * v)
 
 
 def waiting_time(point: QueueOperatingPoint) -> float:
@@ -82,17 +95,16 @@ def waiting_time(point: QueueOperatingPoint) -> float:
     sojourn time ``1 / (service_rate - arrival_rate)``.  Strictly
     increasing in the arrival and disruption rates, strictly decreasing
     in the retrieval and service rates, and divergent as the arrival
-    rate approaches the critical rate.
+    rate approaches the critical rate.  Raises :class:`InstabilityError`
+    exactly when ``point.is_stable()`` is false.
     """
     lam = point.arrival_rate
     if lam < 0:
         raise ValueError(f"arrival rate must be >= 0, got {lam!r}")
-    r = point.params.retrieval_rate
-    v = point.params.disruption_rate
-    mu = point.params.service_rate
-    denominator = (r + v) * (r * mu - r * lam - lam * v)
+    denominator = _denominator(point)
     if denominator <= 0.0:
         raise InstabilityError(lam, critical_arrival_rate(point.params))
+    r, v, mu = point.params.retrieval_rate, point.params.disruption_rate, point.params.service_rate
     return ((r + v) ** 2 + mu * v) / denominator
 
 

@@ -58,7 +58,11 @@ def check_eps(eps: float) -> None:
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """One single-objective subproblem, optionally budgeted and augmented."""
+    """One single-objective subproblem, optionally budgeted.
+
+    A nonzero ``eps`` augments a makespan primary with the budget-slack
+    reward of AUGMECON2; a cost primary takes no augmentation.
+    """
 
     primary: str  # "makespan" or "cost"
     budget: float | None = None
@@ -72,6 +76,8 @@ class SubproblemSpec:
             raise ValueError(f"budget must be >= 0, got {self.budget!r}")
         check_eps(self.eps)
         if self.eps != 0.0:
+            if self.primary != "makespan":
+                raise ValueError("augmentation needs primary 'makespan'")
             if self.budget is None:
                 raise ValueError("augmentation needs a budget to produce slack")
             if not self.objective_range or self.objective_range <= 0:
@@ -205,21 +211,17 @@ class _Context:
             best = min(self.cand_costs[idx]) if self.cand_costs[idx] else math.inf
             self.suffix_min_cost[idx] = self.suffix_min_cost[idx + 1] + best
 
-        # Wait per resource as a function of its integer assignment count.
-        max_count = len(self.acts)
-        self.wait_table: list[list[float | None]] = []
-        self.max_stable: list[int] = []
+        # Wait per resource as a function of its integer assignment count,
+        # up to the first unstable count: stable counts form a prefix.
+        self.wait_table: list[list[float]] = []
         for res in instance.resources:
-            table: list[float | None] = []
-            stable = -1
-            for m in range(max_count + 1):
+            table: list[float] = []
+            for m in range(len(self.acts) + 1):
                 try:
                     table.append(waiting_time(QueueOperatingPoint(float(m), res.reliability)))
-                    stable = m
-                except (InstabilityError, ValueError):
-                    table.append(None)
+                except InstabilityError:
+                    break
             self.wait_table.append(table)
-            self.max_stable.append(stable)
 
 
 class _SequencingSearch:
@@ -354,21 +356,17 @@ class _BranchAndBound:
         waits implied by the current partial counts, versus the heaviest
         single-resource load (its activities are necessarily serialized)."""
         ctx = self.ctx
-        waits = []
-        for k, count in enumerate(self.lam):
-            w = ctx.wait_table[k][count]
-            waits.append(w if w is not None else math.inf)
+        waits, lam = ctx.wait_table, self.lam
         weights = list(ctx.durations)
         for idx, cand_idx in enumerate(self.chosen):
-            u = ctx.acts[idx]
             resources = ctx.cand_resources[idx][cand_idx]
             if resources:
-                weights[u] += max(waits[k] for k in resources)
+                weights[ctx.acts[idx]] += max(waits[k][lam[k]] for k in resources)
         path_bound = earliest_starts(ctx.n, ctx.prec_succ, weights)[ctx.sink]
         load_bound = 0.0
-        for k, count in enumerate(self.lam):
+        for k, count in enumerate(lam):
             if count:
-                load = self.load_duration[k] + count * waits[k]
+                load = self.load_duration[k] + count * waits[k][count]
                 if load > load_bound:
                     load_bound = load
         return max(path_bound, load_bound)
@@ -390,9 +388,6 @@ class _BranchAndBound:
         return f_lb >= self.best_f - _PRUNE_TOL
 
     # -- search -------------------------------------------------------
-
-    def run(self) -> None:
-        self._dfs()
 
     def _out_of_budget(self) -> bool:
         if self.timed_out:
@@ -418,7 +413,7 @@ class _BranchAndBound:
         ctx = self.ctx
         for cand_idx in range(len(ctx.candidates[idx])):
             resources = ctx.cand_resources[idx][cand_idx]
-            if any(self.lam[k] + 1 > ctx.max_stable[k] for k in resources):
+            if any(self.lam[k] + 1 >= len(ctx.wait_table[k]) for k in resources):
                 continue
             u = ctx.acts[idx]
             for k in resources:
@@ -478,27 +473,18 @@ class _BranchAndBound:
             else:
                 decisions.append((i, j))
 
+        # _prunable has already held the leaf's cost to the budget (makespan
+        # primary) or below the incumbent (cost primary).
         if spec.primary == "makespan":
             slack = 0.0
             bonus = 0.0
             if spec.budget is not None:
-                if cost > spec.budget + _BUDGET_TOL:
-                    return
                 slack = max(0.0, spec.budget - cost)
                 if spec.eps:
                     bonus = spec.eps * slack / spec.objective_range
             upper = self.best_f - _PRUNE_TOL + bonus
         else:
-            if cost >= self.best_f - _PRUNE_TOL and not spec.eps:
-                return
-            upper = math.inf
-            if spec.budget is not None:
-                upper = spec.budget + _BUDGET_TOL
-                if spec.eps:
-                    upper = min(
-                        upper,
-                        (self.best_f - cost) * spec.objective_range / spec.eps + spec.budget,
-                    )
+            upper = math.inf if spec.budget is None else spec.budget + _BUDGET_TOL
 
         outcome = _SequencingSearch(self, weights, machines).run(decisions, upper)
         if outcome is None:
@@ -509,15 +495,10 @@ class _BranchAndBound:
             f = makespan - bonus
             achieved_slack = slack if spec.budget is not None else None
         else:
+            # The search returns only makespans below ``upper``.
             f = cost
-            achieved_slack = None
-            if spec.budget is not None:
-                if makespan > spec.budget + _BUDGET_TOL:
-                    return
-                achieved_slack = max(0.0, spec.budget - makespan)
-                if spec.eps:
-                    f = cost - spec.eps * achieved_slack / spec.objective_range
-        if f < self.best_f - 0.0:
+            achieved_slack = None if spec.budget is None else max(0.0, spec.budget - makespan)
+        if f < self.best_f:
             self.best_f = f
             self.best = {
                 "chosen": list(self.chosen),
@@ -551,32 +532,26 @@ def solve(
 ) -> SolveResult:
     """Prove the optimum of ``spec`` by depth-first branch and bound.
 
-    With a budget ``e`` on the secondary objective and a nonzero ``eps``,
-    the optimized quantity is primary - eps * slack / objective_range
-    with slack = e - secondary, i.e. ties in the primary objective are
-    broken toward larger budget slack.  Returns a timeout status with
-    the incumbent when a limit is hit.
+    With a makespan primary, a cost budget ``e`` and a nonzero ``eps``,
+    the optimized quantity is makespan - eps * slack / objective_range
+    with slack = e - cost, i.e. ties in makespan are broken toward larger
+    budget slack.  Returns a timeout status with the incumbent when a
+    limit is hit.  ``wall_time`` covers the search, not the rebuilding
+    of the best schedule.
     """
     limits = limits or SolveLimits()
     started = time.perf_counter()
     ctx = _Context(instance)
     bb = _BranchAndBound(ctx, spec, limits)
     if all(ctx.candidates[idx] for idx in range(len(ctx.acts))):
-        bb.run()
+        bb._dfs()
     wall = time.perf_counter() - started
     if bb.best is None:
         status = "timeout" if bb.timed_out else "infeasible"
         return SolveResult(status, None, None, None, bb.nodes, wall)
     solution, objectives = bb.materialize()
     status = "timeout" if bb.timed_out else "optimal"
-    return SolveResult(
-        status=status,
-        solution=solution,
-        objectives=objectives,
-        slack=bb.best["slack"],
-        nodes_explored=bb.nodes,
-        wall_time=time.perf_counter() - started,
-    )
+    return SolveResult(status, solution, objectives, bb.best["slack"], bb.nodes, wall)
 
 
 class InfeasibleProblemError(ValueError):

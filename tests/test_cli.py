@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import msrcpspr
-from msrcpspr.cli import main
+from msrcpspr.cli import build_parser, main
 from msrcpspr.queueing import InstabilityError
 from msrcpspr.schedule import CycleError
 
@@ -69,6 +69,90 @@ class TestValidate:
         code = main(["validate", "--instance", str(tmp_path / "nope.sm"),
                      "--extension", toy_paths[1], "--out", str(tmp_path)])
         assert code == 2
+
+
+def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
+    """toy5 with some durations replaced, or resource 1's (disruption,
+    retrieval, service) rates replaced; returns (sm, sidecar) paths."""
+    import dataclasses
+
+    from msrcpspr.instance import read_psplib, serialize_psplib
+
+    partial = read_psplib(data_dir / "toy5.sm")
+    if durations:
+        values = list(partial.durations)
+        for job, duration in durations.items():
+            values[job - 1] = duration
+        partial = dataclasses.replace(partial, durations=tuple(values))
+    sm = tmp_path / "variant.sm"
+    sm.write_text(serialize_psplib(partial), encoding="utf-8")
+    sidecar = json.loads((data_dir / "toy5_skills.json").read_text(encoding="utf-8"))
+    if rates:
+        names = ("disruption_rate", "retrieval_rate", "service_rate")
+        sidecar["resources"][0].update(zip(names, rates))
+    ext = tmp_path / "variant.json"
+    ext.write_text(json.dumps(sidecar), encoding="utf-8")
+    return str(sm), str(ext)
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[f"{cmd} --seed 3" for cmd in ("validate", "solve", "pareto", "sweep", "gantt")],
+            *[f"{cmd} --time-limit 5" for cmd in ("validate", "simulate")],
+            *[f"{cmd} --no-timing" for cmd in ("validate", "solve", "sweep", "simulate", "gantt")],
+            "solve --eps 1e-4",
+        ],
+    )
+    def test_flag_without_effect_is_rejected(self, toy_paths, tmp_path, argv):
+        command, *flag = argv.split()
+        sm, ext = toy_paths
+        args = [command, "--instance", sm, "--extension", ext, "--out", str(tmp_path), *flag]
+        if command == "sweep":
+            args += ["--parameter", "retrieval"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        [
+            ("simulate --seed 3", "seed", 3),
+            ("pareto --no-timing", "no_timing", True),
+            *[(f"{cmd} --time-limit 5", "time_limit", 5.0)
+              for cmd in ("solve", "pareto", "sweep", "gantt")],
+        ],
+    )
+    def test_flag_is_accepted_where_it_acts(self, argv, dest, value):
+        command, *flag = argv.split()
+        args = [command, "--instance", "x.sm", *flag]
+        if command == "sweep":
+            args += ["--parameter", "retrieval"]
+        assert getattr(build_parser().parse_args(args), dest) == value
+
+
+class TestInputChecked:
+    @pytest.mark.parametrize("command", ["pareto", "solve"])
+    @pytest.mark.parametrize(
+        "durations,violation",
+        [
+            ({1: 4}, "dummy activity 1 must have duration 0"),
+            ({3: -2}, "activity 3 has negative duration -2"),
+        ],
+        ids=["dummy-duration", "negative-duration"],
+    )
+    def test_invalid_instance_exits_two(
+        self, data_dir, tmp_path, capsys, command, durations, violation
+    ):
+        sm, ext = _toy5_variant(tmp_path, data_dir, durations=durations)
+        assert main(["validate", "--instance", sm, "--extension", ext,
+                     "--out", str(tmp_path / "v")]) == 2
+        capsys.readouterr()
+        code = main([command, "--instance", sm, "--extension", ext, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert violation in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPareto:
@@ -267,6 +351,16 @@ class TestSimulate:
         main(["simulate", "--instance", sm, "--extension", ext, "--seed", "6",
               "--horizon", "20000", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "simulate.csv").read_bytes() != (tmp_path / "b" / "simulate.csv").read_bytes()
+
+    def test_stops_at_the_first_unstable_count(self, data_dir, tmp_path):
+        # lambda = 1 lies below r*mu/(r+v) = 1.0000000000000002 but the
+        # denominator of relation 8 is not positive: resource 1 gets no row.
+        sm, ext = _toy5_variant(tmp_path, data_dir, rates=(0.7, 0.2, 4.5))
+        assert main(["simulate", "--instance", sm, "--extension", ext, "--horizon", "2000",
+                     "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "simulate.csv").read_text().splitlines()[1:]
+        assert rows
+        assert not [row for row in rows if row.split(",")[1:4] == ["4.5", "0.7", "0.2"]]
 
     @pytest.mark.parametrize("name", ["toy5", "j10"])
     def test_matches_golden_bytes(self, data_dir, name, tmp_path):

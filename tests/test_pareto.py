@@ -74,6 +74,25 @@ def count_grid_solves(monkeypatch) -> list:
 
 
 class TestEnumerateFront:
+    @pytest.mark.parametrize("name,solves,nodes", [("toy5", 7, 265), ("j10", 7, 9736)])
+    def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):
+        # Node counts do not depend on the machine: a search change that
+        # moves them must say so, and this pins the default sweep's totals.
+        from msrcpspr import pareto, solver
+
+        results = []
+        real_solve = solver.solve
+
+        def counted(instance, spec, limits=None):
+            results.append(real_solve(instance, spec, limits))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "solve", counted)
+        monkeypatch.setattr(pareto, "solve", counted)
+        enumerate_front(request.getfixturevalue(name), 10, eps=1e-4)
+        assert len(results) == solves
+        assert sum(result.nodes_explored for result in results) == nodes
+
     def test_degenerate_range_single_point(self, monkeypatch):
         instance = chain3_instance()
         lex = lexicographic_outcome(instance, ("makespan", "cost"))

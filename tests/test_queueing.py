@@ -76,6 +76,43 @@ class TestWaitingTime:
             assert waiting_time(point(lam, mu * (1 + bump), upsilon, r)) < w
 
 
+class TestStability:
+    # Rounding puts critical_arrival_rate on either side of the exact
+    # test; is_stable and waiting_time decide by the same denominator.
+    def test_rate_just_above_critical_in_floats_is_unstable(self):
+        p = point(1.0, 4.5, 0.7, 0.2)
+        assert p.arrival_rate < critical_arrival_rate(p.params)
+        assert not p.is_stable()
+        with pytest.raises(InstabilityError):
+            waiting_time(p)
+        with pytest.raises(InstabilityError):
+            simulate_queue(p, 100.0, 0)
+
+    def test_rate_at_critical_in_floats_is_stable(self):
+        p = point(1.0, 1.5, 0.1, 0.2)
+        assert not p.arrival_rate < critical_arrival_rate(p.params)
+        assert p.is_stable()
+        assert 0 < waiting_time(p) < np.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.integers(0, 30),
+        upsilon=st.floats(0.01, 5.0),
+        r=st.floats(0.01, 5.0),
+        mu=st.floats(0.1, 20.0),
+    )
+    def test_waiting_time_raises_exactly_when_unstable(self, lam, upsilon, r, mu):
+        p = point(float(lam), mu, upsilon, r)
+        try:
+            waiting_time(p)
+        except InstabilityError:
+            assert not p.is_stable()
+        else:
+            assert p.is_stable()
+        # Stable counts form a prefix: one more arrival is never more stable.
+        assert p.is_stable() or not point(float(lam + 1), mu, upsilon, r).is_stable()
+
+
 class TestCriticalArrivalRate:
     def test_hand_values(self):
         assert critical_arrival_rate(ReliabilityParams(0.5, 0.5, 2.0)) == pytest.approx(1.0)

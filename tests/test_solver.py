@@ -226,6 +226,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             SubproblemSpec(primary="makespan", eps=1e-4)
 
+    def test_augmentation_needs_a_makespan_primary(self):
+        SubproblemSpec(primary="makespan", budget=10.0, eps=1e-4, objective_range=5.0)
+        with pytest.raises(ValueError, match="makespan"):
+            SubproblemSpec(primary="cost", budget=10.0, eps=1e-4, objective_range=5.0)
+
     def test_augmented_tie_break_prefers_slack(self, toy5):
         # At a generous budget the augmented solve must return the cheapest
         # among the makespan-optimal solutions.
