@@ -9,8 +9,17 @@ combine a critical-path relaxation (precedence only, waits of assigned
 activities at their current counts) with a per-resource load bound, plus
 the exact remaining-cost minimum.  The sequencing search below each
 assignment bounds its nodes with heads and tails of the disjunctive graph
-and a one-machine floor per shared resource.  ``brute_force_front`` is
-the independent exhaustive oracle for small instances.
+and a one-machine floor per shared resource.
+
+Neither level reruns a longest-path pass per node.  The assignment search
+keeps node weights and precedence heads for its assigned prefix and, when
+an assignment raises some waits, pushes the raised heads forward; the
+sequencing search does the same for heads and tails when it inserts an
+arc.  Both log every overwritten value and restore it on backtrack.
+Values only rise and each is the maximum of the same float sums as in a
+full pass, so they equal :func:`~msrcpspr.schedule.earliest_starts`
+bit for bit.  ``brute_force_front`` is the independent exhaustive oracle
+for small instances.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 EPS_RANGE = (1e-6, 1e-3)
 _PRUNE_TOL = 1e-12
 _BUDGET_TOL = 1e-9
+
+# (array, index, old value) entries, restored in reverse on backtrack.
+_UndoLog = list[tuple[list, int, object]]
 
 GUARD_MAX_ACTIVITIES = 6
 GUARD_MAX_RESOURCES = 4
@@ -227,18 +239,23 @@ class _Context:
 class _SequencingSearch:
     """Minimum-makespan orientation of the resource-sharing pairs.
 
-    All durations and waits are fixed when this runs.  Every node computes
-    heads (earliest starts, over successor lists) and tails (longest path
-    from a node's start to the sink's, over predecessor lists) with one
-    :func:`earliest_starts` pass each.  Adding arc u->v then gives the
-    exact child makespan ``max(current, head[u] + w[u] + tail[v])`` in
-    O(1), which is passed down as the child's bound; only a leaf runs a
-    full pass for its makespan.  Users of one resource run one at a time,
-    so no leaf below a node beats that resource's one-machine floor
-    ``min head + sum w + min (tail - w)`` over its users.  A node is
-    pruned when its makespan or a floor reaches the incumbent, and the
-    search stops once a leaf reaches the root's bound.  Its nodes count
-    toward, and stop at, the limits of the enclosing assignment search.
+    All durations and waits are fixed when this runs.  ``run`` computes
+    heads (earliest starts, over successor lists) and ``after`` (longest
+    path from a node's end to the sink's start, over predecessor lists)
+    with one :func:`earliest_starts` pass each; from then on both arrays
+    are kept up to date.  Inserting arc u->v raises heads forward from v
+    and ``after`` backward from u along a work list, logging every
+    overwritten value, and removing the arc restores the log in reverse,
+    so no node runs a pass of its own.  Each value is still the maximum of
+    the same float sums over its predecessors, so it equals a fresh pass
+    exactly.  The child makespan of arc u->v is
+    ``max(current, head[u] + w[u] + after[v] + w[v])`` in O(1), passed down
+    as the child's bound.  Users of one resource run one at a time, so no
+    leaf below a node beats that resource's one-machine floor
+    ``min head + sum w + min after`` over its users.  A node is pruned when
+    its makespan or a floor reaches the incumbent, and the search stops
+    once a leaf reaches the root's bound.  Its nodes count toward, and
+    stop at, the limits of the enclosing assignment search.
     """
 
     def __init__(
@@ -255,32 +272,39 @@ class _SequencingSearch:
         self.pred = [list(arcs) for arcs in self.ctx.prec_pred]
         self.reach = list(self.ctx.prec_reach)
 
-    def _add_arc(self, u: int, v: int) -> list[tuple[int, int]]:
-        """Insert u->v, which must not close a cycle; returns the undo log."""
+    def _add_arc(self, u: int, v: int) -> _UndoLog:
+        """Insert u->v, which must not close a cycle; returns the undo log
+        of reach, heads and after."""
         gain = self.reach[v] | (1 << v)
-        undo: list[tuple[int, int]] = []
+        undo: _UndoLog = []
+        reach = self.reach
         bit_u = 1 << u
         for x in range(self.ctx.n):
-            mask = self.reach[x]
+            mask = reach[x]
             if x == u or mask & bit_u:
                 new = mask | gain
                 if new != mask:
-                    undo.append((x, mask))
-                    self.reach[x] = new
+                    undo.append((reach, x, mask))
+                    reach[x] = new
         self.succ[u].append(v)
         self.pred[v].append(u)
+        _raise_longest_paths(self.heads, self.succ, self.weights, u, [v], undo)
+        _raise_longest_paths(self.after, self.pred, self.weights, v, [u], undo)
         return undo
 
-    def _remove_arc(self, u: int, v: int, undo: list[tuple[int, int]]) -> None:
+    def _remove_arc(self, u: int, v: int, undo: _UndoLog) -> None:
         self.succ[u].pop()
         self.pred[v].pop()
-        for x, old in undo:
-            self.reach[x] = old
+        for values, x, old in reversed(undo):
+            values[x] = old
 
     def run(
         self, decisions: list[tuple[int, int]], upper: float
     ) -> tuple[float, list[tuple[int, int]]] | None:
         """Best makespan strictly below ``upper`` with its chosen arcs."""
+        ctx = self.ctx
+        self.heads = earliest_starts(ctx.n, self.succ, self.weights)
+        self.after = earliest_starts(ctx.n, self.pred, self.weights)
         self.best: float = upper
         self.best_dirs: list[tuple[int, int]] | None = None
         self.chosen: list[tuple[int, int]] = []
@@ -294,17 +318,13 @@ class _SequencingSearch:
         if bound >= self.best or self.bb._out_of_budget():
             return
         self.bb.nodes += 1
-        ctx = self.ctx
-        w = self.weights
-        heads = earliest_starts(ctx.n, self.succ, w)
-        current = heads[ctx.sink]
+        heads, after, w = self.heads, self.after, self.weights
+        current = heads[self.ctx.sink]
         if idx == len(decisions):
             if current < self.best:
                 self.best = current
                 self.best_dirs = list(self.chosen)
             return
-        # after[v] = tail[v] - w[v]: longest path from v's end to the sink's start.
-        after = earliest_starts(ctx.n, self.pred, w)
         floor = current
         for users, load in self.machines:
             machine = min(heads[x] for x in users) + load + min(after[x] for x in users)
@@ -323,6 +343,9 @@ class _SequencingSearch:
             options.append((child if child > current else current, u, v))
         options.sort()
         for child, u, v in options:
+            if child >= self.best:
+                # Options are sorted, so every later child is cut as well.
+                break
             undo = self._add_arc(u, v)
             self.chosen.append((u, v))
             self._dfs(decisions, idx + 1, child)
@@ -330,6 +353,40 @@ class _SequencingSearch:
             self._remove_arc(u, v, undo)
             if self.best <= self.root_bound:
                 return
+
+
+def _raise_longest_paths(
+    values: list[float],
+    arcs: list[list[int]],
+    weights: list[float],
+    source: int,
+    starts: list[int],
+    undo: _UndoLog,
+) -> None:
+    """Restore ``values[y] >= values[x] + weights[x]`` along ``arcs`` after
+    the release of ``source`` into ``starts`` may have risen.
+
+    ``values`` held longest paths over ``arcs`` before, except at the arcs
+    out of ``source`` into ``starts`` (new arcs, or a risen weight of
+    ``source``); values only rise, so a work list from there reaches the
+    same maxima as a full pass.  Every overwritten value is logged in
+    ``undo``.
+    """
+    release = values[source] + weights[source]
+    stack = []
+    for y in starts:
+        if release > values[y]:
+            undo.append((values, y, values[y]))
+            values[y] = release
+            stack.append(y)
+    while stack:
+        x = stack.pop()
+        release = values[x] + weights[x]
+        for y in arcs[x]:
+            if release > values[y]:
+                undo.append((values, y, values[y]))
+                values[y] = release
+                stack.append(y)
 
 
 class _BranchAndBound:
@@ -348,21 +405,25 @@ class _BranchAndBound:
         self.load_duration = [0.0] * n_res
         self.chosen: list[int] = []
         self.cost_so_far = 0.0
+        # Node weights (duration plus the largest wait at the current
+        # counts) of the assigned prefix, precedence heads over them, and
+        # the assigned users of every resource, kept up to date by
+        # ``_assign`` and restored by ``_unassign``.
+        self.weights = list(ctx.durations)
+        self.heads = earliest_starts(ctx.n, ctx.prec_succ, self.weights)
+        self.users: list[list[int]] = [[] for _ in range(n_res)]
+        self.res_of: list[tuple[int, ...]] = [()] * ctx.n
+        self.undo: list[_UndoLog] = []
 
     # -- bounds -------------------------------------------------------
 
     def _makespan_lb(self) -> float:
-        """Admissible makespan bound: precedence critical path with the
-        waits implied by the current partial counts, versus the heaviest
-        single-resource load (its activities are necessarily serialized)."""
-        ctx = self.ctx
-        waits, lam = ctx.wait_table, self.lam
-        weights = list(ctx.durations)
-        for idx, cand_idx in enumerate(self.chosen):
-            resources = ctx.cand_resources[idx][cand_idx]
-            if resources:
-                weights[ctx.acts[idx]] += max(waits[k][lam[k]] for k in resources)
-        path_bound = earliest_starts(ctx.n, ctx.prec_succ, weights)[ctx.sink]
+        """Admissible makespan bound: the sink's maintained precedence head
+        (the critical path with the waits implied by the current partial
+        counts), versus the heaviest single-resource load (its activities
+        are necessarily serialized)."""
+        waits, lam = self.ctx.wait_table, self.lam
+        path_bound = self.heads[self.ctx.sink]
         load_bound = 0.0
         for k, count in enumerate(lam):
             if count:
@@ -388,6 +449,55 @@ class _BranchAndBound:
         return f_lb >= self.best_f - _PRUNE_TOL
 
     # -- search -------------------------------------------------------
+
+    def _assign(self, idx: int, cand_idx: int) -> None:
+        """Give activity ``acts[idx]`` its candidate ``cand_idx``.
+
+        The counts of its resources rise by one, so its weight and those
+        of the other assigned users of those resources are recomputed and
+        the raised heads pushed forward through the precedence arcs.
+        Waits never fall as a count rises, so weights and heads only rise.
+        """
+        ctx = self.ctx
+        u = ctx.acts[idx]
+        resources = ctx.cand_resources[idx][cand_idx]
+        touched = [u]
+        for k in resources:
+            self.lam[k] += 1
+            self.load_duration[k] += ctx.durations[u]
+            for x in self.users[k]:
+                if x not in touched:
+                    touched.append(x)
+            self.users[k].append(u)
+        self.res_of[u] = resources
+        self.cost_so_far += ctx.cand_costs[idx][cand_idx]
+        self.chosen.append(cand_idx)
+
+        undo: _UndoLog = []
+        weights, waits, lam, arcs = self.weights, ctx.wait_table, self.lam, ctx.prec_succ
+        for x in touched:
+            if self.res_of[x]:
+                weight = ctx.durations[x] + max(waits[k][lam[k]] for k in self.res_of[x])
+                if weight != weights[x]:
+                    undo.append((weights, x, weights[x]))
+                    weights[x] = weight
+                    _raise_longest_paths(self.heads, arcs, weights, x, arcs[x], undo)
+        self.undo.append(undo)
+
+    def _unassign(self) -> None:
+        """Undo the latest ``_assign``."""
+        ctx = self.ctx
+        for values, x, old in reversed(self.undo.pop()):
+            values[x] = old
+        idx = len(self.chosen) - 1
+        cand_idx = self.chosen.pop()
+        u = ctx.acts[idx]
+        self.cost_so_far -= ctx.cand_costs[idx][cand_idx]
+        self.res_of[u] = ()
+        for k in ctx.cand_resources[idx][cand_idx]:
+            self.lam[k] -= 1
+            self.load_duration[k] -= ctx.durations[u]
+            self.users[k].pop()
 
     def _out_of_budget(self) -> bool:
         if self.timed_out:
@@ -415,18 +525,9 @@ class _BranchAndBound:
             resources = ctx.cand_resources[idx][cand_idx]
             if any(self.lam[k] + 1 >= len(ctx.wait_table[k]) for k in resources):
                 continue
-            u = ctx.acts[idx]
-            for k in resources:
-                self.lam[k] += 1
-                self.load_duration[k] += ctx.durations[u]
-            self.cost_so_far += ctx.cand_costs[idx][cand_idx]
-            self.chosen.append(cand_idx)
+            self._assign(idx, cand_idx)
             self._dfs()
-            self.chosen.pop()
-            self.cost_so_far -= ctx.cand_costs[idx][cand_idx]
-            for k in resources:
-                self.lam[k] -= 1
-                self.load_duration[k] -= ctx.durations[u]
+            self._unassign()
             if self.timed_out:
                 return
 
@@ -435,25 +536,14 @@ class _BranchAndBound:
     ) -> tuple[list[tuple[int, int]], list[float], list[tuple[list[int], float]]]:
         """Pairs of activities sharing a resource, the final node weights,
         and the users with their total weight of every shared resource."""
-        ctx = self.ctx
-        users: dict[int, list[int]] = {}
-        weights = list(ctx.durations)
-        for idx, cand_idx in enumerate(self.chosen):
-            u = ctx.acts[idx]
-            resources = ctx.cand_resources[idx][cand_idx]
-            if resources:
-                weights[u] += max(ctx.wait_table[k][self.lam[k]] for k in resources)
-            for k in resources:
-                users.setdefault(k, []).append(u)
+        weights = self.weights
         pairs = {
             (min(a, b), max(a, b))
-            for nodes in users.values()
+            for nodes in self.users
             for a, b in itertools.combinations(nodes, 2)
         }
         machines = [
-            (nodes, sum(weights[u] for u in nodes))
-            for _, nodes in sorted(users.items())
-            if len(nodes) > 1
+            (nodes, sum(weights[u] for u in nodes)) for nodes in self.users if len(nodes) > 1
         ]
         return sorted(pairs), weights, machines
 

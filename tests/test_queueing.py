@@ -112,6 +112,24 @@ class TestStability:
         # Stable counts form a prefix: one more arrival is never more stable.
         assert p.is_stable() or not point(float(lam + 1), mu, upsilon, r).is_stable()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        upsilon=st.floats(0.01, 5.0),
+        r=st.floats(0.01, 5.0),
+        mu=st.floats(0.1, 20.0),
+    )
+    def test_waiting_time_never_falls_over_stable_counts(self, upsilon, r, mu):
+        # The solver raises weights and heads incrementally as counts rise,
+        # which needs the wait at integer rates to be nondecreasing.
+        previous = -np.inf
+        for lam in range(60):
+            p = point(float(lam), mu, upsilon, r)
+            if not p.is_stable():
+                break
+            wait = waiting_time(p)
+            assert wait >= previous
+            previous = wait
+
 
 class TestCriticalArrivalRate:
     def test_hand_values(self):

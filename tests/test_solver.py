@@ -22,7 +22,7 @@ from msrcpspr.solver import (
 )
 from msrcpspr.schedule import CycleError, earliest_starts
 
-from conftest import build_instance, chain3_instance, single1_instance
+from conftest import build_instance, chain3_instance, random_small_instance, single1_instance
 
 
 class TestEnumerateAssignments:
@@ -269,10 +269,7 @@ def _sequencing_case(rng: np.random.Generator):
     ctx = _Context(instance)
     bb = _BranchAndBound(ctx, SubproblemSpec(primary="makespan"), SolveLimits())
     for idx in range(len(ctx.acts)):
-        cand_idx = int(rng.integers(len(ctx.candidates[idx])))
-        bb.chosen.append(cand_idx)
-        for k in ctx.cand_resources[idx][cand_idx]:
-            bb.lam[k] += 1
+        bb._assign(idx, int(rng.integers(len(ctx.candidates[idx]))))
     pairs, weights, machines = bb._sharing_pairs()
     reach = ctx.prec_reach
     decisions = [
@@ -283,14 +280,18 @@ def _sequencing_case(rng: np.random.Generator):
 
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # Every child value passed down must be the full longest path of the
-    # child graph, and the search must return the best of all orientations.
+    # child graph, the maintained heads and tails must equal fresh passes
+    # bit for bit at every node, and the search must return the best of
+    # all orientations.
     original = _SequencingSearch._dfs
     checked = []
 
     def checking_dfs(self, decisions, idx, bound):
+        heads = earliest_starts(self.ctx.n, self.succ, self.weights)
+        assert self.heads == heads
+        assert self.after == earliest_starts(self.ctx.n, self.pred, self.weights)
         if idx:
-            full = earliest_starts(self.ctx.n, self.succ, self.weights)[self.ctx.sink]
-            assert bound == pytest.approx(full, abs=1e-12)
+            assert bound == pytest.approx(heads[self.ctx.sink], abs=1e-12)
             checked.append(bound)
         original(self, decisions, idx, bound)
 
@@ -312,13 +313,66 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
                 brute = min(brute, earliest_starts(ctx.n, succ, weights)[ctx.sink])
             except CycleError:
                 continue
-        makespan, dirs = _SequencingSearch(bb, weights, machines).run(decisions, math.inf)
+        search = _SequencingSearch(bb, weights, machines)
+        makespan, dirs = search.run(decisions, math.inf)
         assert makespan == pytest.approx(brute, abs=1e-12)
+        # Every undo restored its values: the root passes hold again.
+        assert search.heads == earliest_starts(ctx.n, ctx.prec_succ, weights)
+        assert search.after == earliest_starts(ctx.n, ctx.prec_pred, weights)
         succ = [list(arcs) for arcs in ctx.prec_succ]
         for u, v in dirs:
             succ[u].append(v)
         assert earliest_starts(ctx.n, succ, weights)[ctx.sink] == makespan
     assert checked
+
+
+def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
+    ctx = bb.ctx
+    weights = list(ctx.durations)
+    for idx, cand_idx in enumerate(bb.chosen):
+        resources = ctx.cand_resources[idx][cand_idx]
+        if resources:
+            weights[ctx.acts[idx]] += max(ctx.wait_table[k][bb.lam[k]] for k in resources)
+    return weights
+
+
+def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
+    # At every assignment node the maintained weights equal a rebuild from
+    # the chosen candidates and counts, and the maintained heads equal a
+    # fresh precedence pass over them, bit for bit.
+    original = _BranchAndBound._dfs
+    checked = []
+
+    def checking_dfs(self):
+        weights = _rebuilt_weights(self)
+        assert self.weights == weights
+        assert self.heads == earliest_starts(self.ctx.n, self.ctx.prec_succ, weights)
+        checked.append(len(self.chosen))
+        original(self)
+
+    monkeypatch.setattr(_BranchAndBound, "_dfs", checking_dfs)
+    rng = np.random.default_rng(7)
+    draws = {f"random{draw}": random_small_instance(rng) for draw in range(30)}
+    specs = (SubproblemSpec(primary="makespan"), SubproblemSpec(primary="cost"))
+    for name, instance in {**corpus, **draws}.items():
+        ctx = _Context(instance)
+        root_heads = earliest_starts(ctx.n, ctx.prec_succ, ctx.durations)
+        for spec in specs:
+            bb = _BranchAndBound(ctx, spec, SolveLimits())
+            bb._dfs()
+            assert bb.best is not None, name
+            assert bb.weights == ctx.durations, name
+            assert bb.heads == root_heads, name
+            assert bb.users == [[] for _ in ctx.instance.resources], name
+    assert max(checked) > 1
+
+
+def test_wait_tables_are_nondecreasing(corpus, j10):
+    # The assignment search only ever raises weights and heads; that holds
+    # because no wait falls as a resource's count rises.
+    for instance in [*corpus.values(), j10]:
+        for row in _Context(instance).wait_table:
+            assert all(a <= b for a, b in zip(row, row[1:]))
 
 
 class TestBounds:
