@@ -108,6 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_pareto(args: argparse.Namespace) -> int:
     problem = load_problem(args)
+    vikor.check_weights(args.weights, args.v)
     front = pareto_mod.enumerate_front(
         problem, args.grid, args.eps, bypass=not args.no_bypass, limits=_limits(args)
     )
@@ -152,8 +153,8 @@ def run_sweep(
     makespan); a position missing from a scaled front is flagged, as is
     any front whose enumeration failed outright.
     """
-    if any(m <= 0 for m in multipliers):
-        raise ValidationError("multipliers must be > 0")
+    if not all(0 < m < math.inf for m in multipliers):
+        raise ValidationError(f"multipliers must be finite and > 0, got {multipliers!r}")
     baseline = pareto_mod.enumerate_front(problem, grid_count, eps, bypass=bypass, limits=limits)
     fronts: dict[float, pareto_mod.ParetoFront] = {}
     rows: list[SweepRow] = []

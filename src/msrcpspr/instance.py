@@ -506,8 +506,8 @@ def scale_reliability(
     """New instance with every resource's retrieval or disruption rate scaled."""
     if parameter not in ("retrieval", "disruption"):
         raise ValueError(f"parameter must be 'retrieval' or 'disruption', got {parameter!r}")
-    if multiplier <= 0:
-        raise ValueError(f"multiplier must be > 0, got {multiplier!r}")
+    if not 0 < multiplier < math.inf:
+        raise ValueError(f"multiplier must be finite and > 0, got {multiplier!r}")
     scaled = []
     for res in instance.resources:
         rel = res.reliability

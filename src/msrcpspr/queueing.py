@@ -102,7 +102,7 @@ def waiting_time(point: QueueOperatingPoint) -> float:
     if lam < 0:
         raise ValueError(f"arrival rate must be >= 0, got {lam!r}")
     denominator = _denominator(point)
-    if denominator <= 0.0:
+    if not denominator > 0.0:
         raise InstabilityError(lam, critical_arrival_rate(point.params))
     r, v, mu = point.params.retrieval_rate, point.params.disruption_rate, point.params.service_rate
     return ((r + v) ** 2 + mu * v) / denominator
@@ -213,8 +213,8 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     discarding the first 10% of customers.  Deterministic for a fixed
     seed.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
     if not point.is_stable():
         raise InstabilityError(point.arrival_rate, critical_arrival_rate(point.params))
     lam = point.arrival_rate

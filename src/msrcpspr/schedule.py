@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ProjectInstance
+from .instance import ProjectInstance, topological_order
 from .queueing import InstabilityError, QueueOperatingPoint, waiting_time
 
 TOL = 1e-9
@@ -242,26 +242,15 @@ def earliest_starts(
     is its duration plus wait, charged on every outgoing arc.  Raises
     :class:`CycleError` when the arc set is cyclic.
     """
-    indegree = [0] * n_nodes
-    for u in range(n_nodes):
-        for v in arcs[u]:
-            indegree[v] += 1
+    order, stuck = topological_order(arcs)
+    if stuck:
+        raise CycleError(f"precedence plus sequencing is cyclic through activities {list(stuck)}")
     starts = [0.0] * n_nodes
-    stack = [u for u in range(n_nodes) if indegree[u] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
+    for u in order:
         release = starts[u] + node_weights[u]
         for v in arcs[u]:
             if release > starts[v]:
                 starts[v] = release
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                stack.append(v)
-    if seen != n_nodes:
-        stuck = [u + 1 for u in range(n_nodes) if indegree[u] > 0]
-        raise CycleError(f"precedence plus sequencing is cyclic through activities {stuck}")
     return starts
 
 

@@ -9,17 +9,10 @@ combine a critical-path relaxation (precedence only, waits of assigned
 activities at their current counts) with a per-resource load bound, plus
 the exact remaining-cost minimum.  The sequencing search below each
 assignment bounds its nodes with heads and tails of the disjunctive graph
-and a one-machine floor per shared resource.
-
-Neither level reruns a longest-path pass per node.  The assignment search
-keeps node weights and precedence heads for its assigned prefix and, when
-an assignment raises some waits, pushes the raised heads forward; the
-sequencing search does the same for heads and tails when it inserts an
-arc.  Both log every overwritten value and restore it on backtrack.
-Values only rise and each is the maximum of the same float sums as in a
-full pass, so they equal :func:`~msrcpspr.schedule.earliest_starts`
-bit for bit.  ``brute_force_front`` is the independent exhaustive oracle
-for small instances.
+and a one-machine floor per shared resource.  Both levels run on one
+graph whose heads and tails are kept up to date, not recomputed, per
+node (see :class:`_BranchAndBound`).  ``brute_force_front`` is the
+independent exhaustive oracle for small instances.
 """
 
 from __future__ import annotations
@@ -84,8 +77,8 @@ class SubproblemSpec:
     def __post_init__(self):
         if self.primary not in ("makespan", "cost"):
             raise ValueError(f"primary must be 'makespan' or 'cost', got {self.primary!r}")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget!r}")
+        if self.budget is not None and not 0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be finite and >= 0, got {self.budget!r}")
         check_eps(self.eps)
         if self.eps != 0.0:
             if self.primary != "makespan":
@@ -106,6 +99,12 @@ class SolveLimits:
 
     time_limit: float = 300.0
     node_limit: int | None = None
+
+    def __post_init__(self):
+        if not self.time_limit > 0:
+            raise ValueError(f"time_limit must be > 0, got {self.time_limit!r}")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError(f"node_limit must be >= 1, got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -141,25 +140,17 @@ def enumerate_assignments(
         per_skill.append(combos)
     results: list[tuple[tuple[int, int], ...]] = []
     for choice in itertools.product(*per_skill):
-        used: set[int] = set()
-        ok = True
-        for resources in choice:
-            for res in resources:
-                if res in used:
-                    ok = False
-                    break
-                used.add(res)
-            if not ok:
-                break
-        if ok:
-            pairs = tuple(
-                sorted(
-                    (skill, res)
-                    for (skill, _), resources in zip(needed, choice)
-                    for res in resources
+        used = [res for resources in choice for res in resources]
+        if len(set(used)) == len(used):
+            results.append(
+                tuple(
+                    sorted(
+                        (skill, res)
+                        for (skill, _), resources in zip(needed, choice)
+                        for res in resources
+                    )
                 )
             )
-            results.append(pairs)
     return results
 
 
@@ -236,125 +227,6 @@ class _Context:
             self.wait_table.append(table)
 
 
-class _SequencingSearch:
-    """Minimum-makespan orientation of the resource-sharing pairs.
-
-    All durations and waits are fixed when this runs.  ``run`` computes
-    heads (earliest starts, over successor lists) and ``after`` (longest
-    path from a node's end to the sink's start, over predecessor lists)
-    with one :func:`earliest_starts` pass each; from then on both arrays
-    are kept up to date.  Inserting arc u->v raises heads forward from v
-    and ``after`` backward from u along a work list, logging every
-    overwritten value, and removing the arc restores the log in reverse,
-    so no node runs a pass of its own.  Each value is still the maximum of
-    the same float sums over its predecessors, so it equals a fresh pass
-    exactly.  The child makespan of arc u->v is
-    ``max(current, head[u] + w[u] + after[v] + w[v])`` in O(1), passed down
-    as the child's bound.  Users of one resource run one at a time, so no
-    leaf below a node beats that resource's one-machine floor
-    ``min head + sum w + min after`` over its users.  A node is pruned when
-    its makespan or a floor reaches the incumbent, and the search stops
-    once a leaf reaches the root's bound.  Its nodes count toward, and
-    stop at, the limits of the enclosing assignment search.
-    """
-
-    def __init__(
-        self,
-        bb: _BranchAndBound,
-        weights: list[float],
-        machines: list[tuple[list[int], float]],
-    ):
-        self.bb = bb
-        self.ctx = bb.ctx
-        self.weights = weights
-        self.machines = machines
-        self.succ = [list(arcs) for arcs in self.ctx.prec_succ]
-        self.pred = [list(arcs) for arcs in self.ctx.prec_pred]
-        self.reach = list(self.ctx.prec_reach)
-
-    def _add_arc(self, u: int, v: int) -> _UndoLog:
-        """Insert u->v, which must not close a cycle; returns the undo log
-        of reach, heads and after."""
-        gain = self.reach[v] | (1 << v)
-        undo: _UndoLog = []
-        reach = self.reach
-        bit_u = 1 << u
-        for x in range(self.ctx.n):
-            mask = reach[x]
-            if x == u or mask & bit_u:
-                new = mask | gain
-                if new != mask:
-                    undo.append((reach, x, mask))
-                    reach[x] = new
-        self.succ[u].append(v)
-        self.pred[v].append(u)
-        _raise_longest_paths(self.heads, self.succ, self.weights, u, [v], undo)
-        _raise_longest_paths(self.after, self.pred, self.weights, v, [u], undo)
-        return undo
-
-    def _remove_arc(self, u: int, v: int, undo: _UndoLog) -> None:
-        self.succ[u].pop()
-        self.pred[v].pop()
-        for values, x, old in reversed(undo):
-            values[x] = old
-
-    def run(
-        self, decisions: list[tuple[int, int]], upper: float
-    ) -> tuple[float, list[tuple[int, int]]] | None:
-        """Best makespan strictly below ``upper`` with its chosen arcs."""
-        ctx = self.ctx
-        self.heads = earliest_starts(ctx.n, self.succ, self.weights)
-        self.after = earliest_starts(ctx.n, self.pred, self.weights)
-        self.best: float = upper
-        self.best_dirs: list[tuple[int, int]] | None = None
-        self.chosen: list[tuple[int, int]] = []
-        self.root_bound = -math.inf
-        self._dfs(decisions, 0, -math.inf)
-        if self.best_dirs is None:
-            return None
-        return self.best, self.best_dirs
-
-    def _dfs(self, decisions: list[tuple[int, int]], idx: int, bound: float) -> None:
-        if bound >= self.best or self.bb._out_of_budget():
-            return
-        self.bb.nodes += 1
-        heads, after, w = self.heads, self.after, self.weights
-        current = heads[self.ctx.sink]
-        if idx == len(decisions):
-            if current < self.best:
-                self.best = current
-                self.best_dirs = list(self.chosen)
-            return
-        floor = current
-        for users, load in self.machines:
-            machine = min(heads[x] for x in users) + load + min(after[x] for x in users)
-            if machine > floor:
-                floor = machine
-        if floor >= self.best:
-            return
-        if idx == 0:
-            self.root_bound = floor
-        i, j = decisions[idx]
-        options = []
-        for u, v in ((i, j), (j, i)):
-            if (self.reach[v] >> u) & 1:
-                continue
-            child = heads[u] + w[u] + (after[v] + w[v])
-            options.append((child if child > current else current, u, v))
-        options.sort()
-        for child, u, v in options:
-            if child >= self.best:
-                # Options are sorted, so every later child is cut as well.
-                break
-            undo = self._add_arc(u, v)
-            self.chosen.append((u, v))
-            self._dfs(decisions, idx + 1, child)
-            self.chosen.pop()
-            self._remove_arc(u, v, undo)
-            if self.best <= self.root_bound:
-                return
-
-
 def _raise_longest_paths(
     values: list[float],
     arcs: list[list[int]],
@@ -390,6 +262,32 @@ def _raise_longest_paths(
 
 
 class _BranchAndBound:
+    """Both search levels of one solve, on one disjunctive graph.
+
+    ``_dfs`` assigns the activities in topological order; at each full
+    assignment ``_sequence`` orients the pairs sharing a resource.  One
+    object owns the graph (``succ``, ``pred``, and ``reach``: bit v of
+    ``reach[u]`` means u has a path to v), the node weights, the heads
+    (earliest starts over ``succ``), one undo stack and one node count.
+
+    No node runs a longest-path pass.  ``_assign`` raises the weights of
+    the users of its resources and pushes the raised heads forward;
+    ``_add_arc`` u->v raises heads forward from v and ``after`` (longest
+    path from a node's end to the sink's start, over ``pred``) backward
+    from u.  Each logs what it overwrites and ``_restore`` writes the
+    latest log back.  Values only rise and each is the maximum of the
+    same float sums as in a full pass, so they equal
+    :func:`earliest_starts` bit for bit.  A leaf's sequencing starts from
+    the assignment search's heads; only ``after`` takes a pass there.
+
+    A sequencing child u->v has makespan
+    ``max(current, head[u] + w[u] + after[v] + w[v])``, passed down as its
+    bound.  Users of one resource run one at a time, so no leaf below a
+    node beats that resource's floor ``min head + sum w + min after``.  A
+    node is pruned when its makespan or a floor reaches the incumbent,
+    and the sequencing stops once a leaf reaches its root's bound.
+    """
+
     def __init__(self, ctx: _Context, spec: SubproblemSpec, limits: SolveLimits):
         self.ctx = ctx
         self.spec = spec
@@ -405,12 +303,14 @@ class _BranchAndBound:
         self.load_duration = [0.0] * n_res
         self.chosen: list[int] = []
         self.cost_so_far = 0.0
+        self.succ = [list(arcs) for arcs in ctx.prec_succ]
+        self.pred = [list(arcs) for arcs in ctx.prec_pred]
+        self.reach = list(ctx.prec_reach)
         # Node weights (duration plus the largest wait at the current
-        # counts) of the assigned prefix, precedence heads over them, and
-        # the assigned users of every resource, kept up to date by
-        # ``_assign`` and restored by ``_unassign``.
+        # counts) of the assigned prefix and the assigned users of every
+        # resource, kept up to date by ``_assign``.
         self.weights = list(ctx.durations)
-        self.heads = earliest_starts(ctx.n, ctx.prec_succ, self.weights)
+        self.heads = earliest_starts(ctx.n, self.succ, self.weights)
         self.users: list[list[int]] = [[] for _ in range(n_res)]
         self.res_of: list[tuple[int, ...]] = [()] * ctx.n
         self.undo: list[_UndoLog] = []
@@ -422,15 +322,14 @@ class _BranchAndBound:
         (the critical path with the waits implied by the current partial
         counts), versus the heaviest single-resource load (its activities
         are necessarily serialized)."""
-        waits, lam = self.ctx.wait_table, self.lam
-        path_bound = self.heads[self.ctx.sink]
-        load_bound = 0.0
-        for k, count in enumerate(lam):
+        waits = self.ctx.wait_table
+        bound = self.heads[self.ctx.sink]
+        for k, count in enumerate(self.lam):
             if count:
                 load = self.load_duration[k] + count * waits[k][count]
-                if load > load_bound:
-                    load_bound = load
-        return max(path_bound, load_bound)
+                if load > bound:
+                    bound = load
+        return bound
 
     def _cost_lb(self) -> float:
         return self.cost_so_far + self.ctx.suffix_min_cost[len(self.chosen)]
@@ -450,13 +349,18 @@ class _BranchAndBound:
 
     # -- search -------------------------------------------------------
 
+    def _restore(self) -> None:
+        """Write back the values of the latest log, newest first."""
+        for values, x, old in reversed(self.undo.pop()):
+            values[x] = old
+
     def _assign(self, idx: int, cand_idx: int) -> None:
         """Give activity ``acts[idx]`` its candidate ``cand_idx``.
 
         The counts of its resources rise by one, so its weight and those
         of the other assigned users of those resources are recomputed and
-        the raised heads pushed forward through the precedence arcs.
-        Waits never fall as a count rises, so weights and heads only rise.
+        the raised heads pushed forward.  Waits never fall as a count
+        rises, so weights and heads only rise.
         """
         ctx = self.ctx
         u = ctx.acts[idx]
@@ -474,7 +378,7 @@ class _BranchAndBound:
         self.chosen.append(cand_idx)
 
         undo: _UndoLog = []
-        weights, waits, lam, arcs = self.weights, ctx.wait_table, self.lam, ctx.prec_succ
+        weights, waits, lam, arcs = self.weights, ctx.wait_table, self.lam, self.succ
         for x in touched:
             if self.res_of[x]:
                 weight = ctx.durations[x] + max(waits[k][lam[k]] for k in self.res_of[x])
@@ -487,8 +391,7 @@ class _BranchAndBound:
     def _unassign(self) -> None:
         """Undo the latest ``_assign``."""
         ctx = self.ctx
-        for values, x, old in reversed(self.undo.pop()):
-            values[x] = old
+        self._restore()
         idx = len(self.chosen) - 1
         cand_idx = self.chosen.pop()
         u = ctx.acts[idx]
@@ -499,16 +402,39 @@ class _BranchAndBound:
             self.load_duration[k] -= ctx.durations[u]
             self.users[k].pop()
 
+    def _add_arc(self, u: int, v: int) -> None:
+        """Insert u->v, which must not close a cycle, raising reach, heads
+        and after."""
+        gain = self.reach[v] | (1 << v)
+        undo: _UndoLog = []
+        reach = self.reach
+        bit_u = 1 << u
+        for x in range(self.ctx.n):
+            mask = reach[x]
+            if x == u or mask & bit_u:
+                new = mask | gain
+                if new != mask:
+                    undo.append((reach, x, mask))
+                    reach[x] = new
+        self.succ[u].append(v)
+        self.pred[v].append(u)
+        _raise_longest_paths(self.heads, self.succ, self.weights, u, [v], undo)
+        _raise_longest_paths(self.after, self.pred, self.weights, v, [u], undo)
+        self.undo.append(undo)
+
+    def _remove_arc(self, u: int, v: int) -> None:
+        """Undo the latest ``_add_arc``, which inserted u->v."""
+        self.succ[u].pop()
+        self.pred[v].pop()
+        self._restore()
+
     def _out_of_budget(self) -> bool:
-        if self.timed_out:
-            return True
-        if time.perf_counter() > self.deadline:
-            self.timed_out = True
-            return True
-        if self.limits.node_limit is not None and self.nodes >= self.limits.node_limit:
-            self.timed_out = True
-            return True
-        return False
+        if not self.timed_out:
+            limit = self.limits.node_limit
+            self.timed_out = time.perf_counter() > self.deadline or (
+                limit is not None and self.nodes >= limit
+            )
+        return self.timed_out
 
     def _dfs(self) -> None:
         if self._out_of_budget():
@@ -531,31 +457,15 @@ class _BranchAndBound:
             if self.timed_out:
                 return
 
-    def _sharing_pairs(
-        self,
-    ) -> tuple[list[tuple[int, int]], list[float], list[tuple[list[int], float]]]:
-        """Pairs of activities sharing a resource, the final node weights,
-        and the users with their total weight of every shared resource."""
-        weights = self.weights
-        pairs = {
-            (min(a, b), max(a, b))
-            for nodes in self.users
-            for a, b in itertools.combinations(nodes, 2)
-        }
-        machines = [
-            (nodes, sum(weights[u] for u in nodes)) for nodes in self.users if len(nodes) > 1
-        ]
-        return sorted(pairs), weights, machines
-
     def _leaf(self) -> None:
+        """Sequence a full assignment and keep it if it beats the incumbent."""
         spec = self.spec
         cost = self.cost_so_far
-        pairs, weights, machines = self._sharing_pairs()
-
+        pairs = {p for nodes in self.users for p in itertools.combinations(sorted(nodes), 2)}
         fixed: list[tuple[int, int]] = []
         decisions: list[tuple[int, int]] = []
-        reach = self.ctx.prec_reach
-        for i, j in pairs:
+        reach = self.reach
+        for i, j in sorted(pairs):
             if (reach[i] >> j) & 1:
                 fixed.append((i, j))
             elif (reach[j] >> i) & 1:
@@ -576,7 +486,7 @@ class _BranchAndBound:
         else:
             upper = math.inf if spec.budget is None else spec.budget + _BUDGET_TOL
 
-        outcome = _SequencingSearch(self, weights, machines).run(decisions, upper)
+        outcome = self._sequence(decisions, upper)
         if outcome is None:
             return
         makespan, dirs = outcome
@@ -597,6 +507,65 @@ class _BranchAndBound:
                 "cost": cost,
                 "slack": achieved_slack,
             }
+
+    def _sequence(
+        self, decisions: list[tuple[int, int]], upper: float
+    ) -> tuple[float, list[tuple[int, int]]] | None:
+        """Best makespan strictly below ``upper`` over the orientations of
+        ``decisions``, with the arcs chosen for them."""
+        weights = self.weights
+        self.machines = [
+            (nodes, sum(weights[u] for u in nodes)) for nodes in self.users if len(nodes) > 1
+        ]
+        self.after = earliest_starts(self.ctx.n, self.pred, weights)
+        self.seq_best = upper
+        self.seq_arcs: list[tuple[int, int]] | None = None
+        self.oriented: list[tuple[int, int]] = []
+        self.root_bound = -math.inf
+        self._sequence_dfs(decisions, 0, -math.inf)
+        if self.seq_arcs is None:
+            return None
+        return self.seq_best, self.seq_arcs
+
+    def _sequence_dfs(self, decisions: list[tuple[int, int]], idx: int, bound: float) -> None:
+        if bound >= self.seq_best or self._out_of_budget():
+            return
+        self.nodes += 1
+        heads, after, w = self.heads, self.after, self.weights
+        current = heads[self.ctx.sink]
+        if idx == len(decisions):
+            if current < self.seq_best:
+                self.seq_best = current
+                self.seq_arcs = list(self.oriented)
+            return
+        floor = current
+        for users, load in self.machines:
+            machine = min(heads[x] for x in users) + load + min(after[x] for x in users)
+            if machine > floor:
+                floor = machine
+        if floor >= self.seq_best:
+            return
+        if idx == 0:
+            self.root_bound = floor
+        i, j = decisions[idx]
+        options = []
+        for u, v in ((i, j), (j, i)):
+            if (self.reach[v] >> u) & 1:
+                continue
+            child = heads[u] + w[u] + (after[v] + w[v])
+            options.append((child if child > current else current, u, v))
+        options.sort()
+        for child, u, v in options:
+            if child >= self.seq_best:
+                # Options are sorted, so every later child is cut as well.
+                break
+            self._add_arc(u, v)
+            self.oriented.append((u, v))
+            self._sequence_dfs(decisions, idx + 1, child)
+            self.oriented.pop()
+            self._remove_arc(u, v)
+            if self.seq_best <= self.root_bound:
+                return
 
     # -- materialization ---------------------------------------------
 

@@ -54,6 +54,16 @@ def _as_matrix(front_or_points) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def check_weights(weights: Sequence[float], v: float) -> None:
+    """Reject criterion weights other than two nonnegative values summing
+    to 1, and a strategy weight outside [0, 1]; NaN fails both."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (2,) or not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= 1e-9):
+        raise ValueError(f"weights must be two nonnegative values summing to 1, got {weights!r}")
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"strategy weight v must lie in [0, 1], got {v!r}")
+
+
 def rank(
     front_or_points,
     weights: Sequence[float] = (0.5, 0.5),
@@ -69,11 +79,8 @@ def rank(
     matrix = _as_matrix(front_or_points)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise ValueError("ranking needs at least one alternative")
+    check_weights(weights, v)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (2,) or (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"weights must be two nonnegative values summing to 1, got {weights!r}")
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"strategy weight v must lie in [0, 1], got {v!r}")
 
     notes: list[str] = []
     n_alt = matrix.shape[0]

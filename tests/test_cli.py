@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -155,18 +156,55 @@ class TestInputChecked:
         assert not (tmp_path / "o").exists()
 
 
-class TestPareto:
-    def test_front_matches_golden(self, toy_paths, tmp_path):
+class TestNonFiniteInput:
+    # Each of these once ran a solve or simulation it could not finish
+    # sensibly: a traceback, an unbudgeted "optimal", a search that never
+    # stops, or arrivals drawn without end.
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            ("solve --budget inf", "inf"),
+            ("solve --budget nan", "nan"),
+            ("solve --primary cost --budget nan", "nan"),
+            ("solve --time-limit nan", "nan"),
+            ("solve --time-limit 0", "0.0"),
+            ("pareto --weights nan,nan", "nan"),
+            ("sweep --parameter retrieval --multipliers nan", "nan"),
+            ("sweep --parameter disruption --multipliers 1,inf", "inf"),
+            ("simulate --horizon inf", "inf"),
+            ("simulate --horizon nan", "nan"),
+        ],
+    )
+    def test_exits_two_before_any_solve(self, toy_paths, tmp_path, capsys, monkeypatch,
+                                        argv, named):
+        from msrcpspr import queueing, solver
+
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(solver._BranchAndBound, "_dfs", no_search)
+        monkeypatch.setattr(queueing, "_cumulative_exponentials", no_search)
+        command, *flags = argv.split()
         sm, ext = toy_paths
+        code = main([command, "--instance", sm, "--extension", ext, "--out", str(tmp_path),
+                     *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+
+class TestPareto:
+    @pytest.mark.parametrize("name", ["toy5", "j10"])
+    def test_front_matches_golden(self, data_dir, tmp_path, name):
         code = main([
-            "pareto", "--instance", sm, "--extension", ext, "--grid", "10",
+            "pareto", "--instance", str(data_dir / f"{name}.sm"),
+            "--extension", str(data_dir / f"{name}_skills.json"), "--grid", "10",
             "--out", str(tmp_path), "--no-timing",
         ])
         assert code == 0
-        got = (tmp_path / "front.csv").read_bytes()
-        want = (GOLDEN_DIR / "toy5_front_golden.csv").read_bytes()
-        assert got == want
-        assert (tmp_path / "ranking.csv").exists()
+        for artifact in ("front", "ranking"):
+            got = (tmp_path / f"{artifact}.csv").read_bytes()
+            assert got == (GOLDEN_DIR / f"{name}_{artifact}_golden.csv").read_bytes(), artifact
         assert list(tmp_path.glob("gantt_rank*.svg"))
 
     @pytest.mark.parametrize("cut", [("makespan", "cost"), ("cost", "makespan")])
@@ -309,6 +347,15 @@ class TestSweep:
         assert fronts[1.4].payoff.makespan_pis <= fronts[1.0].payoff.makespan_pis + 1e-9
         _, fronts = run_sweep(problem, "disruption", [1.0, 1.4], 6, 1e-4, SolveLimits())
         assert fronts[1.4].payoff.makespan_pis >= fronts[1.0].payoff.makespan_pis - 1e-9
+
+    def test_non_finite_multiplier_is_a_validation_error(self, toy_paths):
+        from msrcpspr.cli import run_sweep
+        from msrcpspr.instance import ValidationError, instance_from_files
+        from msrcpspr.solver import SolveLimits
+
+        problem = instance_from_files(*toy_paths)
+        with pytest.raises(ValidationError, match=r"got \[1\.0, nan\]"):
+            run_sweep(problem, "retrieval", [1.0, math.nan], 6, 1e-4, SolveLimits())
 
     def test_bad_multiplier_exit_two(self, toy_paths, tmp_path):
         sm, ext = toy_paths

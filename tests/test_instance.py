@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -294,3 +295,8 @@ class TestScaleReliability:
             scale_reliability(toy5, "speed", 1.4)
         with pytest.raises(ValueError):
             scale_reliability(toy5, "retrieval", 0.0)
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
+    def test_rejects_non_finite_multiplier(self, toy5, multiplier):
+        with pytest.raises(ValueError, match=f"multiplier must be finite and > 0, got {multiplier}"):
+            scale_reliability(toy5, "disruption", multiplier)

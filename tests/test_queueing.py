@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +89,14 @@ class TestStability:
             waiting_time(p)
         with pytest.raises(InstabilityError):
             simulate_queue(p, 100.0, 0)
+
+    def test_nan_rate_is_unstable_and_has_no_wait(self):
+        # NaN makes the denominator NaN: not stable, so waiting_time must
+        # raise as its docstring promises instead of returning NaN.
+        p = point(1.0, 2.0, math.nan, 0.5)
+        assert not p.is_stable()
+        with pytest.raises(InstabilityError):
+            waiting_time(p)
 
     def test_rate_at_critical_in_floats_is_stable(self):
         p = point(1.0, 1.5, 0.1, 0.2)
@@ -339,6 +349,12 @@ class TestSimulation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             simulate_queue(point(0.5, 2.0, 0.5, 0.5), horizon=0.0, seed=1)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # An infinite horizon would draw arrivals without end.
+        with pytest.raises(ValueError, match=f"horizon must be finite and > 0, got {horizon}"):
+            simulate_queue(point(0.5, 2.0, 0.5, 0.5), horizon=horizon, seed=1)
 
     def test_t_quantile_is_scipy_value(self):
         stats = pytest.importorskip("scipy.stats")

@@ -116,6 +116,12 @@ class TestEarliestStarts:
         with pytest.raises(CycleError):
             earliest_starts(2, [[1], [0]], [1.0, 1.0])
 
+    def test_cycle_message_lists_nodes_on_or_behind_it(self):
+        # 1-based ids, formatted as a list: 2 and 3 form the cycle, 4 is behind it.
+        with pytest.raises(CycleError) as err:
+            earliest_starts(4, [[1], [2], [1, 3], []], [1.0] * 4)
+        assert str(err.value) == "precedence plus sequencing is cyclic through activities [2, 3, 4]"
+
 
 class TestCheckFeasibility:
     def feasible_toy5(self, toy5, seed=0):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msrcpspr.instance import ValidationError, validate
 from msrcpspr.queueing import QueueOperatingPoint, waiting_time
@@ -13,7 +15,6 @@ from msrcpspr.solver import (
     SubproblemSpec,
     _BranchAndBound,
     _Context,
-    _SequencingSearch,
     brute_force_front,
     enumerate_assignments,
     lexicographic_optimum,
@@ -270,20 +271,21 @@ def _sequencing_case(rng: np.random.Generator):
     bb = _BranchAndBound(ctx, SubproblemSpec(primary="makespan"), SolveLimits())
     for idx in range(len(ctx.acts)):
         bb._assign(idx, int(rng.integers(len(ctx.candidates[idx]))))
-    pairs, weights, machines = bb._sharing_pairs()
+    pairs = {p for nodes in bb.users for p in itertools.combinations(sorted(nodes), 2)}
     reach = ctx.prec_reach
     decisions = [
-        (i, j) for i, j in pairs if not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1
+        (i, j) for i, j in sorted(pairs) if not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1
     ]
-    return ctx, bb, weights, machines, decisions
+    return ctx, bb, decisions
 
 
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # Every child value passed down must be the full longest path of the
     # child graph, the maintained heads and tails must equal fresh passes
     # bit for bit at every node, and the search must return the best of
-    # all orientations.
-    original = _SequencingSearch._dfs
+    # all orientations.  The sequencing search runs on the assignment
+    # search's own graph, so it must hand that graph back unchanged.
+    original = _BranchAndBound._sequence_dfs
     checked = []
 
     def checking_dfs(self, decisions, idx, bound):
@@ -295,14 +297,16 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
             checked.append(bound)
         original(self, decisions, idx, bound)
 
-    monkeypatch.setattr(_SequencingSearch, "_dfs", checking_dfs)
+    monkeypatch.setattr(_BranchAndBound, "_sequence_dfs", checking_dfs)
     rng = np.random.default_rng(20261018)
     cases = 0
     while cases < 40:
-        ctx, bb, weights, machines, decisions = _sequencing_case(rng)
+        ctx, bb, decisions = _sequencing_case(rng)
         if not decisions or len(decisions) > 10:
             continue
         cases += 1
+        weights = list(bb.weights)
+        leaf_heads = list(bb.heads)
         brute = math.inf
         for flips in itertools.product((False, True), repeat=len(decisions)):
             succ = [list(arcs) for arcs in ctx.prec_succ]
@@ -313,12 +317,15 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
                 brute = min(brute, earliest_starts(ctx.n, succ, weights)[ctx.sink])
             except CycleError:
                 continue
-        search = _SequencingSearch(bb, weights, machines)
-        makespan, dirs = search.run(decisions, math.inf)
+        # The leaf starts from the assignment search's heads, with no pass.
+        assert leaf_heads == earliest_starts(ctx.n, ctx.prec_succ, weights)
+        makespan, dirs = bb._sequence(decisions, math.inf)
         assert makespan == pytest.approx(brute, abs=1e-12)
         # Every undo restored its values: the root passes hold again.
-        assert search.heads == earliest_starts(ctx.n, ctx.prec_succ, weights)
-        assert search.after == earliest_starts(ctx.n, ctx.prec_pred, weights)
+        assert bb.heads == earliest_starts(ctx.n, ctx.prec_succ, weights)
+        assert bb.after == earliest_starts(ctx.n, ctx.prec_pred, weights)
+        assert bb.weights == weights
+        assert (bb.succ, bb.pred, bb.reach) == (ctx.prec_succ, ctx.prec_pred, ctx.prec_reach)
         succ = [list(arcs) for arcs in ctx.prec_succ]
         for u, v in dirs:
             succ[u].append(v)
@@ -364,6 +371,10 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
             assert bb.weights == ctx.durations, name
             assert bb.heads == root_heads, name
             assert bb.users == [[] for _ in ctx.instance.resources], name
+            assert (bb.succ, bb.pred, bb.reach) == (
+                ctx.prec_succ, ctx.prec_pred, ctx.prec_reach
+            ), name
+            assert bb.undo == [], name
     assert max(checked) > 1
 
 
@@ -492,3 +503,77 @@ class TestBruteForce:
             costs = [c for _, c in pairs]
             assert costs == sorted(costs, reverse=True)
             assert len(set(costs)) == len(costs)
+
+
+@st.composite
+def _guard_rail_instances(draw):
+    """Guard-rail instances with zero and tied durations, tied costs, and
+    service rates at or just above twice an integer count.  Both breakdown
+    rates are 0.5, so the critical arrival rate is mu / 2: that count is
+    either unstable or has a wait of up to about (count + 1) * 1e3."""
+    n_exec = draw(st.integers(2, 5))
+    n = n_exec + 2
+    acts = range(2, n)
+    durations = {1: 0, n: 0, **{a: draw(st.sampled_from((0, 0, 2, 3, 3))) for a in acts}}
+    successors = {
+        a: tuple(sorted(draw(st.sets(st.integers(a + 1, n - 1), max_size=2)))) or (n,)
+        if a + 1 < n else (n,)
+        for a in acts
+    }
+    has_pred = {v for targets in successors.values() for v in targets}
+    successors[1] = tuple(a for a in acts if a not in has_pred)
+    n_skills = draw(st.integers(1, 2))
+    every_skill = set(range(1, n_skills + 1))
+    resources = []
+    for k in range(draw(st.integers(2, 3))):
+        skills = every_skill if k == 0 else draw(st.sets(st.integers(1, n_skills), min_size=1))
+        costs = {skill: draw(st.sampled_from((100.0, 100.0, 250.0))) for skill in skills}
+        count = draw(st.integers(1, n_exec))
+        mu = 2.0 * (count + draw(st.sampled_from((0.0, 1e-3, 0.5, 2.0))))
+        resources.append((skills, costs, (0.5, 0.5, mu)))
+    requirements = {
+        a: {draw(st.integers(1, n_skills)): draw(st.sampled_from((0, 1, 1)))} for a in acts
+    }
+    # At most one activity needs both skills, which keeps the oracle fast.
+    both = draw(st.sampled_from((None, *acts))) if n_skills == 2 else None
+    if both is not None:
+        requirements[both] = {1: 1, 2: 1}
+    return build_instance(
+        durations=durations,
+        successors=successors,
+        skill_count=n_skills,
+        resources=resources,
+        requirements=requirements,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_guard_rail_instances())
+def test_solve_matches_oracle_on_drawn_instances(instance):
+    # Every oracle point is the optimum of both budgeted subproblems that
+    # pass through it; an empty oracle front means no feasible schedule.
+    front = brute_force_front(instance)
+    if not front.points:
+        assert solve(instance, SubproblemSpec(primary="makespan")).status == "infeasible"
+    for point in front.points:
+        by_makespan = solve(instance, SubproblemSpec(primary="makespan", budget=point.cost))
+        assert by_makespan.status == "optimal"
+        assert by_makespan.objectives.makespan == pytest.approx(point.makespan, abs=1e-9)
+        by_cost = solve(instance, SubproblemSpec(primary="cost", budget=point.makespan))
+        assert by_cost.status == "optimal"
+        assert by_cost.objectives.cost == pytest.approx(point.cost, abs=1e-9)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_non_finite_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="budget must be finite"):
+        SubproblemSpec(primary="makespan", budget=budget)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"time_limit": math.nan}, {"time_limit": 0.0}, {"time_limit": -1.0}, {"node_limit": 0}],
+)
+def test_limits_that_never_or_always_stop_are_rejected(limits):
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        SolveLimits(**limits)

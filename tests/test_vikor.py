@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,11 @@ class TestValidation:
             rank(SEVEN_POINTS, weights=(0.7, 0.7))
         with pytest.raises(ValueError):
             rank(SEVEN_POINTS, weights=(-0.5, 1.5))
+
+    @pytest.mark.parametrize("weights", [(math.nan, math.nan), (0.5, math.nan)])
+    def test_nan_weights_checked(self, weights):
+        with pytest.raises(ValueError, match="weights must be .*nan"):
+            rank(SEVEN_POINTS, weights=weights)
 
     def test_v_checked(self):
         with pytest.raises(ValueError):
