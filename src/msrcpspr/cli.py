@@ -153,8 +153,8 @@ def run_sweep(
     makespan); a position missing from a scaled front is flagged, as is
     any front whose enumeration failed outright.
     """
-    if not all(0 < m < math.inf for m in multipliers):
-        raise ValidationError(f"multipliers must be finite and > 0, got {multipliers!r}")
+    if not multipliers or not all(0 < m < math.inf for m in multipliers):
+        raise ValidationError(f"multipliers must be one or more finite values > 0, got {multipliers!r}")
     baseline = pareto_mod.enumerate_front(problem, grid_count, eps, bypass=bypass, limits=limits)
     fronts: dict[float, pareto_mod.ParetoFront] = {}
     rows: list[SweepRow] = []

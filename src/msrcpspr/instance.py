@@ -335,56 +335,73 @@ _RESOURCE_KEYS = {
 _REQUIREMENT_KEYS = {"activity", "skill", "count"}
 
 
-def _reject_unknown(keys: Iterable[str], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(keys) - allowed)
+def _check_keys(entry: object, keys: set[str], where: str) -> None:
+    """Require ``entry`` to be a JSON object with exactly ``keys``; name
+    every unknown and every missing key, sorted."""
+    if not isinstance(entry, Mapping):
+        raise ValidationError(f"{where} must be a JSON object")
+    problems = []
+    unknown = sorted(set(entry) - keys)
     if unknown:
-        raise ValidationError(f"unknown key(s) {unknown} in {where}")
+        problems.append(f"unknown key(s) {unknown}")
+    missing = sorted(keys - set(entry))
+    if missing:
+        problems.append(f"missing key(s) {missing}")
+    if problems:
+        raise ValidationError(f"{' and '.join(problems)} in {where}")
+
+
+def _entries(data: Mapping, key: str) -> list:
+    if not isinstance(data[key], list):
+        raise ValidationError(f"sidecar {key!r} must be a JSON list")
+    return data[key]
 
 
 def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectInstance:
     """Combine a parsed PSPLIB file with a skill/reliability sidecar.
 
     The sidecar is a JSON document (or an equivalent mapping) with keys
-    ``skill_count``, ``resources`` and ``requirements``; unknown keys are
-    rejected.  Skills demanded by no resource only produce a warning:
-    the solver will prove the instance infeasible.
+    ``skill_count``, ``resources`` and ``requirements``; unknown or
+    missing keys and values of the wrong type are rejected.  Skills
+    demanded by no resource only produce a warning: the solver will prove
+    the instance infeasible.
     """
     data = json.loads(sidecar) if isinstance(sidecar, str) else sidecar
-    if not isinstance(data, Mapping):
-        raise ValidationError("sidecar must be a JSON object")
-    _reject_unknown(data.keys(), _SIDECAR_KEYS, "sidecar")
-    for key in _SIDECAR_KEYS:
-        if key not in data:
-            raise ValidationError(f"sidecar missing required key {key!r}")
-
-    skill_count = int(data["skill_count"])
+    _check_keys(data, _SIDECAR_KEYS, "sidecar")
+    try:
+        skill_count = int(data["skill_count"])
+    except (TypeError, ValueError):
+        raise ValidationError(f"skill_count must be an integer, got {data['skill_count']!r}") from None
     if skill_count < 1:
         raise ValidationError("skill_count must be >= 1")
 
     resources: list[ResourceProfile] = []
-    for entry in data["resources"]:
-        _reject_unknown(entry.keys(), _RESOURCE_KEYS, f"resource entry {entry!r}")
-        for key in _RESOURCE_KEYS:
-            if key not in entry:
-                raise ValidationError(f"resource entry missing {key!r}: {entry!r}")
-        skills = frozenset(int(s) for s in entry["skills"])
+    for entry in _entries(data, "resources"):
+        where = f"resource entry {entry!r}"
+        _check_keys(entry, _RESOURCE_KEYS, where)
+        try:
+            res_id = int(entry["id"])
+            skills = frozenset(int(s) for s in entry["skills"])
+            costs = {int(k): float(v) for k, v in entry["cost_per_skill"].items()}
+            reliability = ReliabilityParams(
+                disruption_rate=float(entry["disruption_rate"]),
+                retrieval_rate=float(entry["retrieval_rate"]),
+                service_rate=float(entry["service_rate"]),
+            )
+        except (TypeError, ValueError, AttributeError):
+            raise ValidationError(f"wrongly typed value in {where}") from None
         if not skills <= set(range(1, skill_count + 1)):
-            raise ValidationError(f"resource {entry['id']} masters skills outside 1..{skill_count}")
-        costs = {int(k): float(v) for k, v in entry["cost_per_skill"].items()}
+            raise ValidationError(f"resource {res_id} masters skills outside 1..{skill_count}")
         if set(costs) != skills:
             raise ValidationError(
-                f"resource {entry['id']} must give a cost for exactly its mastered skills"
+                f"resource {res_id} must give a cost for exactly its mastered skills"
             )
         resources.append(
             ResourceProfile(
-                id=int(entry["id"]),
+                id=res_id,
                 skills=skills,
                 cost_per_skill=tuple(sorted(costs.items())),
-                reliability=ReliabilityParams(
-                    disruption_rate=float(entry["disruption_rate"]),
-                    retrieval_rate=float(entry["retrieval_rate"]),
-                    service_rate=float(entry["service_rate"]),
-                ),
+                reliability=reliability,
             )
         )
     resources.sort(key=lambda r: r.id)
@@ -392,12 +409,13 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         raise ValidationError("resource ids must be contiguous starting at 1")
 
     requirements: dict[int, dict[int, int]] = {}
-    for entry in data["requirements"]:
-        _reject_unknown(entry.keys(), _REQUIREMENT_KEYS, f"requirement entry {entry!r}")
-        for key in _REQUIREMENT_KEYS:
-            if key not in entry:
-                raise ValidationError(f"requirement entry missing {key!r}: {entry!r}")
-        act, skill, count = int(entry["activity"]), int(entry["skill"]), int(entry["count"])
+    for entry in _entries(data, "requirements"):
+        where = f"requirement entry {entry!r}"
+        _check_keys(entry, _REQUIREMENT_KEYS, where)
+        try:
+            act, skill, count = int(entry["activity"]), int(entry["skill"]), int(entry["count"])
+        except (TypeError, ValueError):
+            raise ValidationError(f"wrongly typed value in {where}") from None
         if not 1 < act < partial.job_count:
             raise ValidationError(f"requirement targets non-executable activity {act}")
         if not 1 <= skill <= skill_count:

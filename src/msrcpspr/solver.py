@@ -154,79 +154,6 @@ def enumerate_assignments(
     return results
 
 
-class _Context:
-    """Precomputed search data shared by every node of one solve call."""
-
-    def __init__(self, instance: ProjectInstance):
-        self.instance = instance
-        n = instance.n_nodes
-        self.n = n
-        self.sink = n - 1
-        self.durations = [float(x) for x in instance.duration_array]
-        self.prec_succ: list[list[int]] = [
-            list(np.flatnonzero(instance.precedence[u])) for u in range(n)
-        ]
-        self.prec_pred: list[list[int]] = [[] for _ in range(n)]
-        for u in range(n):
-            for v in self.prec_succ[u]:
-                self.prec_pred[v].append(u)
-        topo, stuck = topological_order(self.prec_succ)
-        if stuck:
-            raise CycleError("instance precedence graph is cyclic")
-        self.acts = [u for u in topo if 0 < u < n - 1]
-
-        # Reachability bitmask over precedence arcs: bit v of reach[u] means
-        # u has a path to v.
-        reach = [0] * n
-        for u in reversed(topo):
-            mask = 0
-            for v in self.prec_succ[u]:
-                mask |= (1 << v) | reach[v]
-            reach[u] = mask
-        self.prec_reach = reach
-        # The makespan is the sink's start, so sequencing tails are measured
-        # to the sink; an activity with no path there would escape them.
-        dangling = [u + 1 for u in range(n - 1) if not (reach[u] >> self.sink) & 1]
-        if dangling:
-            raise ValidationError(f"activities {dangling} have no path to the dummy sink {n}")
-
-        # Candidate assignments per activity, cheapest first.
-        self.candidates: list[list[tuple[tuple[int, int], ...]]] = []
-        self.cand_resources: list[list[tuple[int, ...]]] = []
-        self.cand_costs: list[list[float]] = []
-        cost_rate = instance.cost_rate_matrix
-        for u in self.acts:
-            raw = enumerate_assignments(instance, u + 1)
-            duration = self.durations[u]
-            entries = []
-            for pairs in raw:
-                cost = duration * sum(cost_rate[l - 1, k - 1] for l, k in pairs)
-                entries.append((cost, pairs))
-            entries.sort(key=lambda e: (e[0], e[1]))
-            self.candidates.append([pairs for _, pairs in entries])
-            self.cand_resources.append(
-                [tuple(sorted(k - 1 for _, k in pairs)) for _, pairs in entries]
-            )
-            self.cand_costs.append([cost for cost, _ in entries])
-
-        self.suffix_min_cost = [0.0] * (len(self.acts) + 1)
-        for idx in range(len(self.acts) - 1, -1, -1):
-            best = min(self.cand_costs[idx]) if self.cand_costs[idx] else math.inf
-            self.suffix_min_cost[idx] = self.suffix_min_cost[idx + 1] + best
-
-        # Wait per resource as a function of its integer assignment count,
-        # up to the first unstable count: stable counts form a prefix.
-        self.wait_table: list[list[float]] = []
-        for res in instance.resources:
-            table: list[float] = []
-            for m in range(len(self.acts) + 1):
-                try:
-                    table.append(waiting_time(QueueOperatingPoint(float(m), res.reliability)))
-                except InstabilityError:
-                    break
-            self.wait_table.append(table)
-
-
 def _raise_longest_paths(
     values: list[float],
     arcs: list[list[int]],
@@ -266,9 +193,14 @@ class _BranchAndBound:
 
     ``_dfs`` assigns the activities in topological order; at each full
     assignment ``_sequence`` orients the pairs sharing a resource.  One
-    object owns the graph (``succ``, ``pred``, and ``reach``: bit v of
-    ``reach[u]`` means u has a path to v), the node weights, the heads
-    (earliest starts over ``succ``), one undo stack and one node count.
+    object holds everything a solve needs.  ``__init__`` checks the
+    precedence graph and tabulates, once, the candidate assignments of
+    every activity (cheapest first, with their resources and costs), the
+    cheapest cost of every suffix of them and each resource's wait per
+    assignment count.  The search then owns the graph (``succ``, ``pred``,
+    and ``reach``: bit v of ``reach[u]`` means u has a path to v), the
+    node weights, the heads (earliest starts over ``succ``), one undo
+    stack and one node count.
 
     No node runs a longest-path pass.  ``_assign`` raises the weights of
     the users of its resources and pushes the raised heads forward;
@@ -288,32 +220,84 @@ class _BranchAndBound:
     and the sequencing stops once a leaf reaches its root's bound.
     """
 
-    def __init__(self, ctx: _Context, spec: SubproblemSpec, limits: SolveLimits):
-        self.ctx = ctx
+    def __init__(self, instance: ProjectInstance, spec: SubproblemSpec, limits: SolveLimits):
+        self.instance = instance
         self.spec = spec
         self.limits = limits
-        self.deadline = time.perf_counter() + limits.time_limit
-        self.nodes = 0
-        self.timed_out = False
-        self.best_f = math.inf
-        self.best: dict | None = None
+        n = instance.n_nodes
+        self.n = n
+        self.sink = n - 1
+        self.durations = [float(x) for x in instance.duration_array]
+        self.succ = [[int(v) for v in np.flatnonzero(instance.precedence[u])] for u in range(n)]
+        self.pred: list[list[int]] = [[] for _ in range(n)]
+        for u in range(n):
+            for v in self.succ[u]:
+                self.pred[v].append(u)
+        topo, stuck = topological_order(self.succ)
+        if stuck:
+            raise CycleError("instance precedence graph is cyclic")
+        self.acts = [u for u in topo if 0 < u < n - 1]
+        self.reach = [0] * n
+        for u in reversed(topo):
+            for v in self.succ[u]:
+                self.reach[u] |= (1 << v) | self.reach[v]
+        # The makespan is the sink's start, so sequencing tails are measured
+        # to the sink; an activity with no path there would escape them.
+        dangling = [u + 1 for u in range(n - 1) if not (self.reach[u] >> self.sink) & 1]
+        if dangling:
+            raise ValidationError(f"activities {dangling} have no path to the dummy sink {n}")
 
-        n_res = len(ctx.instance.resources)
+        # Candidate assignments per activity, cheapest first.
+        self.candidates: list[list[tuple[tuple[int, int], ...]]] = []
+        self.cand_resources: list[list[tuple[int, ...]]] = []
+        self.cand_costs: list[list[float]] = []
+        cost_rate = instance.cost_rate_matrix
+        for u in self.acts:
+            entries = sorted(
+                (self.durations[u] * sum(cost_rate[l - 1, k - 1] for l, k in pairs), pairs)
+                for pairs in enumerate_assignments(instance, u + 1)
+            )
+            self.candidates.append([pairs for _, pairs in entries])
+            self.cand_resources.append(
+                [tuple(sorted(k - 1 for _, k in pairs)) for _, pairs in entries]
+            )
+            self.cand_costs.append([cost for cost, _ in entries])
+
+        self.suffix_min_cost = [0.0] * (len(self.acts) + 1)
+        for idx in range(len(self.acts) - 1, -1, -1):
+            best = min(self.cand_costs[idx]) if self.cand_costs[idx] else math.inf
+            self.suffix_min_cost[idx] = self.suffix_min_cost[idx + 1] + best
+
+        # Wait per resource as a function of its integer assignment count,
+        # up to the first unstable count: stable counts form a prefix.
+        self.wait_table: list[list[float]] = []
+        for res in instance.resources:
+            table: list[float] = []
+            for m in range(len(self.acts) + 1):
+                try:
+                    table.append(waiting_time(QueueOperatingPoint(float(m), res.reliability)))
+                except InstabilityError:
+                    break
+            self.wait_table.append(table)
+
+        n_res = len(instance.resources)
         self.lam = [0] * n_res
         self.load_duration = [0.0] * n_res
         self.chosen: list[int] = []
         self.cost_so_far = 0.0
-        self.succ = [list(arcs) for arcs in ctx.prec_succ]
-        self.pred = [list(arcs) for arcs in ctx.prec_pred]
-        self.reach = list(ctx.prec_reach)
         # Node weights (duration plus the largest wait at the current
         # counts) of the assigned prefix and the assigned users of every
         # resource, kept up to date by ``_assign``.
-        self.weights = list(ctx.durations)
-        self.heads = earliest_starts(ctx.n, self.succ, self.weights)
+        self.weights = list(self.durations)
+        self.heads = earliest_starts(n, self.succ, self.weights)
         self.users: list[list[int]] = [[] for _ in range(n_res)]
-        self.res_of: list[tuple[int, ...]] = [()] * ctx.n
+        self.res_of: list[tuple[int, ...]] = [()] * n
         self.undo: list[_UndoLog] = []
+        self.nodes = 0
+        self.timed_out = False
+        self.best_f = math.inf
+        self.best: dict | None = None
+        self.deadline = time.perf_counter() + limits.time_limit
 
     # -- bounds -------------------------------------------------------
 
@@ -322,8 +306,8 @@ class _BranchAndBound:
         (the critical path with the waits implied by the current partial
         counts), versus the heaviest single-resource load (its activities
         are necessarily serialized)."""
-        waits = self.ctx.wait_table
-        bound = self.heads[self.ctx.sink]
+        waits = self.wait_table
+        bound = self.heads[self.sink]
         for k, count in enumerate(self.lam):
             if count:
                 load = self.load_duration[k] + count * waits[k][count]
@@ -332,7 +316,7 @@ class _BranchAndBound:
         return bound
 
     def _cost_lb(self) -> float:
-        return self.cost_so_far + self.ctx.suffix_min_cost[len(self.chosen)]
+        return self.cost_so_far + self.suffix_min_cost[len(self.chosen)]
 
     def _prunable(self) -> bool:
         spec = self.spec
@@ -362,26 +346,25 @@ class _BranchAndBound:
         the raised heads pushed forward.  Waits never fall as a count
         rises, so weights and heads only rise.
         """
-        ctx = self.ctx
-        u = ctx.acts[idx]
-        resources = ctx.cand_resources[idx][cand_idx]
+        u = self.acts[idx]
+        resources = self.cand_resources[idx][cand_idx]
         touched = [u]
         for k in resources:
             self.lam[k] += 1
-            self.load_duration[k] += ctx.durations[u]
+            self.load_duration[k] += self.durations[u]
             for x in self.users[k]:
                 if x not in touched:
                     touched.append(x)
             self.users[k].append(u)
         self.res_of[u] = resources
-        self.cost_so_far += ctx.cand_costs[idx][cand_idx]
+        self.cost_so_far += self.cand_costs[idx][cand_idx]
         self.chosen.append(cand_idx)
 
         undo: _UndoLog = []
-        weights, waits, lam, arcs = self.weights, ctx.wait_table, self.lam, self.succ
+        weights, waits, lam, arcs = self.weights, self.wait_table, self.lam, self.succ
         for x in touched:
             if self.res_of[x]:
-                weight = ctx.durations[x] + max(waits[k][lam[k]] for k in self.res_of[x])
+                weight = self.durations[x] + max(waits[k][lam[k]] for k in self.res_of[x])
                 if weight != weights[x]:
                     undo.append((weights, x, weights[x]))
                     weights[x] = weight
@@ -390,16 +373,15 @@ class _BranchAndBound:
 
     def _unassign(self) -> None:
         """Undo the latest ``_assign``."""
-        ctx = self.ctx
         self._restore()
         idx = len(self.chosen) - 1
         cand_idx = self.chosen.pop()
-        u = ctx.acts[idx]
-        self.cost_so_far -= ctx.cand_costs[idx][cand_idx]
+        u = self.acts[idx]
+        self.cost_so_far -= self.cand_costs[idx][cand_idx]
         self.res_of[u] = ()
-        for k in ctx.cand_resources[idx][cand_idx]:
+        for k in self.cand_resources[idx][cand_idx]:
             self.lam[k] -= 1
-            self.load_duration[k] -= ctx.durations[u]
+            self.load_duration[k] -= self.durations[u]
             self.users[k].pop()
 
     def _add_arc(self, u: int, v: int) -> None:
@@ -409,7 +391,7 @@ class _BranchAndBound:
         undo: _UndoLog = []
         reach = self.reach
         bit_u = 1 << u
-        for x in range(self.ctx.n):
+        for x in range(self.n):
             mask = reach[x]
             if x == u or mask & bit_u:
                 new = mask | gain
@@ -443,13 +425,12 @@ class _BranchAndBound:
         idx = len(self.chosen)
         if self._prunable():
             return
-        if idx == len(self.ctx.acts):
+        if idx == len(self.acts):
             self._leaf()
             return
-        ctx = self.ctx
-        for cand_idx in range(len(ctx.candidates[idx])):
-            resources = ctx.cand_resources[idx][cand_idx]
-            if any(self.lam[k] + 1 >= len(ctx.wait_table[k]) for k in resources):
+        for cand_idx in range(len(self.candidates[idx])):
+            resources = self.cand_resources[idx][cand_idx]
+            if any(self.lam[k] + 1 >= len(self.wait_table[k]) for k in resources):
                 continue
             self._assign(idx, cand_idx)
             self._dfs()
@@ -503,8 +484,6 @@ class _BranchAndBound:
             self.best = {
                 "chosen": list(self.chosen),
                 "arcs": fixed + dirs,
-                "makespan": makespan,
-                "cost": cost,
                 "slack": achieved_slack,
             }
 
@@ -517,7 +496,7 @@ class _BranchAndBound:
         self.machines = [
             (nodes, sum(weights[u] for u in nodes)) for nodes in self.users if len(nodes) > 1
         ]
-        self.after = earliest_starts(self.ctx.n, self.pred, weights)
+        self.after = earliest_starts(self.n, self.pred, weights)
         self.seq_best = upper
         self.seq_arcs: list[tuple[int, int]] | None = None
         self.oriented: list[tuple[int, int]] = []
@@ -532,7 +511,7 @@ class _BranchAndBound:
             return
         self.nodes += 1
         heads, after, w = self.heads, self.after, self.weights
-        current = heads[self.ctx.sink]
+        current = heads[self.sink]
         if idx == len(decisions):
             if current < self.seq_best:
                 self.seq_best = current
@@ -571,13 +550,12 @@ class _BranchAndBound:
 
     def materialize(self) -> tuple[ScheduleSolution, ObjectiveValues]:
         assert self.best is not None
-        ctx = self.ctx
-        instance = ctx.instance
-        n = ctx.n
+        instance = self.instance
+        n = self.n
         X = np.zeros((n, instance.skill_count, len(instance.resources)), dtype=np.int8)
         for idx, cand_idx in enumerate(self.best["chosen"]):
-            u = ctx.acts[idx]
-            for skill, res in ctx.candidates[idx][cand_idx]:
+            u = self.acts[idx]
+            for skill, res in self.candidates[idx][cand_idx]:
                 X[u, skill - 1, res - 1] = 1
         Z = np.zeros((n, n), dtype=np.int8)
         for u, v in self.best["arcs"]:
@@ -600,9 +578,8 @@ def solve(
     """
     limits = limits or SolveLimits()
     started = time.perf_counter()
-    ctx = _Context(instance)
-    bb = _BranchAndBound(ctx, spec, limits)
-    if all(ctx.candidates[idx] for idx in range(len(ctx.acts))):
+    bb = _BranchAndBound(instance, spec, limits)
+    if all(bb.candidates):
         bb._dfs()
     wall = time.perf_counter() - started
     if bb.best is None:

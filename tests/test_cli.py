@@ -71,6 +71,29 @@ class TestValidate:
                      "--extension", toy_paths[1], "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda s: s.update(resources=[1]), "resource entry 1"),
+            (lambda s: s.update(skill_count=None), "skill_count"),
+            (lambda s: s["resources"][0].update(cost_per_skill=[100]), "'cost_per_skill': [100]"),
+            (lambda s: s["requirements"][0].update(count=None), "'count': None"),
+            (lambda s: s.update(requirements=None), "'requirements' must be a JSON list"),
+        ],
+        ids=["resource-not-object", "null-skill-count", "cost-list", "null-count",
+             "null-requirements"],
+    )
+    def test_wrongly_typed_sidecar_exit_two(self, toy_paths, tmp_path, capsys, edit, named):
+        sidecar = json.loads(Path(toy_paths[1]).read_text(encoding="utf-8"))
+        edit(sidecar)
+        ext = tmp_path / "typed.json"
+        ext.write_text(json.dumps(sidecar), encoding="utf-8")
+        code = main(["validate", "--instance", toy_paths[0], "--extension", str(ext),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
     """toy5 with some durations replaced, or resource 1's (disruption,
@@ -362,6 +385,20 @@ class TestSweep:
         code = main(["sweep", "--instance", sm, "--extension", ext, "--parameter",
                      "disruption", "--multipliers", "0,-1", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_empty_multiplier_list_exit_two(self, toy_paths, tmp_path, capsys, monkeypatch):
+        from msrcpspr import solver
+
+        def no_search(self):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(solver._BranchAndBound, "_dfs", no_search)
+        sm, ext = toy_paths
+        code = main(["sweep", "--instance", sm, "--extension", ext, "--parameter",
+                     "retrieval", "--multipliers", ",", "--out", str(tmp_path)])
+        assert code == 2
+        assert "got []" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_retrieval.csv").exists()
 
     def test_instability_from_scaling_flags_rows(self, toy_paths, tmp_path):
         # disruption x10 pushes every resource's critical rate below one

@@ -145,6 +145,21 @@ class TestLoadExtension:
         with pytest.raises(ValidationError, match="unknown key"):
             load_extension(partial, {"skill_count": 1, "resources": [], "requirements": [], "extra": 1})
 
+    def test_missing_keys_listed_in_order(self):
+        # The message must not depend on set iteration order (PYTHONHASHSEED).
+        partial = parse_psplib(CHAIN5_SM)
+        sidecar = {"skill_count": 1, "resources": [{"id": 1}], "requirements": []}
+        missing = (
+            "missing key(s) ['cost_per_skill', 'disruption_rate', 'retrieval_rate', "
+            "'service_rate', 'skills'] in resource entry {'id': 1}"
+        )
+        with pytest.raises(ValidationError) as exc:
+            load_extension(partial, sidecar)
+        assert str(exc.value) == missing
+        sidecar["resources"][0].update(extra=0, bonus=0)
+        with pytest.raises(ValidationError, match=r"^unknown key\(s\) \['bonus', 'extra'\] and "):
+            load_extension(partial, sidecar)
+
     def test_missing_rates_rejected(self):
         partial = parse_psplib(CHAIN5_SM)
         sidecar = {

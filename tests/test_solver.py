@@ -14,7 +14,6 @@ from msrcpspr.solver import (
     SolveResult,
     SubproblemSpec,
     _BranchAndBound,
-    _Context,
     brute_force_front,
     enumerate_assignments,
     lexicographic_optimum,
@@ -206,6 +205,24 @@ class TestSolve:
         with pytest.raises(ValidationError, match="no path to the dummy sink"):
             solve(instance, SubproblemSpec(primary="makespan"))
 
+    def test_cyclic_precedence_rejected_before_any_node(self, monkeypatch):
+        # Parsing rejects a cyclic file, but a directly built instance
+        # reaches the solver, which must refuse it before it searches.
+        instance = build_instance(
+            durations={1: 0, 2: 3, 3: 4, 4: 0},
+            successors={1: (2,), 2: (3,), 3: (2, 4)},
+            skill_count=1,
+            resources=[({1}, {1: 10.0}, (0.5, 0.5, 8.0))],
+            requirements={2: {1: 1}, 3: {1: 1}},
+        )
+
+        def no_search(self):
+            raise AssertionError("a node was searched")
+
+        monkeypatch.setattr(_BranchAndBound, "_dfs", no_search)
+        with pytest.raises(CycleError, match="instance precedence graph is cyclic"):
+            solve(instance, SubproblemSpec(primary="makespan"))
+
     def test_infeasible_activity(self):
         instance = build_instance(
             durations={1: 0, 2: 3, 3: 0},
@@ -267,16 +284,21 @@ def _sequencing_case(rng: np.random.Generator):
         resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0)), ({1}, {1: 20.0}, (0.5, 0.5, 40.0))],
         requirements={act: {1: int(rng.choice([0, 1, 1, 2]))} for act in range(2, n)},
     )
-    ctx = _Context(instance)
-    bb = _BranchAndBound(ctx, SubproblemSpec(primary="makespan"), SolveLimits())
-    for idx in range(len(ctx.acts)):
-        bb._assign(idx, int(rng.integers(len(ctx.candidates[idx]))))
+    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    for idx in range(len(bb.acts)):
+        bb._assign(idx, int(rng.integers(len(bb.candidates[idx]))))
     pairs = {p for nodes in bb.users for p in itertools.combinations(sorted(nodes), 2)}
-    reach = ctx.prec_reach
+    reach = bb.reach
     decisions = [
         (i, j) for i, j in sorted(pairs) if not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1
     ]
-    return ctx, bb, decisions
+    return bb, decisions
+
+
+def _pristine(bb: _BranchAndBound):
+    """A fresh search object's precedence graph for ``bb``'s instance."""
+    fresh = _BranchAndBound(bb.instance, bb.spec, bb.limits)
+    return fresh.succ, fresh.pred, fresh.reach
 
 
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
@@ -289,11 +311,11 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     checked = []
 
     def checking_dfs(self, decisions, idx, bound):
-        heads = earliest_starts(self.ctx.n, self.succ, self.weights)
+        heads = earliest_starts(self.n, self.succ, self.weights)
         assert self.heads == heads
-        assert self.after == earliest_starts(self.ctx.n, self.pred, self.weights)
+        assert self.after == earliest_starts(self.n, self.pred, self.weights)
         if idx:
-            assert bound == pytest.approx(heads[self.ctx.sink], abs=1e-12)
+            assert bound == pytest.approx(heads[self.sink], abs=1e-12)
             checked.append(bound)
         original(self, decisions, idx, bound)
 
@@ -301,45 +323,46 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     rng = np.random.default_rng(20261018)
     cases = 0
     while cases < 40:
-        ctx, bb, decisions = _sequencing_case(rng)
+        bb, decisions = _sequencing_case(rng)
         if not decisions or len(decisions) > 10:
             continue
         cases += 1
+        prec_succ, prec_pred, prec_reach = _pristine(bb)
+        n, sink = bb.n, bb.sink
         weights = list(bb.weights)
         leaf_heads = list(bb.heads)
         brute = math.inf
         for flips in itertools.product((False, True), repeat=len(decisions)):
-            succ = [list(arcs) for arcs in ctx.prec_succ]
+            succ = [list(arcs) for arcs in prec_succ]
             for (i, j), flip in zip(decisions, flips):
                 u, v = (j, i) if flip else (i, j)
                 succ[u].append(v)
             try:
-                brute = min(brute, earliest_starts(ctx.n, succ, weights)[ctx.sink])
+                brute = min(brute, earliest_starts(n, succ, weights)[sink])
             except CycleError:
                 continue
         # The leaf starts from the assignment search's heads, with no pass.
-        assert leaf_heads == earliest_starts(ctx.n, ctx.prec_succ, weights)
+        assert leaf_heads == earliest_starts(n, prec_succ, weights)
         makespan, dirs = bb._sequence(decisions, math.inf)
         assert makespan == pytest.approx(brute, abs=1e-12)
         # Every undo restored its values: the root passes hold again.
-        assert bb.heads == earliest_starts(ctx.n, ctx.prec_succ, weights)
-        assert bb.after == earliest_starts(ctx.n, ctx.prec_pred, weights)
+        assert bb.heads == earliest_starts(n, prec_succ, weights)
+        assert bb.after == earliest_starts(n, prec_pred, weights)
         assert bb.weights == weights
-        assert (bb.succ, bb.pred, bb.reach) == (ctx.prec_succ, ctx.prec_pred, ctx.prec_reach)
-        succ = [list(arcs) for arcs in ctx.prec_succ]
+        assert (bb.succ, bb.pred, bb.reach) == (prec_succ, prec_pred, prec_reach)
+        succ = [list(arcs) for arcs in prec_succ]
         for u, v in dirs:
             succ[u].append(v)
-        assert earliest_starts(ctx.n, succ, weights)[ctx.sink] == makespan
+        assert earliest_starts(n, succ, weights)[sink] == makespan
     assert checked
 
 
 def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
-    ctx = bb.ctx
-    weights = list(ctx.durations)
+    weights = list(bb.durations)
     for idx, cand_idx in enumerate(bb.chosen):
-        resources = ctx.cand_resources[idx][cand_idx]
+        resources = bb.cand_resources[idx][cand_idx]
         if resources:
-            weights[ctx.acts[idx]] += max(ctx.wait_table[k][bb.lam[k]] for k in resources)
+            weights[bb.acts[idx]] += max(bb.wait_table[k][bb.lam[k]] for k in resources)
     return weights
 
 
@@ -353,7 +376,7 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
     def checking_dfs(self):
         weights = _rebuilt_weights(self)
         assert self.weights == weights
-        assert self.heads == earliest_starts(self.ctx.n, self.ctx.prec_succ, weights)
+        assert self.heads == earliest_starts(self.n, pristine[0], weights)
         checked.append(len(self.chosen))
         original(self)
 
@@ -362,18 +385,16 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
     draws = {f"random{draw}": random_small_instance(rng) for draw in range(30)}
     specs = (SubproblemSpec(primary="makespan"), SubproblemSpec(primary="cost"))
     for name, instance in {**corpus, **draws}.items():
-        ctx = _Context(instance)
-        root_heads = earliest_starts(ctx.n, ctx.prec_succ, ctx.durations)
         for spec in specs:
-            bb = _BranchAndBound(ctx, spec, SolveLimits())
+            bb = _BranchAndBound(instance, spec, SolveLimits())
+            pristine = _pristine(bb)
+            root_heads = earliest_starts(bb.n, pristine[0], bb.durations)
             bb._dfs()
             assert bb.best is not None, name
-            assert bb.weights == ctx.durations, name
+            assert bb.weights == bb.durations, name
             assert bb.heads == root_heads, name
-            assert bb.users == [[] for _ in ctx.instance.resources], name
-            assert (bb.succ, bb.pred, bb.reach) == (
-                ctx.prec_succ, ctx.prec_pred, ctx.prec_reach
-            ), name
+            assert bb.users == [[] for _ in instance.resources], name
+            assert (bb.succ, bb.pred, bb.reach) == pristine, name
             assert bb.undo == [], name
     assert max(checked) > 1
 
@@ -382,15 +403,16 @@ def test_wait_tables_are_nondecreasing(corpus, j10):
     # The assignment search only ever raises weights and heads; that holds
     # because no wait falls as a resource's count rises.
     for instance in [*corpus.values(), j10]:
-        for row in _Context(instance).wait_table:
+        bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        for row in bb.wait_table:
             assert all(a <= b for a, b in zip(row, row[1:]))
 
 
 class TestBounds:
     def test_critical_path_bound_admissible(self, corpus):
         for instance in corpus.values():
-            ctx = _Context(instance)
-            lb = earliest_starts(ctx.n, ctx.prec_succ, list(instance.duration_array))[ctx.sink]
+            bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+            lb = earliest_starts(bb.n, bb.succ, list(instance.duration_array))[bb.sink]
             front = brute_force_front(instance)
             for point in front.points:
                 assert lb <= point.makespan + 1e-9
