@@ -351,6 +351,14 @@ def _check_keys(entry: object, keys: set[str], where: str) -> None:
         raise ValidationError(f"{' and '.join(problems)} in {where}")
 
 
+def _integer(value: object) -> int:
+    """``value`` as an int; a bool or a fractional number raises ValueError
+    where ``int`` would truncate it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _entries(data: Mapping, key: str) -> list:
     if not isinstance(data[key], list):
         raise ValidationError(f"sidecar {key!r} must be a JSON list")
@@ -369,7 +377,7 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
     data = json.loads(sidecar) if isinstance(sidecar, str) else sidecar
     _check_keys(data, _SIDECAR_KEYS, "sidecar")
     try:
-        skill_count = int(data["skill_count"])
+        skill_count = _integer(data["skill_count"])
     except (TypeError, ValueError):
         raise ValidationError(f"skill_count must be an integer, got {data['skill_count']!r}") from None
     if skill_count < 1:
@@ -380,9 +388,9 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         where = f"resource entry {entry!r}"
         _check_keys(entry, _RESOURCE_KEYS, where)
         try:
-            res_id = int(entry["id"])
-            skills = frozenset(int(s) for s in entry["skills"])
-            costs = {int(k): float(v) for k, v in entry["cost_per_skill"].items()}
+            res_id = _integer(entry["id"])
+            skills = frozenset(_integer(s) for s in entry["skills"])
+            costs = {_integer(k): float(v) for k, v in entry["cost_per_skill"].items()}
             reliability = ReliabilityParams(
                 disruption_rate=float(entry["disruption_rate"]),
                 retrieval_rate=float(entry["retrieval_rate"]),
@@ -413,7 +421,7 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         where = f"requirement entry {entry!r}"
         _check_keys(entry, _REQUIREMENT_KEYS, where)
         try:
-            act, skill, count = int(entry["activity"]), int(entry["skill"]), int(entry["count"])
+            act, skill, count = (_integer(entry[key]) for key in ("activity", "skill", "count"))
         except (TypeError, ValueError):
             raise ValidationError(f"wrongly typed value in {where}") from None
         if not 1 < act < partial.job_count:

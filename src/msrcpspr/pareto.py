@@ -31,6 +31,7 @@ from .solver import (
     SolveLimits,
     SolveResult,
     SubproblemSpec,
+    _WarmStart,
     check_eps,
     lexicographic_outcome,
     solve,
@@ -131,13 +132,16 @@ def enumerate_front(
     levels 0 and N are the payoff table's points.  With ``bypass`` on,
     levels that an optimal solution's budget slack already covers are
     skipped.  An unproven payoff table makes its end levels "timeout".
+    All solves share one warm start, so each begins from the schedules
+    the earlier ones found.
     """
     if grid_count < 2:
         raise ValueError(f"grid_count must be >= 2, got {grid_count}")
     check_eps(eps)
+    warm = _WarmStart()
     try:
-        lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits)
-        lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits)
+        lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits, warm=warm)
+        lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits, warm=warm)
     except InfeasibleProblemError as exc:
         return ParetoFront(points=(), payoff=None, grid_count=grid_count, diagnosis=str(exc))
 
@@ -166,7 +170,7 @@ def enumerate_front(
         elif p == last:
             result = _table_level(lex_cost, levels[p])
         else:
-            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits)
+            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits, warm=warm)
         records.append(_record_for(p, levels[p], result))
         skip = 0
         if result.solution is not None and result.status == "optimal":

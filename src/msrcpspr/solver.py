@@ -11,8 +11,11 @@ the exact remaining-cost minimum.  The sequencing search below each
 assignment bounds its nodes with heads and tails of the disjunctive graph
 and a one-machine floor per shared resource.  Both levels run on one
 graph whose heads and tails are kept up to date, not recomputed, per
-node (see :class:`_BranchAndBound`).  ``brute_force_front`` is the
-independent exhaustive oracle for small instances.
+node (see :class:`_BranchAndBound`).  The solves of one front share a
+:class:`_WarmStart`: every schedule an earlier solve ended with seeds
+the incumbent of a later one whose budget it meets, and each assignment
+is sequenced once, its outcome read back after.  ``brute_force_front``
+is the independent exhaustive oracle for small instances.
 """
 
 from __future__ import annotations
@@ -154,6 +157,36 @@ def enumerate_assignments(
     return results
 
 
+def _slack_reward(spec: SubproblemSpec, cost: float) -> float:
+    """AUGMECON2's reward eps * slack / range for a makespan primary."""
+    if not spec.eps:
+        return 0.0
+    return spec.eps * max(0.0, spec.budget - cost) / spec.objective_range
+
+
+def _slack(spec: SubproblemSpec, makespan: float, cost: float) -> float | None:
+    """The budget slack of a schedule under ``spec``; None without a budget."""
+    if spec.budget is None:
+        return None
+    return max(0.0, spec.budget - (cost if spec.primary == "makespan" else makespan))
+
+
+class _WarmStart:
+    """What the solves of one front on one instance share.
+
+    ``pool`` holds the incumbent every solve ended with, as ``(chosen,
+    arcs, makespan, cost)`` computed at its leaf.  ``memo`` maps an
+    assignment (its candidate indices in mixed radix) to its sequencing
+    outcome, which does not depend on the subproblem: ``(makespan,
+    arcs)`` when proven, or ``(upper, None)`` when no orientation has a
+    makespan below ``upper``.
+    """
+
+    def __init__(self):
+        self.pool: list[tuple[list[int], list[tuple[int, int]], float, float]] = []
+        self.memo: dict[int, tuple[float, list[tuple[int, int]] | None]] = {}
+
+
 def _raise_longest_paths(
     values: list[float],
     arcs: list[list[int]],
@@ -218,9 +251,24 @@ class _BranchAndBound:
     node beats that resource's floor ``min head + sum w + min after``.  A
     node is pruned when its makespan or a floor reaches the incumbent,
     and the sequencing stops once a leaf reaches its root's bound.
+
+    A :class:`_WarmStart` seeds the incumbent with the best pool schedule
+    within the budget, and a leaf reads its sequencing outcome from the
+    memo when the entry decides the leaf's bound.  Neither changes the
+    schedule returned.  The sequencing order does not depend on the bound,
+    so the first optimal orientation is found under any bound above it.
+    A leaf that ties the seed still replaces it, so the search keeps the
+    first optimal leaf in its order, as it does without a seed; the seed
+    comes back only from a search that a limit cut short.
     """
 
-    def __init__(self, instance: ProjectInstance, spec: SubproblemSpec, limits: SolveLimits):
+    def __init__(
+        self,
+        instance: ProjectInstance,
+        spec: SubproblemSpec,
+        limits: SolveLimits,
+        warm: _WarmStart | None = None,
+    ):
         self.instance = instance
         self.spec = spec
         self.limits = limits
@@ -262,6 +310,8 @@ class _BranchAndBound:
                 [tuple(sorted(k - 1 for _, k in pairs)) for _, pairs in entries]
             )
             self.cand_costs.append([cost for cost, _ in entries])
+        # Place value of each activity's candidate index in a memo key.
+        self.radix = [math.prod(map(len, self.candidates[:idx])) for idx in range(len(self.acts))]
 
         self.suffix_min_cost = [0.0] * (len(self.acts) + 1)
         for idx in range(len(self.acts) - 1, -1, -1):
@@ -295,8 +345,25 @@ class _BranchAndBound:
         self.undo: list[_UndoLog] = []
         self.nodes = 0
         self.timed_out = False
+        self.warm = warm or _WarmStart()
         self.best_f = math.inf
-        self.best: dict | None = None
+        # (chosen, arcs, makespan, cost), the shape of a pool entry.
+        self.best: tuple[list[int], list[tuple[int, int]], float, float] | None = None
+        # Seed with the best pool schedule within the budget, at a value a
+        # leaf within _PRUNE_TOL of it still beats: the search then keeps the
+        # first optimal leaf in its order, as it does unseeded.
+        for entry in self.warm.pool:
+            _, _, makespan, cost = entry
+            if spec.primary == "makespan":
+                if spec.budget is not None and cost > spec.budget + _BUDGET_TOL:
+                    continue
+                f = makespan - _slack_reward(spec, cost)
+            else:
+                if spec.budget is not None and not makespan < spec.budget + _BUDGET_TOL:
+                    continue
+                f = cost
+            if f + 2 * _PRUNE_TOL < self.best_f:
+                self.best_f, self.best = f + 2 * _PRUNE_TOL, entry
         self.deadline = time.perf_counter() + limits.time_limit
 
     # -- bounds -------------------------------------------------------
@@ -442,6 +509,37 @@ class _BranchAndBound:
         """Sequence a full assignment and keep it if it beats the incumbent."""
         spec = self.spec
         cost = self.cost_so_far
+        # _prunable has already held the leaf's cost to the budget (makespan
+        # primary) or below the incumbent (cost primary).
+        if spec.primary == "makespan":
+            bonus = _slack_reward(spec, cost)
+            upper = self.best_f - _PRUNE_TOL + bonus
+        else:
+            upper = math.inf if spec.budget is None else spec.budget + _BUDGET_TOL
+        outcome = self._sequenced(upper)
+        if outcome is None:
+            return
+        makespan, arcs = outcome
+        # The search returns only makespans below ``upper``.
+        f = makespan - bonus if spec.primary == "makespan" else cost
+        if f < self.best_f:
+            self.best_f = f
+            self.best = (list(self.chosen), arcs, makespan, cost)
+
+    def _sequenced(self, upper: float) -> tuple[float, list[tuple[int, int]]] | None:
+        """Best makespan below ``upper`` of the current assignment, with every
+        arc between users of one resource.  Read from the memo when its entry
+        decides ``upper``; else searched, and memoized unless a limit cut the
+        search short."""
+        memo = self.warm.memo
+        key = sum(c * r for c, r in zip(self.chosen, self.radix))
+        entry = memo.get(key)
+        if entry is not None:
+            value, arcs = entry
+            if arcs is not None:
+                return entry if value < upper else None
+            if upper <= value:
+                return None
         pairs = {p for nodes in self.users for p in itertools.combinations(sorted(nodes), 2)}
         fixed: list[tuple[int, int]] = []
         decisions: list[tuple[int, int]] = []
@@ -453,39 +551,12 @@ class _BranchAndBound:
                 fixed.append((j, i))
             else:
                 decisions.append((i, j))
-
-        # _prunable has already held the leaf's cost to the budget (makespan
-        # primary) or below the incumbent (cost primary).
-        if spec.primary == "makespan":
-            slack = 0.0
-            bonus = 0.0
-            if spec.budget is not None:
-                slack = max(0.0, spec.budget - cost)
-                if spec.eps:
-                    bonus = spec.eps * slack / spec.objective_range
-            upper = self.best_f - _PRUNE_TOL + bonus
-        else:
-            upper = math.inf if spec.budget is None else spec.budget + _BUDGET_TOL
-
         outcome = self._sequence(decisions, upper)
-        if outcome is None:
-            return
-        makespan, dirs = outcome
-
-        if spec.primary == "makespan":
-            f = makespan - bonus
-            achieved_slack = slack if spec.budget is not None else None
-        else:
-            # The search returns only makespans below ``upper``.
-            f = cost
-            achieved_slack = None if spec.budget is None else max(0.0, spec.budget - makespan)
-        if f < self.best_f:
-            self.best_f = f
-            self.best = {
-                "chosen": list(self.chosen),
-                "arcs": fixed + dirs,
-                "slack": achieved_slack,
-            }
+        if outcome is not None:
+            outcome = (outcome[0], fixed + outcome[1])
+        if not self.timed_out:
+            memo[key] = outcome or (upper, None)
+        return outcome
 
     def _sequence(
         self, decisions: list[tuple[int, int]], upper: float
@@ -553,19 +624,23 @@ class _BranchAndBound:
         instance = self.instance
         n = self.n
         X = np.zeros((n, instance.skill_count, len(instance.resources)), dtype=np.int8)
-        for idx, cand_idx in enumerate(self.best["chosen"]):
+        for idx, cand_idx in enumerate(self.best[0]):
             u = self.acts[idx]
             for skill, res in self.candidates[idx][cand_idx]:
                 X[u, skill - 1, res - 1] = 1
         Z = np.zeros((n, n), dtype=np.int8)
-        for u, v in self.best["arcs"]:
+        for u, v in self.best[1]:
             Z[u, v] = 1
         solution = tighten_starts(instance, X, Z)
         return solution, evaluate(instance, solution)
 
 
 def solve(
-    instance: ProjectInstance, spec: SubproblemSpec, limits: SolveLimits | None = None
+    instance: ProjectInstance,
+    spec: SubproblemSpec,
+    limits: SolveLimits | None = None,
+    *,
+    warm: _WarmStart | None = None,
 ) -> SolveResult:
     """Prove the optimum of ``spec`` by depth-first branch and bound.
 
@@ -574,20 +649,26 @@ def solve(
     with slack = e - cost, i.e. ties in makespan are broken toward larger
     budget slack.  Returns a timeout status with the incumbent when a
     limit is hit.  ``wall_time`` covers the search, not the rebuilding
-    of the best schedule.
+    of the best schedule.  ``warm``, shared by the solves of one front on
+    ``instance``, starts the search from what earlier solves found and
+    keeps what this one finds (see :class:`_WarmStart`); the result is
+    the one a solve without it returns.
     """
     limits = limits or SolveLimits()
     started = time.perf_counter()
-    bb = _BranchAndBound(instance, spec, limits)
+    bb = _BranchAndBound(instance, spec, limits, warm)
     if all(bb.candidates):
         bb._dfs()
     wall = time.perf_counter() - started
     if bb.best is None:
         status = "timeout" if bb.timed_out else "infeasible"
         return SolveResult(status, None, None, None, bb.nodes, wall)
+    if bb.best not in bb.warm.pool:
+        bb.warm.pool.append(bb.best)
     solution, objectives = bb.materialize()
     status = "timeout" if bb.timed_out else "optimal"
-    return SolveResult(status, solution, objectives, bb.best["slack"], bb.nodes, wall)
+    _, _, makespan, cost = bb.best
+    return SolveResult(status, solution, objectives, _slack(spec, makespan, cost), bb.nodes, wall)
 
 
 class InfeasibleProblemError(ValueError):
@@ -607,18 +688,24 @@ def lexicographic_outcome(
     instance: ProjectInstance,
     order: tuple[str, str] = ("makespan", "cost"),
     limits: SolveLimits | None = None,
+    *,
+    warm: _WarmStart | None = None,
 ) -> LexOutcome:
-    """Optimize ``order[0]``, then ``order[1]`` with the first held at its optimum."""
+    """Optimize ``order[0]``, then ``order[1]`` with the first held at its optimum.
+
+    ``warm`` is passed to both solves, so stage 2 starts from stage 1's
+    schedule.
+    """
     first, second = order
     if {first, second} != {"makespan", "cost"}:
         raise ValueError(f"order must name makespan and cost, got {order!r}")
-    stage1 = solve(instance, SubproblemSpec(primary=first), limits)
+    stage1 = solve(instance, SubproblemSpec(primary=first), limits, warm=warm)
     if stage1.objectives is None:
         raise InfeasibleProblemError(
             f"no feasible solution while optimizing {first} (status {stage1.status})"
         )
     first_value = getattr(stage1.objectives, first)
-    stage2 = solve(instance, SubproblemSpec(primary=second, budget=first_value), limits)
+    stage2 = solve(instance, SubproblemSpec(primary=second, budget=first_value), limits, warm=warm)
     statuses = (stage1.status, stage2.status)
     if stage2.objectives is None:
         # The stage-1 incumbent remains a witness under the stage-2 budget.
@@ -640,7 +727,8 @@ def brute_force_front(instance: ProjectInstance) -> "ParetoFront":
     Enumerates every assignment satisfying the skill requirements, every
     orientation of every resource-sharing pair, completes start times
     through :func:`~msrcpspr.schedule.tighten_starts`, and keeps the
-    nondominated (makespan, cost) pairs.  Refuses instances beyond
+    nondominated (makespan, cost) pairs, makespans compared with the
+    solver's budget tolerance.  Refuses instances beyond
     6 executable activities, 4 resources or 3 skills.
     """
     from .pareto import ParetoFront, ParetoPoint, PayoffTable, dominance_filter
@@ -698,7 +786,14 @@ def brute_force_front(instance: ProjectInstance) -> "ParetoFront":
                     solution=solution,
                 )
             )
+    # The solver holds makespans within _BUDGET_TOL to be one value, so of
+    # two such points only the cheaper one (sorted last) is nondominated.
     front_points = dominance_filter(points)
+    front_points = [
+        p
+        for p, q in zip(front_points, front_points[1:] + [None])
+        if q is None or q.makespan > p.makespan + _BUDGET_TOL
+    ]
     if not front_points:
         return ParetoFront(
             points=(), payoff=None, grid_count=0, diagnosis="no feasible solution"

@@ -239,6 +239,14 @@ def j10():
 
 
 @pytest.fixture(scope="session")
+def j20():
+    return load_extension(
+        read_psplib(DATA_DIR / "j20.sm"),
+        json.loads((DATA_DIR / "j20_skills.json").read_text(encoding="utf-8")),
+    )
+
+
+@pytest.fixture(scope="session")
 def corpus():
     return {name: builder() for name, builder in CORPUS_BUILDERS.items()}
 

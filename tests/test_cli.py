@@ -94,6 +94,36 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda s: s["requirements"][0].update(count=1.9), "'count': 1.9"),
+            (lambda s: s["requirements"][0].update(count=True), "'count': True"),
+            (lambda s: s["requirements"][0].update(count=math.inf), "'count': inf"),
+            (lambda s: s["requirements"][0].update(activity=2.5), "'activity': 2.5"),
+            (lambda s: s["requirements"][0].update(skill=True), "'skill': True"),
+            (lambda s: s["resources"][0].update(id=1.5), "'id': 1.5"),
+            (lambda s: s["resources"][0].update(skills=[1.2]), "'skills': [1.2]"),
+            (lambda s: s.update(skill_count=2.5), "skill_count must be an integer, got 2.5"),
+            (lambda s: s.update(skill_count=True), "skill_count must be an integer, got True"),
+        ],
+        ids=["fractional-count", "bool-count", "infinite-count", "fractional-activity",
+             "bool-skill", "fractional-id", "fractional-skill", "fractional-skill-count",
+             "bool-skill-count"],
+    )
+    def test_non_integer_sidecar_value_exit_two(self, toy_paths, tmp_path, capsys, edit, named):
+        # ``int`` would truncate these (1.9 -> 1, True -> 1) and load another
+        # instance than the file states, or raise OverflowError (infinity).
+        sidecar = json.loads(Path(toy_paths[1]).read_text(encoding="utf-8"))
+        edit(sidecar)
+        ext = tmp_path / "fractional.json"
+        ext.write_text(json.dumps(sidecar), encoding="utf-8")
+        code = main(["validate", "--instance", toy_paths[0], "--extension", str(ext),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
     """toy5 with some durations replaced, or resource 1's (disruption,
@@ -241,8 +271,8 @@ class TestPareto:
 
         real = pareto.lexicographic_outcome
 
-        def cut_stage1(instance, order, limits=None):
-            outcome = real(instance, order, limits)
+        def cut_stage1(instance, order, limits=None, *, warm=None):
+            outcome = real(instance, order, limits, warm=warm)
             if order != cut:
                 return outcome
             return dataclasses.replace(outcome, statuses=("timeout", outcome.statuses[1]))

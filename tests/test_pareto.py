@@ -65,16 +65,18 @@ def count_grid_solves(monkeypatch) -> list:
     specs = []
     real_solve = pareto.solve
 
-    def counted(instance, spec, limits=None):
+    def counted(instance, spec, limits=None, *, warm=None):
         specs.append(spec)
-        return real_solve(instance, spec, limits)
+        return real_solve(instance, spec, limits, warm=warm)
 
     monkeypatch.setattr(pareto, "solve", counted)
     return specs
 
 
 class TestEnumerateFront:
-    @pytest.mark.parametrize("name,solves,nodes", [("toy5", 7, 265), ("j10", 7, 9736)])
+    @pytest.mark.parametrize(
+        "name,solves,nodes", [("toy5", 7, 235), ("j10", 7, 6360), ("j20", 10, 88554)]
+    )
     def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):
         # Node counts do not depend on the machine: a search change that
         # moves them must say so, and this pins the default sweep's totals.
@@ -83,8 +85,8 @@ class TestEnumerateFront:
         results = []
         real_solve = solver.solve
 
-        def counted(instance, spec, limits=None):
-            results.append(real_solve(instance, spec, limits))
+        def counted(instance, spec, limits=None, *, warm=None):
+            results.append(real_solve(instance, spec, limits, warm=warm))
             return results[-1]
 
         monkeypatch.setattr(solver, "solve", counted)

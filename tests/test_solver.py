@@ -1,10 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from msrcpspr import pareto
 
 from msrcpspr.instance import ValidationError, validate
 from msrcpspr.queueing import QueueOperatingPoint, waiting_time
@@ -14,6 +17,7 @@ from msrcpspr.solver import (
     SolveResult,
     SubproblemSpec,
     _BranchAndBound,
+    _WarmStart,
     brute_force_front,
     enumerate_assignments,
     lexicographic_optimum,
@@ -456,10 +460,10 @@ class TestLexicographic:
 
         real_solve = solver.solve
 
-        def stage2_cut(instance, spec, limits=None):
+        def stage2_cut(instance, spec, limits=None, *, warm=None):
             if spec.budget is not None:
                 return SolveResult("timeout", None, None, None, 0, 0.0)
-            return real_solve(instance, spec, limits)
+            return real_solve(instance, spec, limits, warm=warm)
 
         monkeypatch.setattr(solver, "solve", stage2_cut)
         outcome = lexicographic_outcome(toy5, ("makespan", "cost"))
@@ -571,6 +575,22 @@ def _guard_rail_instances(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(instance=_guard_rail_instances())
+@example(
+    # Two schedules with makespans one ulp apart, 6.664668664668665 at cost
+    # 500 and 6.664668664668666 at cost 200: within the budget tolerance
+    # they are one makespan, so only the cheaper is an oracle point.
+    instance=build_instance(
+        durations={1: 0, 2: 0, 3: 2, 4: 0},
+        successors={1: (2,), 2: (3,), 3: (4,)},
+        skill_count=1,
+        resources=[
+            ({1}, {1: 250.0}, (0.5, 0.5, 4.002)),
+            ({1}, {1: 100.0}, (0.5, 0.5, 2.0)),
+            ({1}, {1: 100.0}, (0.5, 0.5, 8.0)),
+        ],
+        requirements={2: {1: 1}, 3: {1: 1}},
+    )
+)
 def test_solve_matches_oracle_on_drawn_instances(instance):
     # Every oracle point is the optimum of both budgeted subproblems that
     # pass through it; an empty oracle front means no feasible schedule.
@@ -599,3 +619,146 @@ def test_non_finite_budget_is_rejected(budget):
 def test_limits_that_never_or_always_stop_are_rejected(limits):
     with pytest.raises(ValueError, match=next(iter(limits))):
         SolveLimits(**limits)
+
+
+class _Cold(_WarmStart):
+    """A warm start that keeps nothing, so every solve of a front is cold."""
+
+    def __init__(self):
+        pass
+
+    pool = property(lambda self: [])
+    memo = property(lambda self: {})
+
+
+def _memo_key_chosen(bb: _BranchAndBound, key: int) -> list[int]:
+    chosen = []
+    for radix in reversed(bb.radix):
+        cand_idx, key = divmod(key, radix)
+        chosen.append(cand_idx)
+    return chosen[::-1]
+
+
+def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
+    # Every entry a j10 front memoizes is what a fresh search of its
+    # assignment returns, whatever the bound: the proven makespan and arcs
+    # below any bound above it and nothing at or below it, or no
+    # orientation below the stored bound.  A leaf reading the entry gets
+    # what the fresh search gets.
+    made = []
+
+    class Recorded(_WarmStart):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(pareto, "_WarmStart", Recorded)
+    pareto.enumerate_front(j10, 10, eps=1e-4)
+    (warm,) = made
+    bb = _BranchAndBound(j10, SubproblemSpec(primary="makespan"), SolveLimits())
+    kinds = set()
+    for key, (value, arcs) in warm.memo.items():
+        for idx, cand_idx in enumerate(_memo_key_chosen(bb, key)):
+            bb._assign(idx, cand_idx)
+        for upper in (value - 1.0, value, value + 1e-9, value + 10.0, math.inf):
+            bb.warm = _WarmStart()
+            outcome = bb._sequenced(upper)
+            if upper <= value:
+                assert outcome is None
+            elif arcs is not None:
+                assert outcome == (value, arcs)
+            elif upper == math.inf:
+                assert outcome[0] >= value
+            bb.warm.memo = {key: (value, arcs)}
+            assert bb._sequenced(upper) == outcome
+        kinds.add(arcs is None)
+        for _ in bb.chosen[:]:
+            bb._unassign()
+    assert kinds == {True, False}
+    assert not bb.timed_out
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=_guard_rail_instances(), eps=st.sampled_from((1e-4, 0.0)))
+@example(
+    # With eps 0, grid level 1 has two makespan optima at different costs;
+    # the pool holds the later one in search order.  A seed that only a
+    # strictly better leaf replaces would come back in place of the first.
+    instance=build_instance(
+        durations={1: 0, 2: 2, 3: 3, 4: 0},
+        successors={1: (2,), 2: (3,), 3: (4,)},
+        skill_count=2,
+        resources=[
+            ({1, 2}, {1: 100.0, 2: 100.0}, (0.5, 0.5, 4.0)),
+            ({1, 2}, {1: 100.0, 2: 250.0}, (0.5, 0.5, 6.0)),
+            ({2}, {2: 250.0}, (0.5, 0.5, 3.0)),
+        ],
+        requirements={2: {2: 1}, 3: {1: 1, 2: 1}},
+    ),
+    eps=0.0,
+)
+def test_warm_front_equals_cold_front(instance, eps):
+    warm = pareto.enumerate_front(instance, 10, eps=eps)
+    with mock.patch.object(pareto, "_WarmStart", _Cold):
+        cold = pareto.enumerate_front(instance, 10, eps=eps)
+    assert pareto.front_csv(warm, include_timing=False) == pareto.front_csv(
+        cold, include_timing=False
+    )
+    assert (warm.payoff, warm.diagnosis) == (cold.payoff, cold.diagnosis)
+    assert len(warm.points) == len(cold.points)
+    for a, b in zip(warm.points, cold.points):
+        assert np.array_equal(a.solution.assignment, b.solution.assignment)
+        assert np.array_equal(a.solution.sequencing, b.solution.sequencing)
+
+
+def test_cut_solve_memoizes_nothing_and_returns_its_seed(j10, monkeypatch):
+    spec = SubproblemSpec(primary="makespan")
+    warm = _WarmStart()
+    proved = solve(j10, spec, warm=warm)
+    assert proved.status == "optimal" and len(warm.pool) == 1
+    # Seeded with its own optimum, the search finds that schedule again.
+    again = solve(j10, spec, warm=warm)
+    assert again.status == "optimal" and again.nodes_explored < proved.nodes_explored
+    assert np.array_equal(again.solution.assignment, proved.solution.assignment)
+    assert np.array_equal(again.solution.sequencing, proved.solution.sequencing)
+
+    searches = []
+    original = _BranchAndBound._sequence
+
+    def watched(self, decisions, upper):
+        outcome = original(self, decisions, upper)
+        searches.append(self.timed_out)
+        return outcome
+
+    monkeypatch.setattr(_BranchAndBound, "_sequence", watched)
+    for limit in range(1, again.nodes_explored):
+        searches.clear()
+        warm.memo.clear()
+        cut = solve(j10, spec, SolveLimits(node_limit=limit), warm=warm)
+        if searches:
+            break
+    # The first limit that reaches a sequencing search cuts it short.
+    assert searches == [True]
+    assert warm.memo == {}
+    assert cut.status == "timeout"
+    assert cut.objectives == proved.objectives
+    assert np.array_equal(cut.solution.assignment, proved.solution.assignment)
+    assert np.array_equal(cut.solution.sequencing, proved.solution.sequencing)
+
+
+def test_pool_schedules_outside_the_budget_do_not_seed(j10):
+    warm = _WarmStart()
+    fastest = solve(j10, SubproblemSpec(primary="makespan"), warm=warm).objectives
+    cheapest = solve(j10, SubproblemSpec(primary="cost"), warm=warm).objectives
+    assert fastest.makespan < cheapest.makespan and cheapest.cost < fastest.cost
+    # Each budget admits only one of the two pooled schedules, and not the
+    # one that is better on the primary.
+    for spec in (
+        SubproblemSpec(primary="cost", budget=fastest.makespan),
+        SubproblemSpec(primary="makespan", budget=cheapest.cost),
+    ):
+        seeded, cold = solve(j10, spec, warm=warm), solve(j10, spec)
+        assert seeded.status == cold.status == "optimal"
+        assert seeded.objectives == cold.objectives
+        assert np.array_equal(seeded.solution.assignment, cold.solution.assignment)
+        assert np.array_equal(seeded.solution.sequencing, cold.solution.sequencing)
