@@ -359,6 +359,13 @@ def _integer(value: object) -> int:
     return int(value)
 
 
+def _real(value: object) -> float:
+    """``value`` as a float; a bool or a string, which ``float`` takes, raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a real number: {value!r}")
+    return float(value)
+
+
 def _entries(data: Mapping, key: str) -> list:
     if not isinstance(data[key], list):
         raise ValidationError(f"sidecar {key!r} must be a JSON list")
@@ -390,11 +397,11 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         try:
             res_id = _integer(entry["id"])
             skills = frozenset(_integer(s) for s in entry["skills"])
-            costs = {_integer(k): float(v) for k, v in entry["cost_per_skill"].items()}
+            costs = {_integer(k): _real(v) for k, v in entry["cost_per_skill"].items()}
             reliability = ReliabilityParams(
-                disruption_rate=float(entry["disruption_rate"]),
-                retrieval_rate=float(entry["retrieval_rate"]),
-                service_rate=float(entry["service_rate"]),
+                disruption_rate=_real(entry["disruption_rate"]),
+                retrieval_rate=_real(entry["retrieval_rate"]),
+                service_rate=_real(entry["service_rate"]),
             )
         except (TypeError, ValueError, AttributeError):
             raise ValidationError(f"wrongly typed value in {where}") from None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -224,16 +225,16 @@ def _raise_longest_paths(
 class _BranchAndBound:
     """Both search levels of one solve, on one disjunctive graph.
 
-    ``_dfs`` assigns the activities in topological order; at each full
-    assignment ``_sequence`` orients the pairs sharing a resource.  One
-    object holds everything a solve needs.  ``__init__`` checks the
-    precedence graph and tabulates, once, the candidate assignments of
-    every activity (cheapest first, with their resources and costs), the
-    cheapest cost of every suffix of them and each resource's wait per
-    assignment count.  The search then owns the graph (``succ``, ``pred``,
-    and ``reach``: bit v of ``reach[u]`` means u has a path to v), the
-    node weights, the heads (earliest starts over ``succ``), one undo
-    stack and one node count.
+    ``_dfs`` assigns the activities, those with a single candidate first
+    and the rest in topological order; at each full assignment
+    ``_sequenced`` orients the pairs sharing a resource.  One object holds
+    everything a solve needs.  ``__init__`` checks the precedence graph and
+    tabulates, once, the candidate assignments of every activity (cheapest
+    first, with their resources and costs), the cheapest cost of every
+    suffix of them and each resource's wait per assignment count.  The
+    search then owns the graph (``succ``, ``pred``, and ``reach``: bit v
+    of ``reach[u]`` means u has a path to v), the node weights, the heads
+    (earliest starts over ``succ``), one undo stack and one node count.
 
     No node runs a longest-path pass.  ``_assign`` raises the weights of
     the users of its resources and pushes the raised heads forward;
@@ -249,8 +250,9 @@ class _BranchAndBound:
     ``max(current, head[u] + w[u] + after[v] + w[v])``, passed down as its
     bound.  Users of one resource run one at a time, so no leaf below a
     node beats that resource's floor ``min head + sum w + min after``.  A
-    node is pruned when its makespan or a floor reaches the incumbent,
-    and the sequencing stops once a leaf reaches its root's bound.
+    node is pruned when its makespan or a floor reaches the incumbent, and
+    the sequencing stops once a leaf reaches its root's bound.  Most leaves
+    end at their root's floor, so it is tested before any pair is built.
 
     A :class:`_WarmStart` seeds the incumbent with the best pool schedule
     within the budget, and a leaf reads its sequencing outcome from the
@@ -284,7 +286,6 @@ class _BranchAndBound:
         topo, stuck = topological_order(self.succ)
         if stuck:
             raise CycleError("instance precedence graph is cyclic")
-        self.acts = [u for u in topo if 0 < u < n - 1]
         self.reach = [0] * n
         for u in reversed(topo):
             for v in self.succ[u]:
@@ -295,21 +296,25 @@ class _BranchAndBound:
         if dangling:
             raise ValidationError(f"activities {dangling} have no path to the dummy sink {n}")
 
-        # Candidate assignments per activity, cheapest first.
-        self.candidates: list[list[tuple[tuple[int, int], ...]]] = []
-        self.cand_resources: list[list[tuple[int, ...]]] = []
-        self.cand_costs: list[list[float]] = []
+        # Candidate assignments per activity, cheapest first.  Forced
+        # activities (one candidate) come first, above every branch, and the
+        # rest keep their topological order, so the leaves keep theirs.
         cost_rate = instance.cost_rate_matrix
-        for u in self.acts:
-            entries = sorted(
-                (self.durations[u] * sum(cost_rate[l - 1, k - 1] for l, k in pairs), pairs)
-                for pairs in enumerate_assignments(instance, u + 1)
-            )
-            self.candidates.append([pairs for _, pairs in entries])
-            self.cand_resources.append(
-                [tuple(sorted(k - 1 for _, k in pairs)) for _, pairs in entries]
-            )
-            self.cand_costs.append([cost for cost, _ in entries])
+        tabled = []
+        for u in topo:
+            if 0 < u < n - 1:
+                entries = sorted(
+                    (self.durations[u] * sum(cost_rate[l - 1, k - 1] for l, k in pairs), pairs)
+                    for pairs in enumerate_assignments(instance, u + 1)
+                )
+                tabled.append((u, entries))
+        tabled.sort(key=lambda item: len(item[1]) != 1)
+        self.acts = [u for u, _ in tabled]
+        self.candidates = [[pairs for _, pairs in entries] for _, entries in tabled]
+        self.cand_resources = [
+            [tuple(sorted(k - 1 for _, k in pairs)) for _, pairs in entries] for _, entries in tabled
+        ]
+        self.cand_costs = [[cost for cost, _ in entries] for _, entries in tabled]
         # Place value of each activity's candidate index in a memo key.
         self.radix = [math.prod(map(len, self.candidates[:idx])) for idx in range(len(self.acts))]
 
@@ -393,10 +398,7 @@ class _BranchAndBound:
         secondary_lb = self._cost_lb() if spec.primary == "makespan" else self._makespan_lb()
         if secondary_lb > spec.budget + _BUDGET_TOL:
             return True
-        f_lb = primary_lb
-        if spec.eps:
-            f_lb -= spec.eps * max(0.0, spec.budget - secondary_lb) / spec.objective_range
-        return f_lb >= self.best_f - _PRUNE_TOL
+        return primary_lb - _slack_reward(spec, secondary_lb) >= self.best_f - _PRUNE_TOL
 
     # -- search -------------------------------------------------------
 
@@ -540,6 +542,24 @@ class _BranchAndBound:
                 return entry if value < upper else None
             if upper <= value:
                 return None
+        if self._out_of_budget():
+            return None
+        self.nodes += 1
+        weights = self.weights
+        self.after = earliest_starts(self.n, self.pred, weights)
+        self.machines = [
+            (operator.itemgetter(*nodes), sum(weights[u] for u in nodes))
+            for nodes in self.users
+            if len(nodes) > 1
+        ]
+        self.root_bound = self._floor()
+        outcome = self._sequence(upper) if self.root_bound < upper else None
+        if not self.timed_out:
+            memo[key] = outcome or (upper, None)
+        return outcome
+
+    def _sequence(self, upper: float) -> tuple[float, list[tuple[int, int]]] | None:
+        """The search below a root node whose floor is below ``upper``."""
         pairs = {p for nodes in self.users for p in itertools.combinations(sorted(nodes), 2)}
         fixed: list[tuple[int, int]] = []
         decisions: list[tuple[int, int]] = []
@@ -551,52 +571,42 @@ class _BranchAndBound:
                 fixed.append((j, i))
             else:
                 decisions.append((i, j))
-        outcome = self._sequence(decisions, upper)
-        if outcome is not None:
-            outcome = (outcome[0], fixed + outcome[1])
-        if not self.timed_out:
-            memo[key] = outcome or (upper, None)
-        return outcome
-
-    def _sequence(
-        self, decisions: list[tuple[int, int]], upper: float
-    ) -> tuple[float, list[tuple[int, int]]] | None:
-        """Best makespan strictly below ``upper`` over the orientations of
-        ``decisions``, with the arcs chosen for them."""
-        weights = self.weights
-        self.machines = [
-            (nodes, sum(weights[u] for u in nodes)) for nodes in self.users if len(nodes) > 1
-        ]
-        self.after = earliest_starts(self.n, self.pred, weights)
+        if not decisions:  # The root is a leaf; its floor covers its makespan.
+            return self.heads[self.sink], fixed
         self.seq_best = upper
         self.seq_arcs: list[tuple[int, int]] | None = None
         self.oriented: list[tuple[int, int]] = []
-        self.root_bound = -math.inf
-        self._sequence_dfs(decisions, 0, -math.inf)
-        if self.seq_arcs is None:
-            return None
-        return self.seq_best, self.seq_arcs
+        self._branch(decisions, 0)
+        return None if self.seq_arcs is None else (self.seq_best, fixed + self.seq_arcs)
+
+    def _floor(self) -> float:
+        """No orientation of the current graph ends before the sink's head,
+        nor before one resource's smallest head + load + smallest tail."""
+        heads, after = self.heads, self.after
+        floor = heads[self.sink]
+        for get, load in self.machines:
+            machine = min(get(heads)) + load + min(get(after))
+            if machine > floor:
+                floor = machine
+        return floor
 
     def _sequence_dfs(self, decisions: list[tuple[int, int]], idx: int, bound: float) -> None:
         if bound >= self.seq_best or self._out_of_budget():
             return
         self.nodes += 1
-        heads, after, w = self.heads, self.after, self.weights
-        current = heads[self.sink]
+        current = self.heads[self.sink]
         if idx == len(decisions):
             if current < self.seq_best:
                 self.seq_best = current
                 self.seq_arcs = list(self.oriented)
             return
-        floor = current
-        for users, load in self.machines:
-            machine = min(heads[x] for x in users) + load + min(after[x] for x in users)
-            if machine > floor:
-                floor = machine
-        if floor >= self.seq_best:
-            return
-        if idx == 0:
-            self.root_bound = floor
+        if self._floor() < self.seq_best:
+            self._branch(decisions, idx)
+
+    def _branch(self, decisions: list[tuple[int, int]], idx: int) -> None:
+        """Search the orientations of ``decisions[idx]``, smaller child first."""
+        heads, after, w = self.heads, self.after, self.weights
+        current = heads[self.sink]
         i, j = decisions[idx]
         options = []
         for u, v in ((i, j), (j, i)):
@@ -693,12 +703,13 @@ def lexicographic_outcome(
 ) -> LexOutcome:
     """Optimize ``order[0]``, then ``order[1]`` with the first held at its optimum.
 
-    ``warm`` is passed to both solves, so stage 2 starts from stage 1's
-    schedule.
+    Both solves share ``warm`` (or a private one), so stage 2 starts from
+    stage 1's schedule and returns it, as "timeout", if a limit cuts it short.
     """
     first, second = order
     if {first, second} != {"makespan", "cost"}:
         raise ValueError(f"order must name makespan and cost, got {order!r}")
+    warm = warm or _WarmStart()
     stage1 = solve(instance, SubproblemSpec(primary=first), limits, warm=warm)
     if stage1.objectives is None:
         raise InfeasibleProblemError(
@@ -707,9 +718,6 @@ def lexicographic_outcome(
     first_value = getattr(stage1.objectives, first)
     stage2 = solve(instance, SubproblemSpec(primary=second, budget=first_value), limits, warm=warm)
     statuses = (stage1.status, stage2.status)
-    if stage2.objectives is None:
-        # The stage-1 incumbent remains a witness under the stage-2 budget.
-        stage2 = stage1
     return LexOutcome(objectives=stage2.objectives, result=stage2, statuses=statuses)
 
 

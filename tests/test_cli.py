@@ -124,6 +124,33 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda s: s["resources"][0].update(service_rate=True), "'service_rate': True"),
+            (lambda s: s["resources"][0].update(retrieval_rate=False), "'retrieval_rate': False"),
+            (lambda s: s["resources"][0].update(disruption_rate="4.5"),
+             "'disruption_rate': '4.5'"),
+            (lambda s: s["resources"][0].update(cost_per_skill={"1": True}),
+             "'cost_per_skill': {'1': True}"),
+            (lambda s: s["resources"][0].update(cost_per_skill={"1": "100"}),
+             "'cost_per_skill': {'1': '100'}"),
+        ],
+        ids=["bool-service-rate", "bool-retrieval-rate", "string-disruption-rate",
+             "bool-cost", "string-cost"],
+    )
+    def test_non_real_sidecar_value_exit_two(self, toy_paths, tmp_path, capsys, edit, named):
+        # ``float`` would read these as numbers (True -> 1.0, "4.5" -> 4.5).
+        sidecar = json.loads(Path(toy_paths[1]).read_text(encoding="utf-8"))
+        edit(sidecar)
+        ext = tmp_path / "typed.json"
+        ext.write_text(json.dumps(sidecar), encoding="utf-8")
+        code = main(["validate", "--instance", toy_paths[0], "--extension", str(ext),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
     """toy5 with some durations replaced, or resource 1's (disruption,

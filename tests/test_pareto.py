@@ -75,7 +75,7 @@ def count_grid_solves(monkeypatch) -> list:
 
 class TestEnumerateFront:
     @pytest.mark.parametrize(
-        "name,solves,nodes", [("toy5", 7, 235), ("j10", 7, 6360), ("j20", 10, 88554)]
+        "name,solves,nodes", [("toy5", 7, 235), ("j10", 7, 5853), ("j20", 10, 80297)]
     )
     def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):
         # Node counts do not depend on the machine: a search change that

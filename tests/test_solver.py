@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from msrcpspr import pareto
 
-from msrcpspr.instance import ValidationError, validate
+from msrcpspr.instance import ValidationError, topological_order, validate
 from msrcpspr.queueing import QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
     GuardRailError,
     SolveLimits,
-    SolveResult,
     SubproblemSpec,
     _BranchAndBound,
     _WarmStart,
@@ -305,14 +304,33 @@ def _pristine(bb: _BranchAndBound):
     return fresh.succ, fresh.pred, fresh.reach
 
 
+def _exhaustive_makespan(bb: _BranchAndBound, decisions: list[tuple[int, int]]) -> float:
+    """The best makespan over every orientation of ``decisions``."""
+    prec_succ = _pristine(bb)[0]
+    best = math.inf
+    for flips in itertools.product((False, True), repeat=len(decisions)):
+        succ = [list(arcs) for arcs in prec_succ]
+        for (i, j), flip in zip(decisions, flips):
+            u, v = (j, i) if flip else (i, j)
+            succ[u].append(v)
+        try:
+            best = min(best, earliest_starts(bb.n, succ, bb.weights)[bb.sink])
+        except CycleError:
+            continue
+    return best
+
+
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # Every child value passed down must be the full longest path of the
     # child graph, the maintained heads and tails must equal fresh passes
-    # bit for bit at every node, and the search must return the best of
-    # all orientations.  The sequencing search runs on the assignment
-    # search's own graph, so it must hand that graph back unchanged.
+    # bit for bit at every node, every floor must equal its generator-form
+    # recomputation, and the search must return the best of all
+    # orientations.  The sequencing search runs on the assignment search's
+    # own graph, so it must hand that graph back unchanged.
     original = _BranchAndBound._sequence_dfs
+    original_floor = _BranchAndBound._floor
     checked = []
+    floors = []
 
     def checking_dfs(self, decisions, idx, bound):
         heads = earliest_starts(self.n, self.succ, self.weights)
@@ -323,7 +341,27 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
             checked.append(bound)
         original(self, decisions, idx, bound)
 
+    def checking_floor(self):
+        heads, after, w = self.heads, self.after, self.weights
+        assert heads == earliest_starts(self.n, self.succ, w)
+        assert after == earliest_starts(self.n, self.pred, w)
+        fresh = heads[self.sink]
+        for users in self.users:
+            if len(users) > 1:
+                machine = (
+                    min(heads[x] for x in users)
+                    + sum(w[x] for x in users)
+                    + min(after[x] for x in users)
+                )
+                if machine > fresh:
+                    fresh = machine
+        floor = original_floor(self)
+        assert floor == fresh
+        floors.append(floor)
+        return floor
+
     monkeypatch.setattr(_BranchAndBound, "_sequence_dfs", checking_dfs)
+    monkeypatch.setattr(_BranchAndBound, "_floor", checking_floor)
     rng = np.random.default_rng(20261018)
     cases = 0
     while cases < 40:
@@ -335,19 +373,12 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         n, sink = bb.n, bb.sink
         weights = list(bb.weights)
         leaf_heads = list(bb.heads)
-        brute = math.inf
-        for flips in itertools.product((False, True), repeat=len(decisions)):
-            succ = [list(arcs) for arcs in prec_succ]
-            for (i, j), flip in zip(decisions, flips):
-                u, v = (j, i) if flip else (i, j)
-                succ[u].append(v)
-            try:
-                brute = min(brute, earliest_starts(n, succ, weights)[sink])
-            except CycleError:
-                continue
+        brute = _exhaustive_makespan(bb, decisions)
         # The leaf starts from the assignment search's heads, with no pass.
         assert leaf_heads == earliest_starts(n, prec_succ, weights)
-        makespan, dirs = bb._sequence(decisions, math.inf)
+        roots = len(floors)
+        makespan, dirs = bb._sequenced(math.inf)
+        assert floors[roots] == bb.root_bound <= makespan
         assert makespan == pytest.approx(brute, abs=1e-12)
         # Every undo restored its values: the root passes hold again.
         assert bb.heads == earliest_starts(n, prec_succ, weights)
@@ -358,7 +389,74 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         for u, v in dirs:
             succ[u].append(v)
         assert earliest_starts(n, succ, weights)[sink] == makespan
-    assert checked
+    assert checked and floors
+
+
+def test_leaf_closed_by_its_root_floor(monkeypatch):
+    # With ``upper`` at the root floor the leaf counts one node, builds no
+    # pair, and memoizes that no orientation is below ``upper``, which the
+    # exhaustive orientations and a full search at that bound confirm.
+    built = []
+    original = _BranchAndBound._sequence
+
+    def watched(self, upper):
+        built.append(upper)
+        return original(self, upper)
+
+    monkeypatch.setattr(_BranchAndBound, "_sequence", watched)
+    rng = np.random.default_rng(20261019)
+    cases = 0
+    while cases < 20:
+        bb, decisions = _sequencing_case(rng)
+        if not decisions or len(decisions) > 10:
+            continue
+        cases += 1
+        makespan, _ = bb._sequenced(math.inf)
+        floor = bb.root_bound
+        assert built == [math.inf]
+        built.clear()
+        brute = _exhaustive_makespan(bb, decisions)
+        assert makespan == pytest.approx(brute, abs=1e-12)
+        assert brute >= floor
+        bb.warm = _WarmStart()
+        nodes = bb.nodes
+        assert bb._sequenced(floor) is None
+        assert bb.nodes == nodes + 1
+        assert built == []
+        key = sum(c * r for c, r in zip(bb.chosen, bb.radix))
+        assert bb.warm.memo == {key: (floor, None)}
+        # A search below the root that does not stop at its floor agrees.
+        bb.root_bound = -math.inf
+        assert original(bb, floor) is None
+
+
+def test_forced_activities_come_first(corpus, j10, j20):
+    # Activities with one candidate lead ``acts``, the others follow in
+    # topological order, and every per-activity table follows ``acts``.
+    instances = {**corpus, "j10": j10, "j20": j20}
+    forced_counts = {}
+    for name, instance in instances.items():
+        bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        topo, _ = topological_order(bb.succ)
+        rank = {u: r for r, u in enumerate(topo)}
+        forced = sum(len(c) == 1 for c in bb.candidates)
+        forced_counts[name] = forced
+        assert [len(c) == 1 for c in bb.candidates] == [True] * forced + [False] * (
+            len(bb.acts) - forced
+        ), name
+        assert bb.acts[forced:] == sorted(bb.acts[forced:], key=rank.get), name
+        assert bb.acts[:forced] == sorted(bb.acts[:forced], key=rank.get), name
+        assert sorted(bb.acts) == list(range(1, bb.n - 1)), name
+        cost_rate = instance.cost_rate_matrix
+        for idx, u in enumerate(bb.acts):
+            assert sorted(bb.candidates[idx]) == sorted(enumerate_assignments(instance, u + 1))
+            for pairs, resources, cost in zip(
+                bb.candidates[idx], bb.cand_resources[idx], bb.cand_costs[idx]
+            ):
+                assert resources == tuple(sorted(k - 1 for _, k in pairs))
+                assert cost == bb.durations[u] * sum(cost_rate[l - 1, k - 1] for l, k in pairs)
+            assert bb.radix[idx] == math.prod(len(c) for c in bb.candidates[:idx])
+    assert (forced_counts["toy5"], forced_counts["j10"], forced_counts["j20"]) == (0, 4, 6)
 
 
 def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
@@ -454,22 +552,27 @@ class TestLexicographic:
             lexicographic_optimum(toy5, ("makespan", "makespan"))
 
     def test_stage2_timeout_without_incumbent_is_reported(self, toy5, monkeypatch):
-        # When stage 2 finds nothing, the stage-1 schedule stands in for the
-        # row, but the row must still say that stage 2 was not proved.
+        # Stage 2 is cut before it finds a schedule of its own: it returns
+        # stage 1's, which seeds it, and the row must still say that stage
+        # 2 was not proved.
         from msrcpspr import solver
 
         real_solve = solver.solve
+        stage1 = real_solve(toy5, SubproblemSpec(primary="makespan"))
 
         def stage2_cut(instance, spec, limits=None, *, warm=None):
             if spec.budget is not None:
-                return SolveResult("timeout", None, None, None, 0, 0.0)
+                limits = SolveLimits(node_limit=1)
             return real_solve(instance, spec, limits, warm=warm)
 
         monkeypatch.setattr(solver, "solve", stage2_cut)
         outcome = lexicographic_outcome(toy5, ("makespan", "cost"))
         assert outcome.statuses == ("optimal", "timeout")
-        assert outcome.result.status == "optimal"
+        assert outcome.result.status == "timeout"
         assert outcome.result.solution is not None
+        assert outcome.objectives == stage1.objectives
+        assert np.array_equal(outcome.result.solution.assignment, stage1.solution.assignment)
+        assert np.array_equal(outcome.result.solution.sequencing, stage1.solution.sequencing)
 
 
 class TestJ20Smoke:
@@ -723,14 +826,14 @@ def test_cut_solve_memoizes_nothing_and_returns_its_seed(j10, monkeypatch):
     assert np.array_equal(again.solution.sequencing, proved.solution.sequencing)
 
     searches = []
-    original = _BranchAndBound._sequence
+    original = _BranchAndBound._sequenced
 
-    def watched(self, decisions, upper):
-        outcome = original(self, decisions, upper)
+    def watched(self, upper):
+        outcome = original(self, upper)
         searches.append(self.timed_out)
         return outcome
 
-    monkeypatch.setattr(_BranchAndBound, "_sequence", watched)
+    monkeypatch.setattr(_BranchAndBound, "_sequenced", watched)
     for limit in range(1, again.nodes_explored):
         searches.clear()
         warm.memo.clear()
