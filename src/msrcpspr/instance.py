@@ -352,9 +352,9 @@ def _check_keys(entry: object, keys: set[str], where: str) -> None:
 
 
 def _integer(value: object) -> int:
-    """``value`` as an int; a bool or a fractional number raises ValueError
-    where ``int`` would truncate it."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a bool or a fractional number, which ``int``
+    would truncate, or a string, which ``int`` would parse, raises ValueError."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 
@@ -397,7 +397,9 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         try:
             res_id = _integer(entry["id"])
             skills = frozenset(_integer(s) for s in entry["skills"])
-            costs = {_integer(k): _real(v) for k, v in entry["cost_per_skill"].items()}
+            # JSON object keys are strings, so the skill keys alone are parsed.
+            given = entry["cost_per_skill"].items()
+            costs = {_integer(int(k) if isinstance(k, str) else k): _real(v) for k, v in given}
             reliability = ReliabilityParams(
                 disruption_rate=_real(entry["disruption_rate"]),
                 retrieval_rate=_real(entry["retrieval_rate"]),

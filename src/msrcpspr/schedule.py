@@ -234,15 +234,16 @@ def evaluate(instance: ProjectInstance, sol: ScheduleSolution) -> ObjectiveValue
 
 
 def earliest_starts(
-    n_nodes: int, arcs: list[list[int]], node_weights: list[float]
+    n_nodes: int, arcs: list[list[int]], node_weights: list[float], order: list[int] | None = None
 ) -> list[float]:
     """Longest-path earliest start times over weighted nodes.
 
     ``arcs[u]`` lists the 0-based successors of node u; a node's weight
-    is its duration plus wait, charged on every outgoing arc.  Raises
-    :class:`CycleError` when the arc set is cyclic.
+    is its duration plus wait, charged on every outgoing arc.  ``order``,
+    a topological order of ``arcs`` the caller already holds, skips the
+    sort; without it a cyclic arc set raises :class:`CycleError`.
     """
-    order, stuck = topological_order(arcs)
+    order, stuck = topological_order(arcs) if order is None else (order, ())
     if stuck:
         raise CycleError(f"precedence plus sequencing is cyclic through activities {list(stuck)}")
     starts = [0.0] * n_nodes

@@ -253,6 +253,12 @@ class _BranchAndBound:
     node is pruned when its makespan or a floor reaches the incumbent, and
     the sequencing stops once a leaf reaches its root's bound.  Most leaves
     end at their root's floor, so it is tested before any pair is built.
+    Immediate selection (Carlier & Pinson) at the root and at each node
+    that passes its floor gives an open pair the other orientation when one
+    reaches the incumbent, for the whole subtree: it cuts only leaves that
+    a branch deeper down would cut.  Children are ordered by their makespan
+    over the branch arcs alone (``key_heads``, ``key_after``), so the
+    improving leaves, and the schedule kept among ties, do not depend on it.
 
     A :class:`_WarmStart` seeds the incumbent with the best pool schedule
     within the budget, and a leaf reads its sequencing outcome from the
@@ -286,8 +292,9 @@ class _BranchAndBound:
         topo, stuck = topological_order(self.succ)
         if stuck:
             raise CycleError("instance precedence graph is cyclic")
+        self.reverse_topo = topo[::-1]
         self.reach = [0] * n
-        for u in reversed(topo):
+        for u in self.reverse_topo:
             for v in self.succ[u]:
                 self.reach[u] |= (1 << v) | self.reach[v]
         # The makespan is the sink's start, so sequencing tails are measured
@@ -344,7 +351,7 @@ class _BranchAndBound:
         # counts) of the assigned prefix and the assigned users of every
         # resource, kept up to date by ``_assign``.
         self.weights = list(self.durations)
-        self.heads = earliest_starts(n, self.succ, self.weights)
+        self.heads = earliest_starts(n, self.succ, self.weights, topo)
         self.users: list[list[int]] = [[] for _ in range(n_res)]
         self.res_of: list[tuple[int, ...]] = [()] * n
         self.undo: list[_UndoLog] = []
@@ -453,9 +460,9 @@ class _BranchAndBound:
             self.load_duration[k] -= self.durations[u]
             self.users[k].pop()
 
-    def _add_arc(self, u: int, v: int) -> None:
+    def _add_arc(self, u: int, v: int, branch: bool = False) -> None:
         """Insert u->v, which must not close a cycle, raising reach, heads
-        and after."""
+        and after; a branch arc raises the order keys' heads and after too."""
         gain = self.reach[v] | (1 << v)
         undo: _UndoLog = []
         reach = self.reach
@@ -471,12 +478,20 @@ class _BranchAndBound:
         self.pred[v].append(u)
         _raise_longest_paths(self.heads, self.succ, self.weights, u, [v], undo)
         _raise_longest_paths(self.after, self.pred, self.weights, v, [u], undo)
+        if branch:
+            self.key_succ[u].append(v)
+            self.key_pred[v].append(u)
+            _raise_longest_paths(self.key_heads, self.key_succ, self.weights, u, [v], undo)
+            _raise_longest_paths(self.key_after, self.key_pred, self.weights, v, [u], undo)
         self.undo.append(undo)
 
-    def _remove_arc(self, u: int, v: int) -> None:
+    def _remove_arc(self, u: int, v: int, branch: bool = False) -> None:
         """Undo the latest ``_add_arc``, which inserted u->v."""
         self.succ[u].pop()
         self.pred[v].pop()
+        if branch:
+            self.key_succ[u].pop()
+            self.key_pred[v].pop()
         self._restore()
 
     def _out_of_budget(self) -> bool:
@@ -546,7 +561,7 @@ class _BranchAndBound:
             return None
         self.nodes += 1
         weights = self.weights
-        self.after = earliest_starts(self.n, self.pred, weights)
+        self.after = earliest_starts(self.n, self.pred, weights, self.reverse_topo)
         self.machines = [
             (operator.itemgetter(*nodes), sum(weights[u] for u in nodes))
             for nodes in self.users
@@ -575,7 +590,10 @@ class _BranchAndBound:
             return self.heads[self.sink], fixed
         self.seq_best = upper
         self.seq_arcs: list[tuple[int, int]] | None = None
-        self.oriented: list[tuple[int, int]] = []
+        self.selected: list[tuple[int, int]] = []
+        # The order keys' graph: precedence and branch arcs, no selected arc.
+        self.key_succ, self.key_pred = [a[:] for a in self.succ], [a[:] for a in self.pred]
+        self.key_heads, self.key_after = self.heads[:], self.after[:]
         self._branch(decisions, 0)
         return None if self.seq_arcs is None else (self.seq_best, fixed + self.seq_arcs)
 
@@ -597,35 +615,63 @@ class _BranchAndBound:
         current = self.heads[self.sink]
         if idx == len(decisions):
             if current < self.seq_best:
+                reach = self.reach
                 self.seq_best = current
-                self.seq_arcs = list(self.oriented)
+                self.seq_arcs = [(i, j) if (reach[i] >> j) & 1 else (j, i) for i, j in decisions]
             return
         if self._floor() < self.seq_best:
             self._branch(decisions, idx)
 
+    def _select(self, decisions: list[tuple[int, int]], idx: int) -> bool:
+        """Orient each open pair of ``decisions[idx:]`` against the one
+        orientation that reaches the incumbent, onto ``selected``, until no
+        pair changes; False once a pair reaches it both ways or the floor does."""
+        heads, after, w, reach = self.heads, self.after, self.weights, self.reach
+        best, mark, changed = self.seq_best, len(self.selected), True
+        while changed:
+            changed = False
+            for i, j in decisions[idx:]:
+                if (reach[i] >> j) & 1 or (reach[j] >> i) & 1:
+                    continue
+                i_first = heads[i] + w[i] + (after[j] + w[j]) >= best
+                j_first = heads[j] + w[j] + (after[i] + w[i]) >= best
+                if i_first and j_first:
+                    return False
+                if i_first or j_first:
+                    arc = (j, i) if i_first else (i, j)
+                    self._add_arc(*arc)
+                    self.selected.append(arc)
+                    changed = True
+        return len(self.selected) == mark or self._floor() < best
+
     def _branch(self, decisions: list[tuple[int, int]], idx: int) -> None:
-        """Search the orientations of ``decisions[idx]``, smaller child first."""
-        heads, after, w = self.heads, self.after, self.weights
-        current = heads[self.sink]
-        i, j = decisions[idx]
-        options = []
-        for u, v in ((i, j), (j, i)):
-            if (self.reach[v] >> u) & 1:
-                continue
-            child = heads[u] + w[u] + (after[v] + w[v])
-            options.append((child if child > current else current, u, v))
-        options.sort()
-        for child, u, v in options:
-            if child >= self.seq_best:
-                # Options are sorted, so every later child is cut as well.
-                break
-            self._add_arc(u, v)
-            self.oriented.append((u, v))
-            self._sequence_dfs(decisions, idx + 1, child)
-            self.oriented.pop()
-            self._remove_arc(u, v)
-            if self.seq_best <= self.root_bound:
-                return
+        """Select, then search the orientations of ``decisions[idx]`` in the
+        order of their keys; the selected arcs are removed on return."""
+        mark = len(self.selected)
+        if self._select(decisions, idx):
+            heads, after, w = self.heads, self.after, self.weights
+            key_heads, key_after = self.key_heads, self.key_after
+            current, key_current = heads[self.sink], key_heads[self.sink]
+            i, j = decisions[idx]
+            options = []
+            for u, v in ((i, j), (j, i)):
+                if (self.reach[v] >> u) & 1:
+                    continue
+                key = key_heads[u] + w[u] + (key_after[v] + w[v])
+                options.append((key if key > key_current else key_current, u, v))
+            options.sort()
+            for _, u, v in options:
+                # Pruned on the selected graph, which only raises the bound.
+                child = max(heads[u] + w[u] + (after[v] + w[v]), current)
+                if child >= self.seq_best:
+                    continue
+                self._add_arc(u, v, branch=True)
+                self._sequence_dfs(decisions, idx + 1, child)
+                self._remove_arc(u, v, branch=True)
+                if self.seq_best <= self.root_bound:
+                    break
+        while len(self.selected) > mark:
+            self._remove_arc(*self.selected.pop())
 
     # -- materialization ---------------------------------------------
 

@@ -106,14 +106,22 @@ class TestValidate:
             (lambda s: s["resources"][0].update(skills=[1.2]), "'skills': [1.2]"),
             (lambda s: s.update(skill_count=2.5), "skill_count must be an integer, got 2.5"),
             (lambda s: s.update(skill_count=True), "skill_count must be an integer, got True"),
+            (lambda s: s["requirements"][0].update(count="1"), "'count': '1'"),
+            (lambda s: s["requirements"][0].update(activity="2"), "'activity': '2'"),
+            (lambda s: s["requirements"][0].update(skill="1"), "'skill': '1'"),
+            (lambda s: s["resources"][0].update(id="1"), "'id': '1'"),
+            (lambda s: s["resources"][0].update(skills=["1"]), "'skills': ['1']"),
+            (lambda s: s.update(skill_count="2"), "skill_count must be an integer, got '2'"),
         ],
         ids=["fractional-count", "bool-count", "infinite-count", "fractional-activity",
              "bool-skill", "fractional-id", "fractional-skill", "fractional-skill-count",
-             "bool-skill-count"],
+             "bool-skill-count", "string-count", "string-activity", "string-skill",
+             "string-id", "string-skills", "string-skill-count"],
     )
     def test_non_integer_sidecar_value_exit_two(self, toy_paths, tmp_path, capsys, edit, named):
-        # ``int`` would truncate these (1.9 -> 1, True -> 1) and load another
-        # instance than the file states, or raise OverflowError (infinity).
+        # ``int`` would truncate these (1.9 -> 1, True -> 1) or parse them
+        # ("1" -> 1) and load another instance than the file states, or
+        # raise OverflowError (infinity).
         sidecar = json.loads(Path(toy_paths[1]).read_text(encoding="utf-8"))
         edit(sidecar)
         ext = tmp_path / "fractional.json"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -75,7 +76,7 @@ def count_grid_solves(monkeypatch) -> list:
 
 class TestEnumerateFront:
     @pytest.mark.parametrize(
-        "name,solves,nodes", [("toy5", 7, 235), ("j10", 7, 5853), ("j20", 10, 80297)]
+        "name,solves,nodes", [("toy5", 7, 235), ("j10", 7, 2882), ("j20", 10, 32010)]
     )
     def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):
         # Node counts do not depend on the machine: a search change that
@@ -94,6 +95,47 @@ class TestEnumerateFront:
         enumerate_front(request.getfixturevalue(name), 10, eps=1e-4)
         assert len(results) == solves
         assert sum(result.nodes_explored for result in results) == nodes
+
+    @pytest.mark.parametrize(
+        "name,digests",
+        [
+            (
+                "j10",
+                [
+                    "6eb65ddc84809cc77f5bb5f1f9fd978ac176d19d25fa4c98d4552c2d0be8fbe2",
+                    "6500f8554dfb89415d2fbfedf6b6a151a1499b31f8dc427dc9463952189c318d",
+                    "562cc3aed17a03c5108e422838b81f1c46dcee5d89795b59b12026951adaf382",
+                    "a95eef9ff6842e97a2e31fa7d06de97409314a7cf509a9536a085f804a52a6c6",
+                    "2ba2e8d181e65f4a4c5d3c6b99f6bd1eca9b27762ce4b143355bade3cf67fa94",
+                ],
+            ),
+            (
+                "j20",
+                [
+                    "5279103c2433ebffdf9d062d7038a9179a99423a5e245631118e9d83d42b16be",
+                    "47dadd5e53ca497dd6bda505de85205cfd4c9114809715cb7add695de4a7b154",
+                    "da302205b15dba8db9426a15bdbd17eb636fb3441fa62bc6b317ccbb78e3eb0e",
+                    "44246b452bd13b653ee0a3876eac40c4b4f926a2463922158f833b4fd071cd3e",
+                    "d2a015d3656e384fbc274c06581bcc8b73d50270c965a5ade268f064a2c252a5",
+                    "895117b09f654fc9ef2a7f8f4ebd50af35339cf6ce30015224ef52ab0a6bab1d",
+                    "e6809c6d9b5aacfce1cb9ac93d44753f3ce29aa04e6283fbdea39bc9c70eecae",
+                ],
+            ),
+        ],
+    )
+    def test_front_schedules_are_pinned(self, name, digests, request):
+        # front.csv holds only the objectives, so it cannot tell apart two
+        # schedules of equal makespan and cost; these pin each point's X, Z
+        # and start times, which a change in the search order would move.
+        front = enumerate_front(request.getfixturevalue(name), 10, eps=1e-4)
+        got = []
+        for point in front.points:
+            solution = point.solution
+            digest = hashlib.sha256()
+            for array in (solution.assignment, solution.sequencing, solution.starts):
+                digest.update(array.tobytes())
+            got.append(digest.hexdigest())
+        assert got == digests
 
     def test_degenerate_range_single_point(self, monkeypatch):
         instance = chain3_instance()

@@ -304,20 +304,28 @@ def _pristine(bb: _BranchAndBound):
     return fresh.succ, fresh.pred, fresh.reach
 
 
-def _exhaustive_makespan(bb: _BranchAndBound, decisions: list[tuple[int, int]]) -> float:
-    """The best makespan over every orientation of ``decisions``."""
+def _orientation_makespans(
+    bb: _BranchAndBound, decisions: list[tuple[int, int]]
+) -> dict[tuple[tuple[int, int], ...], float]:
+    """The makespan of every acyclic orientation of ``decisions``, keyed by
+    its arcs in the order of ``decisions``."""
     prec_succ = _pristine(bb)[0]
-    best = math.inf
+    makespans = {}
     for flips in itertools.product((False, True), repeat=len(decisions)):
-        succ = [list(arcs) for arcs in prec_succ]
-        for (i, j), flip in zip(decisions, flips):
-            u, v = (j, i) if flip else (i, j)
+        arcs = tuple((j, i) if flip else (i, j) for (i, j), flip in zip(decisions, flips))
+        succ = [list(targets) for targets in prec_succ]
+        for u, v in arcs:
             succ[u].append(v)
         try:
-            best = min(best, earliest_starts(bb.n, succ, bb.weights)[bb.sink])
+            makespans[arcs] = earliest_starts(bb.n, succ, bb.weights)[bb.sink]
         except CycleError:
             continue
-    return best
+    return makespans
+
+
+def _exhaustive_makespan(bb: _BranchAndBound, decisions: list[tuple[int, int]]) -> float:
+    """The best makespan over every orientation of ``decisions``."""
+    return min(_orientation_makespans(bb, decisions).values(), default=math.inf)
 
 
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
@@ -325,12 +333,18 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # child graph, the maintained heads and tails must equal fresh passes
     # bit for bit at every node, every floor must equal its generator-form
     # recomputation, and the search must return the best of all
-    # orientations.  The sequencing search runs on the assignment search's
-    # own graph, so it must hand that graph back unchanged.
+    # orientations.  Every arc selection fixes must hold in every
+    # orientation below the node whose makespan is below the incumbent at
+    # that moment, and a node selection closes must have none.  The
+    # sequencing search runs on the assignment search's own graph, so it
+    # must hand that graph back unchanged.
     original = _BranchAndBound._sequence_dfs
     original_floor = _BranchAndBound._floor
+    original_select = _BranchAndBound._select
     checked = []
     floors = []
+    makespans = {}
+    selections = {True: 0, False: 0}
 
     def checking_dfs(self, decisions, idx, bound):
         heads = earliest_starts(self.n, self.succ, self.weights)
@@ -360,8 +374,29 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         floors.append(floor)
         return floor
 
+    def checking_select(self, decisions, idx):
+        # The orientations below this node keep its branch arcs, the arcs
+        # of the order keys' graph between the users of one resource.
+        best, key_succ = self.seq_best, self.key_succ
+        mark = len(self.selected)
+        is_open = original_select(self, decisions, idx)
+        below = [
+            set(arcs)
+            for arcs, makespan in makespans.items()
+            if makespan < best and all(v in key_succ[u] for u, v in arcs[:idx])
+        ]
+        if is_open:
+            selections[True] += len(self.selected) - mark
+            for arcs in below:
+                assert set(self.selected) <= arcs
+        else:
+            selections[False] += 1
+            assert below == []
+        return is_open
+
     monkeypatch.setattr(_BranchAndBound, "_sequence_dfs", checking_dfs)
     monkeypatch.setattr(_BranchAndBound, "_floor", checking_floor)
+    monkeypatch.setattr(_BranchAndBound, "_select", checking_select)
     rng = np.random.default_rng(20261018)
     cases = 0
     while cases < 40:
@@ -373,7 +408,8 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         n, sink = bb.n, bb.sink
         weights = list(bb.weights)
         leaf_heads = list(bb.heads)
-        brute = _exhaustive_makespan(bb, decisions)
+        makespans = _orientation_makespans(bb, decisions)
+        brute = min(makespans.values())
         # The leaf starts from the assignment search's heads, with no pass.
         assert leaf_heads == earliest_starts(n, prec_succ, weights)
         roots = len(floors)
@@ -389,7 +425,15 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         for u, v in dirs:
             succ[u].append(v)
         assert earliest_starts(n, succ, weights)[sink] == makespan
-    assert checked and floors
+        # A tight incumbent lets selection fix arcs from the root on.
+        for upper in sorted(set(makespans.values()))[:3]:
+            outcome = bb._sequence(upper)
+            if brute < upper:
+                assert outcome[0] == pytest.approx(brute, abs=1e-12)
+            else:
+                assert outcome is None
+        assert (bb.succ, bb.pred, bb.reach) == (prec_succ, prec_pred, prec_reach)
+    assert checked and floors and selections[True] and selections[False]
 
 
 def test_leaf_closed_by_its_root_floor(monkeypatch):
