@@ -228,29 +228,42 @@ def simulation_rows(
     problem: ProjectInstance, horizon: float, seed: int
 ) -> list[tuple[float, float, float, float, float, queueing.SimEstimate]]:
     """One row per resource and arrival count 1, 2, ... up to the total
-    demand, for as long as the operating point is stable."""
+    demand, for as long as the operating point is stable.
+
+    The i-th row is simulated with seed ``seed + 7919 * i``.  The points
+    run on a thread pool as wide as the available CPUs; rows keep their
+    order, and a failing point raises the first error in row order.
+    """
+    # Imported here: it costs the other commands' cold start ~12 ms.
+    from concurrent.futures import ThreadPoolExecutor
+
     total_demand = int(problem.requirement_matrix.sum())
-    rows = []
-    index = 0
+    points = []
     for res in problem.resources:
         for lam in range(1, total_demand + 1):
             point = queueing.QueueOperatingPoint(float(lam), res.reliability)
             if not point.is_stable():
                 break
-            analytic = queueing.waiting_time(point)
-            estimate = queueing.simulate_queue(point, horizon, seed + 7919 * index)
-            rows.append(
-                (
-                    float(lam),
-                    res.reliability.service_rate,
-                    res.reliability.disruption_rate,
-                    res.reliability.retrieval_rate,
-                    analytic,
-                    estimate,
-                )
-            )
-            index += 1
-    return rows
+            points.append(point)
+    pool = ThreadPoolExecutor(max_workers=_available_cpus())
+    try:
+        estimates = list(pool.map(
+            lambda i: queueing.simulate_queue(points[i], horizon, seed + 7919 * i),
+            range(len(points)),
+        ))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [
+        (p.arrival_rate, p.params.service_rate, p.params.disruption_rate, p.params.retrieval_rate,
+         queueing.waiting_time(p), estimate)
+        for p, estimate in zip(points, estimates)
+    ]
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulation_csv(rows) -> str:

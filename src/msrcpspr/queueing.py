@@ -10,6 +10,8 @@ event-driven simulation of the same dynamics and acts as the independent
 cross-check for the closed form.  The simulation is vectorised: customers
 are mapped to the server's up-time clock and back by merge-ranks over
 sorted arrays, and the queue itself is a running maximum on that clock.
+Each run is streamed in batch-sized pieces, so its memory grows with the
+batch size and the breakdown trajectory, not with the number of customers.
 """
 
 from __future__ import annotations
@@ -108,15 +110,23 @@ def waiting_time(point: QueueOperatingPoint) -> float:
     return ((r + v) ** 2 + mu * v) / denominator
 
 
-def _cumulative_exponentials(rng: np.random.Generator, rate: float, target: float) -> np.ndarray:
-    """Strictly increasing exponential(rate) epochs whose last entry exceeds target."""
-    blocks: list[np.ndarray] = []
-    total = 0.0
-    while total <= target:
+def _arrival_count(rng: np.random.Generator, rate: float, horizon: float) -> int:
+    """Number of exponential(rate) epochs up to ``horizon``, keeping none.
+
+    Blocks of ``_CHUNK`` gaps are drawn until their total passes
+    ``horizon``, which fixes how far the stream advances; the epochs are
+    a sequential cumsum carried from block to block.
+    """
+    count = 0
+    epoch = total = 0.0
+    while total <= horizon:
         block = rng.exponential(1.0 / rate, _CHUNK)
-        blocks.append(block)
         total += float(block.sum())
-    return np.cumsum(np.concatenate(blocks))
+        block[0] += epoch
+        np.cumsum(block, out=block)
+        epoch = float(block[-1])
+        count += int(np.searchsorted(block, horizon, side="right"))
+    return count
 
 
 def _environment(
@@ -146,18 +156,21 @@ def _environment(
 
 
 def _clock_rank(keys: np.ndarray, boundaries: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(boundaries, keys, side)`` for non-decreasing ``keys``.
+    """``np.searchsorted(boundaries, keys, side)`` for non-empty, non-decreasing
+    ``keys`` and non-decreasing ``boundaries``.
 
-    A merge-rank: each of the m boundaries is searched into the n keys
-    with the opposite tie rule, and a running count of those positions
-    gives, for every key, the number of boundaries before it.  That is one
-    binary search per boundary plus a linear pass over the keys, instead
-    of one binary search per key, and the same integers.  The keys must
-    be sorted; the boundaries need not be.
+    A merge-rank: each boundary between the first and the last key is
+    searched into the keys with the opposite tie rule, and a running count
+    of those positions, started at the number of boundaries before the
+    first key, gives every key's rank.  That is one binary search per
+    boundary in the keys' range plus a linear pass over the keys, instead
+    of one binary search per key, and the same integers.
     """
+    lo, hi = np.searchsorted(boundaries, keys[[0, -1]], side=side)
     flipped = "left" if side == "right" else "right"
-    positions = np.searchsorted(keys, boundaries, side=flipped)
+    positions = np.searchsorted(keys, boundaries[lo:hi], side=flipped)
     counts = np.bincount(positions, minlength=keys.size + 1)[:-1]
+    counts[0] += lo
     return np.cumsum(counts, out=counts)
 
 
@@ -167,19 +180,27 @@ def _departure_times(
     up_starts: np.ndarray,
     up_lengths: np.ndarray,
     op_offsets: np.ndarray,
-) -> np.ndarray:
-    """Exact FIFO departure instants for given arrivals/services/breakdowns.
+    carry: tuple[float, float, int] = (0.0, -math.inf, 0),
+) -> tuple[np.ndarray, tuple[float, float, int]]:
+    """Exact FIFO departure instants of one piece of a run, and its carry.
 
     Works on the operational clock (cumulative server up-time): mapping
     arrivals onto that clock turns the halted-server system into an
     ordinary single-server queue, whose departure epochs follow the
     Lindley recursion; mapping back yields real departure times.
 
+    ``carry`` is (service total, running maximum, up period of the last
+    departure) of the customers before the piece; the default starts a
+    run.  The returned carry continues it, so a run cut anywhere gives the
+    departures of the uncut run bit for bit: the service total is a
+    sequential cumsum, a maximum is exact, and departures never go back to
+    an earlier up period.
+
     Both clock mappings are merge-ranks (:func:`_clock_rank`), so both
-    need sorted keys: ``arrivals`` must be non-decreasing, and then so are
-    the operational departures, a running sum of services plus a running
-    maximum (rounding is monotone).  They pick the same up periods as
-    ``np.searchsorted(up_starts, arrivals, "right") - 1`` and
+    need sorted keys: ``arrivals`` must be non-empty and non-decreasing,
+    and then so are the operational departures, a running sum of services
+    plus a running maximum (rounding is monotone).  They pick the same up
+    periods as ``np.searchsorted(up_starts, arrivals, "right") - 1`` and
     ``np.searchsorted(op_offsets + up_lengths, op_departures, "left")``,
     and the arithmetic is the same, only done in place, so the result is
     bit-identical to that formulation.
@@ -191,16 +212,25 @@ def _departure_times(
     del idx
 
     # delta_n = max(alpha_n, delta_{n-1}) + s_n, unrolled to a running max.
-    service_cum = np.cumsum(services)
+    service_total, running_max, period = carry
+    service_cum = services.copy()
+    service_cum[0] += service_total
+    np.cumsum(service_cum, out=service_cum)
     op -= service_cum - services
+    op[0] = max(op[0], running_max)
     np.maximum.accumulate(op, out=op)
+    service_total, running_max = float(service_cum[-1]), float(op[-1])
     op += service_cum
     del service_cum
 
-    j = _clock_rank(op, op_offsets + up_lengths, "left")
+    # Only periods from the carried one up to the first that starts at or
+    # after the last departure can end before a departure of this piece.
+    end = int(np.searchsorted(op_offsets, op[-1], side="left"))
+    j = _clock_rank(op, op_offsets[period:end] + up_lengths[period:end], "left")
+    j += period
     op -= op_offsets[j]
     op += up_starts[j]
-    return op
+    return op, (service_total, running_max, int(j[-1]))
 
 
 def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> SimEstimate:
@@ -212,6 +242,14 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     non-overlapping batch means (30 batches, 95% confidence) after
     discarding the first 10% of customers.  Deterministic for a fixed
     seed.
+
+    The run is streamed: one pass counts the arrivals within the horizon
+    and one sums their services, keeping neither; the breakdown
+    trajectory is then drawn whole, and a last pass re-draws arrivals and
+    services from the same stream positions in batch-sized pieces, the
+    warm-up first and then one piece per batch.  Memory grows with the
+    batch size and the trajectory, not with the number of customers, and
+    every estimate is the one the whole-array run gives.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -223,28 +261,43 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     params = point.params
 
     rng = np.random.default_rng(seed)
-    epochs = _cumulative_exponentials(rng, lam, horizon)
-    arrivals = epochs[: np.searchsorted(epochs, horizon, side="right")]
-    if arrivals.size == 0:
+    customers = _arrival_count(rng, lam, horizon)
+    if customers == 0:
         raise ValueError("no arrivals within the horizon; increase it")
-    services = rng.exponential(1.0 / params.service_rate, arrivals.size)
+    warmup = int(_WARMUP_FRACTION * customers)
+    kept = customers - warmup
+    if kept < _BATCH_COUNT:
+        raise ValueError(f"horizon too short: {kept} post-warmup samples, need >= {_BATCH_COUNT}")
+    batch_size = kept // _BATCH_COUNT
 
-    operational_needed = horizon + float(services.sum()) + 1.0
-    up_starts, up_lengths, op_offsets = _environment(
-        rng, params.disruption_rate, params.retrieval_rate, operational_needed
+    services_state = rng.bit_generator.state
+    service_total = 0.0
+    for start in range(0, customers, _CHUNK):
+        size = min(_CHUNK, customers - start)
+        service_total += float(rng.exponential(1.0 / params.service_rate, size).sum())
+    # The +1 absorbs the rounding of the total; periods beyond the last
+    # departure are drawn after every used one and change no value.
+    environment = _environment(
+        rng, params.disruption_rate, params.retrieval_rate, horizon + service_total + 1.0
     )
-    sojourns = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
-    sojourns -= arrivals
 
-    warmup = int(_WARMUP_FRACTION * sojourns.size)
-    kept = sojourns[warmup:]
-    if kept.size < _BATCH_COUNT:
-        raise ValueError(
-            f"horizon too short: {kept.size} post-warmup samples, need >= {_BATCH_COUNT}"
-        )
-    batch_size = kept.size // _BATCH_COUNT
-    used = kept[: _BATCH_COUNT * batch_size].reshape(_BATCH_COUNT, batch_size)
-    batch_means = used.mean(axis=1)
+    arrival_rng = np.random.default_rng(seed)
+    rng.bit_generator.state = services_state
+    epoch, carry = 0.0, (0.0, -math.inf, 0)
+    batch_means = np.empty(_BATCH_COUNT)
+    warmup_pieces = [min(batch_size, warmup - start) for start in range(0, warmup, batch_size)]
+    for row, size in enumerate(
+        warmup_pieces + [batch_size] * _BATCH_COUNT, start=-len(warmup_pieces)
+    ):
+        arrivals = arrival_rng.exponential(1.0 / lam, size)
+        arrivals[0] += epoch
+        np.cumsum(arrivals, out=arrivals)
+        epoch = float(arrivals[-1])
+        services = rng.exponential(1.0 / params.service_rate, size)
+        sojourns, carry = _departure_times(arrivals, services, *environment, carry)
+        sojourns -= arrivals
+        if row >= 0:
+            batch_means[row] = sojourns.mean()
     half_width = float(_T_QUANTILE * batch_means.std(ddof=1) / math.sqrt(_BATCH_COUNT))
     return SimEstimate(
         mean_wait=float(batch_means.mean()),

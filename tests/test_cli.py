@@ -4,12 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import msrcpspr
-from msrcpspr.cli import build_parser, main
+from msrcpspr import queueing
+from msrcpspr.cli import DEFAULT_HORIZON, build_parser, main, simulation_rows
+from msrcpspr.instance import instance_from_files
 from msrcpspr.queueing import InstabilityError
 from msrcpspr.schedule import CycleError
 
@@ -271,7 +274,7 @@ class TestNonFiniteInput:
             raise AssertionError("a search ran")
 
         monkeypatch.setattr(solver._BranchAndBound, "_dfs", no_search)
-        monkeypatch.setattr(queueing, "_cumulative_exponentials", no_search)
+        monkeypatch.setattr(queueing, "_arrival_count", no_search)
         command, *flags = argv.split()
         sm, ext = toy_paths
         code = main([command, "--instance", sm, "--extension", ext, "--out", str(tmp_path),
@@ -522,6 +525,50 @@ class TestSimulate:
         assert (tmp_path / "simulate.csv").read_bytes() == golden
 
 
+    def test_pool_rows_equal_a_sequential_loop(self, data_dir):
+        problem = instance_from_files(data_dir / "j10.sm", data_dir / "j10_skills.json")
+        expected = []
+        for res in problem.resources:
+            for lam in range(1, int(problem.requirement_matrix.sum()) + 1):
+                point = queueing.QueueOperatingPoint(float(lam), res.reliability)
+                if not point.is_stable():
+                    break
+                params = res.reliability
+                estimate = queueing.simulate_queue(point, 2e4, 5 + 7919 * len(expected))
+                expected.append((float(lam), params.service_rate, params.disruption_rate,
+                                 params.retrieval_rate, queueing.waiting_time(point), estimate))
+        assert len(expected) == 24
+        assert simulation_rows(problem, 2e4, 5) == expected
+
+    def test_failing_points_exit_two_with_the_first_row_error(self, toy_paths, tmp_path, capsys):
+        # Every toy5 point fails at horizon 5; the message is the first row's
+        # (lambda = 1, 7 post-warm-up samples), and the pool is shut down.
+        threads = threading.active_count()
+        sm, ext = toy_paths
+        assert main(["simulate", "--instance", sm, "--extension", ext, "--horizon", "5",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: horizon too short: 7 post-warmup samples, need >= 30\n")
+        assert not (tmp_path / "simulate.csv").exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "lam,expected",
+        [
+            (1, "SimEstimate(mean_wait=1.3372754540204566, half_width=0.012776335130377478, "
+                "samples=900300)"),
+            (6, "SimEstimate(mean_wait=7.924188047712068, half_width=0.30718801923186473, "
+                "samples=5401590)"),
+        ],
+    )
+    def test_default_horizon_estimates_are_pinned(self, data_dir, lam, expected):
+        # j10 resource 1 as `simulate --seed 7` runs it (rows 0 and 5); the
+        # golden files cover only short horizons, which split into few pieces.
+        problem = instance_from_files(data_dir / "j10.sm", data_dir / "j10_skills.json")
+        point = queueing.QueueOperatingPoint(float(lam), problem.resources[0].reliability)
+        estimate = queueing.simulate_queue(point, DEFAULT_HORIZON, 7 + 7919 * (lam - 1))
+        assert repr(estimate) == expected
+
 class TestSolveAndGantt:
     def test_solve_writes_artifacts(self, toy_paths, tmp_path, capsys):
         sm, ext = toy_paths
@@ -559,6 +606,17 @@ class TestColdStart:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_thread_pool(self):
+        # Only `simulate` needs concurrent.futures; the other commands'
+        # cold start should not pay for its import.
+        src = str(Path(msrcpspr.__file__).resolve().parent.parent)
+        code = "import sys, msrcpspr.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestConsoleScript:

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from msrcpspr.queueing import (
     _BATCH_COUNT,
+    _CHUNK,
     _T_QUANTILE,
+    _WARMUP_FRACTION,
     InstabilityError,
     QueueOperatingPoint,
     ReliabilityParams,
     SimEstimate,
+    _clock_rank,
     _departure_times,
     critical_arrival_rate,
     simulate_queue,
@@ -244,6 +247,81 @@ def _environment_from(ups, downs):
     return up_starts, up_lengths, op_offsets
 
 
+def _whole_array_simulate(point, horizon, seed):
+    """The breakdown-queue run with every customer in memory: one array per
+    draw, the clock mappings by binary search and the batch means over a
+    reshaped array.  ``simulate_queue`` streams the same run and must give
+    the same estimate, or the same error, bit for bit."""
+    params = point.params
+    rng = np.random.default_rng(seed)
+    blocks, total = [], 0.0
+    while total <= horizon:
+        blocks.append(rng.exponential(1.0 / point.arrival_rate, _CHUNK))
+        total += float(blocks[-1].sum())
+    epochs = np.cumsum(np.concatenate(blocks))
+    arrivals = epochs[: np.searchsorted(epochs, horizon, side="right")]
+    if arrivals.size == 0:
+        raise ValueError("no arrivals within the horizon; increase it")
+    services = rng.exponential(1.0 / params.service_rate, arrivals.size)
+    ups, downs, up_total = [], [], 0.0
+    while up_total <= horizon + float(services.sum()) + 1.0:
+        ups.append(rng.exponential(1.0 / params.disruption_rate, _CHUNK))
+        downs.append(rng.exponential(1.0 / params.retrieval_rate, _CHUNK))
+        up_total += float(ups[-1].sum())
+    environment = _environment_from(np.concatenate(ups), np.concatenate(downs))
+    sojourns = _searchsorted_departures(arrivals, services, *environment) - arrivals
+    kept = sojourns[int(_WARMUP_FRACTION * sojourns.size):]
+    if kept.size < _BATCH_COUNT:
+        raise ValueError(
+            f"horizon too short: {kept.size} post-warmup samples, need >= {_BATCH_COUNT}"
+        )
+    batch_size = kept.size // _BATCH_COUNT
+    batch_means = kept[: _BATCH_COUNT * batch_size].reshape(_BATCH_COUNT, batch_size).mean(axis=1)
+    return SimEstimate(
+        mean_wait=float(batch_means.mean()),
+        half_width=float(_T_QUANTILE * batch_means.std(ddof=1) / math.sqrt(_BATCH_COUNT)),
+        samples=_BATCH_COUNT * batch_size,
+    )
+
+
+def _outcome(simulate, point, horizon, seed):
+    try:
+        return simulate(point, horizon, seed)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _oracle_cases(count):
+    """Seeded (point, horizon, seed) cases in four kinds, in turn: horizons
+    around the 30 post-warm-up samples the estimate needs, an arrival rate
+    of 1e-3, breakdowns far more frequent than services, and up to five
+    arrival blocks.  A case whose breakdown trajectory would be long is
+    drawn again, so the cases stay small."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 4
+        mu = float(rng.uniform(0.5, 20.0))
+        upsilon, r = (float(x) * (40.0 if kind == 2 else 1.0) for x in rng.uniform(0.05, 3.0, 2))
+        lam = 1e-3 if kind == 1 else r * mu / (r + upsilon) * float(rng.uniform(0.05, 0.95))
+        customers = float(rng.uniform(*{0: (30, 40), 1: (40, 400)}.get(kind, (40, 8e4))))
+        horizon = customers / lam
+        if horizon * (upsilon + lam) <= 4e5:
+            cases.append((point(lam, mu, upsilon, r), horizon, int(rng.integers(1 << 31))))
+    return cases
+
+
+def _cut_run(arrivals, services, environment, bounds):
+    """Departures of a run fed to ``_departure_times`` in the pieces between
+    consecutive ``bounds``, the carry passed from piece to piece."""
+    carry = (0.0, -math.inf, 0)
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        departures, carry = _departure_times(arrivals[lo:hi], services[lo:hi], *environment, carry)
+        pieces.append(departures)
+    return np.concatenate(pieces)
+
+
 @st.composite
 def _tied_queues(draw):
     """Small queues on a half-unit lattice, so that arrivals fall exactly on
@@ -270,7 +348,7 @@ class TestSimulation:
         op_offsets = np.array([0.0, 1.0])
         arrivals = np.array([0.0, 1.0])
         services = np.array([2.0, 2.0])
-        departures = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
+        departures, _ = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
         # First job: 1 unit before the breakdown, resumes at 3, done at 4.
         # Second job: queued behind it, served on [4, 6).
         assert departures == pytest.approx([4.0, 6.0])
@@ -287,7 +365,10 @@ class TestSimulation:
             ups = rng.exponential(rng.uniform(0.5, 5.0), periods)
             ups[-1] += arrivals[-1] + services.sum()
             case = (arrivals, services, *_environment_from(ups, rng.exponential(0.8, periods)))
-            assert np.array_equal(_departure_times(*case), _searchsorted_departures(*case))
+            want = _searchsorted_departures(*case)
+            assert np.array_equal(_departure_times(*case)[0], want)
+            bounds = np.unique([0, n, *rng.integers(0, n, 8)]).tolist()
+            assert np.array_equal(_cut_run(arrivals, services, case[2:], bounds), want)
 
     @settings(max_examples=300, deadline=None)
     @given(_tied_queues())
@@ -299,7 +380,35 @@ class TestSimulation:
         np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.5, 0.5]), *_environment_from([1e3], [1.0]),
     ))
     def test_bit_identical_under_ties(self, case):
-        assert np.array_equal(_departure_times(*case), _searchsorted_departures(*case))
+        assert np.array_equal(_departure_times(*case)[0], _searchsorted_departures(*case))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_queues(), st.data())
+    def test_cut_runs_carry_to_the_same_departures(self, case, data):
+        arrivals, services, *environment = case
+        n = arrivals.size
+        bounds = [0, *sorted(set(data.draw(st.lists(st.integers(1, n), max_size=n))) - {n}), n]
+        assert np.array_equal(_cut_run(arrivals, services, environment, bounds),
+                              _departure_times(*case)[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 8), min_size=1, max_size=12),
+        st.lists(st.integers(-2, 10), max_size=12),
+        st.sampled_from(["left", "right"]),
+    )
+    def test_clock_rank_is_searchsorted(self, keys, boundaries, side):
+        keys, boundaries = np.sort(np.array(keys, float)), np.sort(np.array(boundaries, float))
+        assert np.array_equal(_clock_rank(keys, boundaries, side),
+                              np.searchsorted(boundaries, keys, side=side))
+
+    def test_streamed_run_equals_whole_array_run(self):
+        outcomes = []
+        for pt, horizon, seed in _oracle_cases(40):
+            outcomes.append(_outcome(simulate_queue, pt, horizon, seed))
+            assert outcomes[-1] == _outcome(_whole_array_simulate, pt, horizon, seed), (pt, horizon)
+        assert any(isinstance(o, str) and "too short" in o for o in outcomes)
+        assert sum(isinstance(o, SimEstimate) for o in outcomes) >= 25
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(7)
@@ -312,7 +421,7 @@ class TestSimulation:
             downs = rng.exponential(0.8, pieces + 200)
             up_starts = np.concatenate(([0.0], np.cumsum(ups + downs)[:-1]))
             op_offsets = np.concatenate(([0.0], np.cumsum(ups)[:-1]))
-            got = _departure_times(arrivals, services, up_starts, ups, op_offsets)
+            got, _ = _departure_times(arrivals, services, up_starts, ups, op_offsets)
             want = _reference_departures(arrivals, services, up_starts, ups, op_offsets)
             assert got == pytest.approx(want, abs=1e-9)
 
