@@ -4,14 +4,13 @@ The search branches on (a) the skill-to-resource assignment of every
 activity and (b) the orientation of every pair of activities that share
 a resource.  Because arrival rates are integer assignment counts, each
 resource has finitely many possible waits; they are tabulated up front,
-which keeps the whole problem combinatorial.  Assignment node bounds
-combine a critical-path relaxation (precedence only, waits of assigned
-activities at their current counts) with a per-resource load bound, plus
-the exact remaining-cost minimum.  The sequencing search below each
-assignment bounds its nodes with heads and tails of the disjunctive graph
-and a one-machine floor per shared resource.  Both levels run on one
-graph whose heads and tails are kept up to date, not recomputed, per
-node (see :class:`_BranchAndBound`).  The solves of one front share a
+which keeps the whole problem combinatorial.  Both levels bound their
+nodes with heads and tails of the disjunctive graph and a one-machine
+floor per shared resource; an assignment node counts only its assigned
+activities, with their waits at the current counts, and adds the exact
+remaining-cost minimum.  Both levels run on one graph whose heads and
+tails are kept up to date, not recomputed, per node (see
+:class:`_BranchAndBound`).  The solves of one front share a
 :class:`_WarmStart`: every schedule an earlier solve ended with seeds
 the incumbent of a later one whose budget it meets, and each assignment
 is sequenced once, its outcome read back after.  ``brute_force_front``
@@ -226,7 +225,8 @@ class _BranchAndBound:
     """Both search levels of one solve, on one disjunctive graph.
 
     ``_dfs`` assigns the activities, those with a single candidate first
-    and the rest in topological order; at each full assignment
+    and the rest by descending gap between their dearest and cheapest
+    candidate, topological order breaking ties; at each full assignment
     ``_sequenced`` orients the pairs sharing a resource.  One object holds
     everything a solve needs.  ``__init__`` checks the precedence graph and
     tabulates, once, the candidate assignments of every activity (cheapest
@@ -234,17 +234,18 @@ class _BranchAndBound:
     suffix of them and each resource's wait per assignment count.  The
     search then owns the graph (``succ``, ``pred``, and ``reach``: bit v
     of ``reach[u]`` means u has a path to v), the node weights, the heads
-    (earliest starts over ``succ``), one undo stack and one node count.
+    (earliest starts over ``succ``), the tails ``after`` (longest path
+    from a node's end to the sink's start, over ``pred``), one undo stack
+    and one node count.
 
     No node runs a longest-path pass.  ``_assign`` raises the weights of
-    the users of its resources and pushes the raised heads forward;
-    ``_add_arc`` u->v raises heads forward from v and ``after`` (longest
-    path from a node's end to the sink's start, over ``pred``) backward
-    from u.  Each logs what it overwrites and ``_restore`` writes the
-    latest log back.  Values only rise and each is the maximum of the
-    same float sums as in a full pass, so they equal
+    the users of its resources, pushes the raised heads forward and the
+    raised tails backward; ``_add_arc`` u->v raises heads forward from v
+    and tails backward from u.  Each logs what it overwrites and
+    ``_restore`` writes the latest log back.  Values only rise and each is
+    the maximum of the same float sums as in a full pass, so they equal
     :func:`earliest_starts` bit for bit.  A leaf's sequencing starts from
-    the assignment search's heads; only ``after`` takes a pass there.
+    the assignment search's heads and tails.
 
     A sequencing child u->v has makespan
     ``max(current, head[u] + w[u] + after[v] + w[v])``, passed down as its
@@ -304,8 +305,10 @@ class _BranchAndBound:
             raise ValidationError(f"activities {dangling} have no path to the dummy sink {n}")
 
         # Candidate assignments per activity, cheapest first.  Forced
-        # activities (one candidate) come first, above every branch, and the
-        # rest keep their topological order, so the leaves keep theirs.
+        # activities (one candidate) come first, above every branch; the rest
+        # follow by descending gap between their dearest and cheapest
+        # candidate, so the choices that move the cost most are made near the
+        # root, with topological order (the sort is stable) breaking ties.
         cost_rate = instance.cost_rate_matrix
         tabled = []
         for u in topo:
@@ -315,7 +318,9 @@ class _BranchAndBound:
                     for pairs in enumerate_assignments(instance, u + 1)
                 )
                 tabled.append((u, entries))
-        tabled.sort(key=lambda item: len(item[1]) != 1)
+        tabled.sort(
+            key=lambda item: (len(item[1]) != 1, item[1][0][0] - item[1][-1][0] if item[1] else 0.0)
+        )
         self.acts = [u for u, _ in tabled]
         self.candidates = [[pairs for _, pairs in entries] for _, entries in tabled]
         self.cand_resources = [
@@ -344,7 +349,6 @@ class _BranchAndBound:
 
         n_res = len(instance.resources)
         self.lam = [0] * n_res
-        self.load_duration = [0.0] * n_res
         self.chosen: list[int] = []
         self.cost_so_far = 0.0
         # Node weights (duration plus the largest wait at the current
@@ -352,6 +356,7 @@ class _BranchAndBound:
         # resource, kept up to date by ``_assign``.
         self.weights = list(self.durations)
         self.heads = earliest_starts(n, self.succ, self.weights, topo)
+        self.after = earliest_starts(n, self.pred, self.weights, self.reverse_topo)
         self.users: list[list[int]] = [[] for _ in range(n_res)]
         self.res_of: list[tuple[int, ...]] = [()] * n
         self.undo: list[_UndoLog] = []
@@ -383,16 +388,18 @@ class _BranchAndBound:
     def _makespan_lb(self) -> float:
         """Admissible makespan bound: the sink's maintained precedence head
         (the critical path with the waits implied by the current partial
-        counts), versus the heaviest single-resource load (its activities
-        are necessarily serialized)."""
-        waits = self.wait_table
-        bound = self.heads[self.sink]
-        for k, count in enumerate(self.lam):
-            if count:
-                load = self.load_duration[k] + count * waits[k][count]
-                if load > bound:
-                    bound = load
-        return bound
+        counts), versus each resource's one-machine floor, smallest head +
+        weights + smallest tail of its assigned users, who run one at a
+        time.  Waits only rise as counts rise, so no node below does better.
+        At a full assignment this is the sequencing root's floor: the
+        resources compiled here are the ``machines`` that ``_floor`` reads."""
+        weights = self.weights
+        self.machines = [
+            (operator.itemgetter(*nodes), sum(weights[u] for u in nodes))
+            for nodes in self.users
+            if len(nodes) > 1
+        ]
+        return self._floor()
 
     def _cost_lb(self) -> float:
         return self.cost_so_far + self.suffix_min_cost[len(self.chosen)]
@@ -427,7 +434,6 @@ class _BranchAndBound:
         touched = [u]
         for k in resources:
             self.lam[k] += 1
-            self.load_duration[k] += self.durations[u]
             for x in self.users[k]:
                 if x not in touched:
                     touched.append(x)
@@ -445,6 +451,7 @@ class _BranchAndBound:
                     undo.append((weights, x, weights[x]))
                     weights[x] = weight
                     _raise_longest_paths(self.heads, arcs, weights, x, arcs[x], undo)
+                    _raise_longest_paths(self.after, self.pred, weights, x, self.pred[x], undo)
         self.undo.append(undo)
 
     def _unassign(self) -> None:
@@ -457,7 +464,6 @@ class _BranchAndBound:
         self.res_of[u] = ()
         for k in self.cand_resources[idx][cand_idx]:
             self.lam[k] -= 1
-            self.load_duration[k] -= self.durations[u]
             self.users[k].pop()
 
     def _add_arc(self, u: int, v: int, branch: bool = False) -> None:
@@ -560,14 +566,7 @@ class _BranchAndBound:
         if self._out_of_budget():
             return None
         self.nodes += 1
-        weights = self.weights
-        self.after = earliest_starts(self.n, self.pred, weights, self.reverse_topo)
-        self.machines = [
-            (operator.itemgetter(*nodes), sum(weights[u] for u in nodes))
-            for nodes in self.users
-            if len(nodes) > 1
-        ]
-        self.root_bound = self._floor()
+        self.root_bound = self._makespan_lb()
         outcome = self._sequence(upper) if self.root_bound < upper else None
         if not self.timed_out:
             memo[key] = outcome or (upper, None)

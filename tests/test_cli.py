@@ -555,11 +555,12 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "lam,expected",
         [
-            (1, "SimEstimate(mean_wait=1.3372754540204566, half_width=0.012776335130377478, "
+            (1, "SimEstimate(mean_wait=1.3449473931602027, half_width=0.009869872090409787, "
                 "samples=900300)"),
-            (6, "SimEstimate(mean_wait=7.924188047712068, half_width=0.30718801923186473, "
+            (6, "SimEstimate(mean_wait=8.02303382435118, half_width=0.22816608479713868, "
                 "samples=5401590)"),
         ],
+        ids=["lam1", "lam6"],
     )
     def test_default_horizon_estimates_are_pinned(self, data_dir, lam, expected):
         # j10 resource 1 as `simulate --seed 7` runs it (rows 0 and 5); the
@@ -568,6 +569,15 @@ class TestSimulate:
         point = queueing.QueueOperatingPoint(float(lam), problem.resources[0].reliability)
         estimate = queueing.simulate_queue(point, DEFAULT_HORIZON, 7 + 7919 * (lam - 1))
         assert repr(estimate) == expected
+
+    def test_heavy_point_lands_near_relation_8(self, data_dir):
+        # Row 11 of `simulate --seed 13` on j10 (resource 2 at lambda = 6):
+        # plain batch means put it 5.81% from relation 8; the control
+        # variates bring it to 0.62%.
+        problem = instance_from_files(data_dir / "j10.sm", data_dir / "j10_skills.json")
+        point = queueing.QueueOperatingPoint(6.0, problem.resources[1].reliability)
+        estimate = queueing.simulate_queue(point, DEFAULT_HORIZON, 13 + 7919 * 11)
+        assert estimate.mean_wait == pytest.approx(queueing.waiting_time(point), rel=0.05)
 
 class TestSolveAndGantt:
     def test_solve_writes_artifacts(self, toy_paths, tmp_path, capsys):

@@ -76,7 +76,9 @@ def count_grid_solves(monkeypatch) -> list:
 
 class TestEnumerateFront:
     @pytest.mark.parametrize(
-        "name,solves,nodes", [("toy5", 7, 235), ("j10", 7, 2882), ("j20", 10, 32010)]
+        "name,solves,nodes",
+        [("toy5", 7, 153), ("j10", 7, 1703), ("j20", 10, 11799)],
+        ids=["toy5", "j10", "j20"],
     )
     def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):
         # Node counts do not depend on the machine: a search change that

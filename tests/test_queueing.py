@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msrcpspr.queueing import (
     _BATCH_COUNT,
     _CHUNK,
+    _CONTROL_COUNT,
     _T_QUANTILE,
     _WARMUP_FRACTION,
     InstabilityError,
@@ -15,6 +16,7 @@ from msrcpspr.queueing import (
     ReliabilityParams,
     SimEstimate,
     _clock_rank,
+    _controlled_mean,
     _departure_times,
     critical_arrival_rate,
     simulate_queue,
@@ -249,9 +251,10 @@ def _environment_from(ups, downs):
 
 def _whole_array_simulate(point, horizon, seed):
     """The breakdown-queue run with every customer in memory: one array per
-    draw, the clock mappings by binary search and the batch means over a
-    reshaped array.  ``simulate_queue`` streams the same run and must give
-    the same estimate, or the same error, bit for bit."""
+    draw, the clock mappings by binary search, and the batch means and
+    their controls over reshaped arrays.  ``simulate_queue`` streams the
+    same run and must give the same estimate, or the same error, bit for
+    bit."""
     params = point.params
     rng = np.random.default_rng(seed)
     blocks, total = [], 0.0
@@ -270,18 +273,30 @@ def _whole_array_simulate(point, horizon, seed):
         up_total += float(ups[-1].sum())
     environment = _environment_from(np.concatenate(ups), np.concatenate(downs))
     sojourns = _searchsorted_departures(arrivals, services, *environment) - arrivals
-    kept = sojourns[int(_WARMUP_FRACTION * sojourns.size):]
-    if kept.size < _BATCH_COUNT:
-        raise ValueError(
-            f"horizon too short: {kept.size} post-warmup samples, need >= {_BATCH_COUNT}"
-        )
-    batch_size = kept.size // _BATCH_COUNT
-    batch_means = kept[: _BATCH_COUNT * batch_size].reshape(_BATCH_COUNT, batch_size).mean(axis=1)
-    return SimEstimate(
-        mean_wait=float(batch_means.mean()),
-        half_width=float(_T_QUANTILE * batch_means.std(ddof=1) / math.sqrt(_BATCH_COUNT)),
-        samples=_BATCH_COUNT * batch_size,
+    warmup = int(_WARMUP_FRACTION * sojourns.size)
+    kept = sojourns.size - warmup
+    if kept < _BATCH_COUNT:
+        raise ValueError(f"horizon too short: {kept} post-warmup samples, need >= {_BATCH_COUNT}")
+    batch_size = kept // _BATCH_COUNT
+    rows = sojourns[warmup : warmup + _BATCH_COUNT * batch_size]
+    batch_means = rows.reshape(_BATCH_COUNT, batch_size).mean(axis=1)
+    # Each batch's arrival window runs from the arrival before it (time 0
+    # for the first customer) to its last arrival; the gap and service
+    # sums of a batch are differences of running totals.
+    cuts = warmup + batch_size * np.arange(_BATCH_COUNT + 1)
+    bounds = np.concatenate(([0.0], arrivals))[cuts]
+    service_totals = np.concatenate(([0.0], np.cumsum(services)))[cuts]
+    up_starts, up_lengths, op_offsets = environment
+    period = np.searchsorted(up_starts, bounds, side="right") - 1
+    op_bounds = np.minimum(bounds - up_starts[period], up_lengths[period]) + op_offsets[period]
+    windows = np.diff(bounds)
+    controls = np.column_stack(
+        (windows / batch_size, np.diff(service_totals) / batch_size, np.diff(op_bounds) / windows)
     )
+    r, v = params.retrieval_rate, params.disruption_rate
+    known = np.array([1.0 / point.arrival_rate, 1.0 / params.service_rate, r / (r + v)])
+    mean_wait, half_width = _controlled_mean(batch_means, controls, known)
+    return SimEstimate(mean_wait, half_width, _BATCH_COUNT * batch_size)
 
 
 def _outcome(simulate, point, horizon, seed):
@@ -467,4 +482,36 @@ class TestSimulation:
 
     def test_t_quantile_is_scipy_value(self):
         stats = pytest.importorskip("scipy.stats")
-        assert _T_QUANTILE == stats.t.ppf(0.975, _BATCH_COUNT - 1)
+        assert _T_QUANTILE == stats.t.ppf(0.975, _BATCH_COUNT - 1 - _CONTROL_COUNT)
+
+    def test_controlled_mean_is_the_regression_intercept(self):
+        # The estimate is the intercept of an ordinary least-squares fit of
+        # the batch means on the controls less their known means, and the
+        # half-width the intercept's standard error times Student's t.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            controls = rng.normal(size=(_BATCH_COUNT, _CONTROL_COUNT)) * rng.uniform(1e-3, 1.0, 3)
+            known = rng.normal(size=_CONTROL_COUNT) * 0.1
+            noise = rng.normal(0, 0.1, _BATCH_COUNT)
+            means = 2.0 + controls @ rng.normal(size=_CONTROL_COUNT) + noise
+            design = np.column_stack((np.ones(_BATCH_COUNT), controls - known))
+            coef, residual, *_ = np.linalg.lstsq(design, means, rcond=None)
+            dof = _BATCH_COUNT - 1 - _CONTROL_COUNT
+            se = math.sqrt(residual[0] / dof * np.linalg.inv(design.T @ design)[0, 0])
+            estimate, half_width = _controlled_mean(means, controls, known)
+            assert estimate == pytest.approx(coef[0], rel=1e-9)
+            assert half_width == pytest.approx(_T_QUANTILE * se, rel=1e-9)
+
+    def test_controlled_mean_ignores_a_constant_control(self):
+        # A server that never breaks down has an up fraction of exactly 1 in
+        # every batch: that control gets no weight and the estimate is the
+        # one the other two give.
+        rng = np.random.default_rng(32)
+        controls = np.column_stack((rng.normal(size=(_BATCH_COUNT, 2)), np.ones(_BATCH_COUNT)))
+        means = 1.0 + controls[:, 0] + rng.normal(0, 0.1, _BATCH_COUNT)
+        known = np.array([0.0, 0.0, 1.0 - 1e-9])
+        design = np.column_stack((np.ones(_BATCH_COUNT), controls[:, :2]))
+        coef = np.linalg.lstsq(design, means, rcond=None)[0]
+        estimate, half_width = _controlled_mean(means, controls, known)
+        assert estimate == pytest.approx(coef[0], rel=1e-9)
+        assert math.isfinite(half_width) and half_width > 0

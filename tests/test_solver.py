@@ -237,6 +237,26 @@ class TestSolve:
         result = solve(instance, SubproblemSpec(primary="makespan"))
         assert result.status == "infeasible"
 
+    def test_activity_without_candidate_among_branching_ones(self):
+        # Activity 3 has no candidate (two masters needed, one exists) while
+        # 2 and 4 have several: the cost-gap order must still table it, and
+        # the solve ends infeasible before any node.
+        instance = build_instance(
+            durations={1: 0, 2: 3, 3: 2, 4: 4, 5: 0},
+            successors={1: (2, 3, 4), 2: (5,), 3: (5,), 4: (5,)},
+            skill_count=2,
+            resources=[
+                ({1, 2}, {1: 10.0, 2: 30.0}, (0.5, 0.5, 8.0)),
+                ({1}, {1: 20.0}, (0.5, 0.5, 8.0)),
+            ],
+            requirements={2: {1: 1}, 3: {2: 2}, 4: {1: 1}},
+        )
+        bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        assert [len(c) for c in bb.candidates] == [2, 2, 0]
+        assert bb.acts == [3, 1, 2]
+        result = solve(instance, SubproblemSpec(primary="makespan"))
+        assert (result.status, result.nodes_explored) == ("infeasible", 0)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SubproblemSpec(primary="speed")
@@ -475,12 +495,14 @@ def test_leaf_closed_by_its_root_floor(monkeypatch):
 
 
 def test_forced_activities_come_first(corpus, j10, j20):
-    # Activities with one candidate lead ``acts``, the others follow in
+    # Activities with one candidate lead ``acts``; the others follow by
+    # descending gap between their dearest and cheapest candidate, ties in
     # topological order, and every per-activity table follows ``acts``.
     instances = {**corpus, "j10": j10, "j20": j20}
-    forced_counts = {}
+    forced_counts, orders = {}, {}
     for name, instance in instances.items():
         bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        orders[name] = bb.acts
         topo, _ = topological_order(bb.succ)
         rank = {u: r for r, u in enumerate(topo)}
         forced = sum(len(c) == 1 for c in bb.candidates)
@@ -488,12 +510,14 @@ def test_forced_activities_come_first(corpus, j10, j20):
         assert [len(c) == 1 for c in bb.candidates] == [True] * forced + [False] * (
             len(bb.acts) - forced
         ), name
-        assert bb.acts[forced:] == sorted(bb.acts[forced:], key=rank.get), name
+        gap = {u: max(costs) - min(costs) for u, costs in zip(bb.acts, bb.cand_costs)}
+        assert bb.acts[forced:] == sorted(bb.acts[forced:], key=lambda u: (-gap[u], rank[u])), name
         assert bb.acts[:forced] == sorted(bb.acts[:forced], key=rank.get), name
         assert sorted(bb.acts) == list(range(1, bb.n - 1)), name
         cost_rate = instance.cost_rate_matrix
         for idx, u in enumerate(bb.acts):
             assert sorted(bb.candidates[idx]) == sorted(enumerate_assignments(instance, u + 1))
+            assert bb.cand_costs[idx] == sorted(bb.cand_costs[idx])
             for pairs, resources, cost in zip(
                 bb.candidates[idx], bb.cand_resources[idx], bb.cand_costs[idx]
             ):
@@ -501,6 +525,9 @@ def test_forced_activities_come_first(corpus, j10, j20):
                 assert cost == bb.durations[u] * sum(cost_rate[l - 1, k - 1] for l, k in pairs)
             assert bb.radix[idx] == math.prod(len(c) for c in bb.candidates[:idx])
     assert (forced_counts["toy5"], forced_counts["j10"], forced_counts["j20"]) == (0, 4, 6)
+    # toy5's gaps are 1000, 720, 600, 600 and 360: activities 1 and 5 tie
+    # and keep their topological order.
+    assert orders["toy5"] == [2, 4, 1, 5, 3]
 
 
 def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
@@ -514,8 +541,8 @@ def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
 
 def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
     # At every assignment node the maintained weights equal a rebuild from
-    # the chosen candidates and counts, and the maintained heads equal a
-    # fresh precedence pass over them, bit for bit.
+    # the chosen candidates and counts, and the maintained heads and tails
+    # equal fresh precedence passes over them, bit for bit.
     original = _BranchAndBound._dfs
     checked = []
 
@@ -523,6 +550,7 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
         weights = _rebuilt_weights(self)
         assert self.weights == weights
         assert self.heads == earliest_starts(self.n, pristine[0], weights)
+        assert self.after == earliest_starts(self.n, pristine[1], weights)
         checked.append(len(self.chosen))
         original(self)
 
@@ -535,10 +563,12 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
             bb = _BranchAndBound(instance, spec, SolveLimits())
             pristine = _pristine(bb)
             root_heads = earliest_starts(bb.n, pristine[0], bb.durations)
+            root_after = earliest_starts(bb.n, pristine[1], bb.durations)
             bb._dfs()
             assert bb.best is not None, name
             assert bb.weights == bb.durations, name
             assert bb.heads == root_heads, name
+            assert bb.after == root_after, name
             assert bb.users == [[] for _ in instance.resources], name
             assert (bb.succ, bb.pred, bb.reach) == pristine, name
             assert bb.undo == [], name
@@ -751,6 +781,59 @@ def test_solve_matches_oracle_on_drawn_instances(instance):
         by_cost = solve(instance, SubproblemSpec(primary="cost", budget=point.makespan))
         assert by_cost.status == "optimal"
         assert by_cost.objectives.cost == pytest.approx(point.cost, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_guard_rail_instances())
+def test_makespan_bound_is_admissible(instance):
+    # Walk every stable assignment: the bound at each node, full or not,
+    # never exceeds the best makespan, over every orientation of the open
+    # pairs sharing a resource, of any full assignment below it.
+    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+
+    def walk(idx):
+        bound = bb._makespan_lb()
+        if idx == len(bb.acts):
+            reach = bb.reach
+            decisions = [
+                (i, j)
+                for nodes in bb.users
+                for i, j in itertools.combinations(sorted(nodes), 2)
+                if not (reach[i] >> j) & 1 and not (reach[j] >> i) & 1
+            ]
+            best = _exhaustive_makespan(bb, sorted(set(decisions)))
+        else:
+            best = math.inf
+            for cand_idx, resources in enumerate(bb.cand_resources[idx]):
+                if any(bb.lam[k] + 1 >= len(bb.wait_table[k]) for k in resources):
+                    continue
+                bb._assign(idx, cand_idx)
+                best = min(best, walk(idx + 1))
+                bb._unassign()
+        assert bound <= best + 1e-12, (bb.chosen, bound, best)
+        return best
+
+    if all(bb.candidates):
+        walk(0)
+
+
+def test_makespan_bound_adds_the_one_machine_floor():
+    # Two parallel activities on one resource: the critical path holds one
+    # of them, the floor both, and the floor is the best orientation.
+    instance = build_instance(
+        durations={1: 0, 2: 3, 3: 4, 4: 0},
+        successors={1: (2, 3), 2: (4,), 3: (4,)},
+        skill_count=1,
+        resources=[({1}, {1: 10.0}, (0.5, 0.5, 8.0))],
+        requirements={2: {1: 1}, 3: {1: 1}},
+    )
+    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    bb._assign(0, 0)
+    bb._assign(1, 0)
+    wait = bb.wait_table[0][2]
+    assert bb.heads[bb.sink] == 4 + wait
+    assert bb._makespan_lb() == pytest.approx(7 + 2 * wait)
+    assert bb._makespan_lb() == _exhaustive_makespan(bb, [(1, 2)])
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf])
