@@ -106,6 +106,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if result.status == "optimal" else EXIT_UNSOLVED
 
 
+def _unproven(front: pareto_mod.ParetoFront) -> bool:
+    """No point, a diagnosis (a payoff-table solve not proved, even when its
+    grid level was bypassed) or a timed-out grid level."""
+    timeouts = any(rec.status == "timeout" for rec in front.grid_log)
+    return not front.points or bool(front.diagnosis) or timeouts
+
+
 def cmd_pareto(args: argparse.Namespace) -> int:
     problem = load_problem(args)
     vikor.check_weights(args.weights, args.v)
@@ -130,12 +137,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
             continue
         rows = schedule.to_gantt(problem, front.points[j].solution)
         _write(args.out, f"gantt_rank{rank_pos}.svg", schedule.gantt_svg(rows))
-    # A diagnosis means a payoff-table solve was not proved, even when the
-    # sweep bypassed the grid level that row stands for.
-    statuses = {rec.status for rec in front.grid_log}
-    if front.diagnosis or "timeout" in statuses:
-        return EXIT_UNSOLVED
-    return EXIT_OK
+    return EXIT_UNSOLVED if _unproven(front) else EXIT_OK
 
 
 def run_sweep(
@@ -221,7 +223,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for multiplier, front in fronts.items():
         pis = front.payoff.makespan_pis if front.payoff else math.nan
         print(f"  x{multiplier:g}: {len(front.points)} points, makespan PIS {pis:g}")
-    return EXIT_OK if not flagged else EXIT_UNSOLVED
+    unproven = flagged or any(map(_unproven, fronts.values()))
+    return EXIT_UNSOLVED if unproven else EXIT_OK
 
 
 def simulation_rows(
@@ -316,6 +319,9 @@ def cmd_gantt(args: argparse.Namespace) -> int:
         f"rendered {len(rows)} activities, makespan {_fmt(outcome.objectives.makespan)}, "
         f"cost {_fmt(outcome.objectives.cost)}"
     )
+    if outcome.statuses != ("optimal", "optimal"):
+        print(f"not proved: stage statuses {outcome.statuses[0]}, {outcome.statuses[1]}")
+        return EXIT_UNSOLVED
     return EXIT_OK
 
 

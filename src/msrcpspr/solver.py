@@ -178,8 +178,8 @@ class _WarmStart:
     arcs, makespan, cost)`` computed at its leaf.  ``memo`` maps an
     assignment (its candidate indices in mixed radix) to its sequencing
     outcome, which does not depend on the subproblem: ``(makespan,
-    arcs)`` when proven, or ``(upper, None)`` when no orientation has a
-    makespan below ``upper``.
+    arcs)``, its first shortest orientation, when proven, or ``(upper,
+    None)`` when no orientation has a makespan below ``upper``.
     """
 
     def __init__(self):
@@ -257,18 +257,20 @@ class _BranchAndBound:
     Immediate selection (Carlier & Pinson) at the root and at each node
     that passes its floor gives an open pair the other orientation when one
     reaches the incumbent, for the whole subtree: it cuts only leaves that
-    a branch deeper down would cut.  Children are ordered by their makespan
-    over the branch arcs alone (``key_heads``, ``key_after``), so the
-    improving leaves, and the schedule kept among ties, do not depend on it.
+    a branch deeper down would cut.  Each pair (i, j) is tried as i->j,
+    then as j->i, so the tree is fixed and the schedule returned is the
+    first optimal leaf: in the order of the candidates of ``acts``, then of
+    the orientations of the sorted pairs.  At both levels a later leaf
+    replaces the kept one only when better by more than ``_PRUNE_TOL``, so
+    two orders of one float sum tie; pruning and selection drop only
+    leaves that would not replace it.
 
     A :class:`_WarmStart` seeds the incumbent with the best pool schedule
-    within the budget, and a leaf reads its sequencing outcome from the
-    memo when the entry decides the leaf's bound.  Neither changes the
-    schedule returned.  The sequencing order does not depend on the bound,
-    so the first optimal orientation is found under any bound above it.
-    A leaf that ties the seed still replaces it, so the search keeps the
-    first optimal leaf in its order, as it does without a seed; the seed
-    comes back only from a search that a limit cut short.
+    within the budget, ``_PRUNE_TOL`` above its value so that the first
+    leaf tying it replaces it, and a leaf reads its sequencing outcome from
+    the memo when the entry decides the leaf's bound.  Neither changes the
+    schedule returned; the seed comes back only from a search that a limit
+    cut short.
     """
 
     def __init__(
@@ -466,9 +468,9 @@ class _BranchAndBound:
             self.lam[k] -= 1
             self.users[k].pop()
 
-    def _add_arc(self, u: int, v: int, branch: bool = False) -> None:
+    def _add_arc(self, u: int, v: int) -> None:
         """Insert u->v, which must not close a cycle, raising reach, heads
-        and after; a branch arc raises the order keys' heads and after too."""
+        and after."""
         gain = self.reach[v] | (1 << v)
         undo: _UndoLog = []
         reach = self.reach
@@ -484,20 +486,12 @@ class _BranchAndBound:
         self.pred[v].append(u)
         _raise_longest_paths(self.heads, self.succ, self.weights, u, [v], undo)
         _raise_longest_paths(self.after, self.pred, self.weights, v, [u], undo)
-        if branch:
-            self.key_succ[u].append(v)
-            self.key_pred[v].append(u)
-            _raise_longest_paths(self.key_heads, self.key_succ, self.weights, u, [v], undo)
-            _raise_longest_paths(self.key_after, self.key_pred, self.weights, v, [u], undo)
         self.undo.append(undo)
 
-    def _remove_arc(self, u: int, v: int, branch: bool = False) -> None:
+    def _remove_arc(self, u: int, v: int) -> None:
         """Undo the latest ``_add_arc``, which inserted u->v."""
         self.succ[u].pop()
         self.pred[v].pop()
-        if branch:
-            self.key_succ[u].pop()
-            self.key_pred[v].pop()
         self._restore()
 
     def _out_of_budget(self) -> bool:
@@ -587,14 +581,13 @@ class _BranchAndBound:
                 decisions.append((i, j))
         if not decisions:  # The root is a leaf; its floor covers its makespan.
             return self.heads[self.sink], fixed
+        # A leaf is kept when its makespan is below seq_best, which then
+        # falls to that makespan less _PRUNE_TOL, the assignment search's tie.
         self.seq_best = upper
-        self.seq_arcs: list[tuple[int, int]] | None = None
+        self.seq_leaf: tuple[float, list[tuple[int, int]]] | None = None
         self.selected: list[tuple[int, int]] = []
-        # The order keys' graph: precedence and branch arcs, no selected arc.
-        self.key_succ, self.key_pred = [a[:] for a in self.succ], [a[:] for a in self.pred]
-        self.key_heads, self.key_after = self.heads[:], self.after[:]
         self._branch(decisions, 0)
-        return None if self.seq_arcs is None else (self.seq_best, fixed + self.seq_arcs)
+        return None if self.seq_leaf is None else (self.seq_leaf[0], fixed + self.seq_leaf[1])
 
     def _floor(self) -> float:
         """No orientation of the current graph ends before the sink's head,
@@ -614,9 +607,9 @@ class _BranchAndBound:
         current = self.heads[self.sink]
         if idx == len(decisions):
             if current < self.seq_best:
-                reach = self.reach
-                self.seq_best = current
-                self.seq_arcs = [(i, j) if (reach[i] >> j) & 1 else (j, i) for i, j in decisions]
+                self.seq_best = current - _PRUNE_TOL
+                arcs = [(i, j) if (self.reach[i] >> j) & 1 else (j, i) for i, j in decisions]
+                self.seq_leaf = (current, arcs)
             return
         if self._floor() < self.seq_best:
             self._branch(decisions, idx)
@@ -644,29 +637,22 @@ class _BranchAndBound:
         return len(self.selected) == mark or self._floor() < best
 
     def _branch(self, decisions: list[tuple[int, int]], idx: int) -> None:
-        """Select, then search the orientations of ``decisions[idx]`` in the
-        order of their keys; the selected arcs are removed on return."""
+        """Select, then search ``decisions[idx]`` = (i, j) as i->j and then
+        as j->i; the selected arcs are removed on return."""
         mark = len(self.selected)
         if self._select(decisions, idx):
             heads, after, w = self.heads, self.after, self.weights
-            key_heads, key_after = self.key_heads, self.key_after
-            current, key_current = heads[self.sink], key_heads[self.sink]
+            current = heads[self.sink]
             i, j = decisions[idx]
-            options = []
             for u, v in ((i, j), (j, i)):
                 if (self.reach[v] >> u) & 1:
                     continue
-                key = key_heads[u] + w[u] + (key_after[v] + w[v])
-                options.append((key if key > key_current else key_current, u, v))
-            options.sort()
-            for _, u, v in options:
-                # Pruned on the selected graph, which only raises the bound.
                 child = max(heads[u] + w[u] + (after[v] + w[v]), current)
                 if child >= self.seq_best:
                     continue
-                self._add_arc(u, v, branch=True)
+                self._add_arc(u, v)
                 self._sequence_dfs(decisions, idx + 1, child)
-                self._remove_arc(u, v, branch=True)
+                self._remove_arc(u, v)
                 if self.seq_best <= self.root_bound:
                     break
         while len(self.selected) > mark:
@@ -706,8 +692,10 @@ def solve(
     limit is hit.  ``wall_time`` covers the search, not the rebuilding
     of the best schedule.  ``warm``, shared by the solves of one front on
     ``instance``, starts the search from what earlier solves found and
-    keeps what this one finds (see :class:`_WarmStart`); the result is
-    the one a solve without it returns.
+    keeps what this one finds (see :class:`_WarmStart`).  The schedule
+    returned is the first optimal leaf in a fixed order (see
+    :class:`_BranchAndBound`), so it is the one a solve without ``warm``
+    returns.
     """
     limits = limits or SolveLimits()
     started = time.perf_counter()

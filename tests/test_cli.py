@@ -187,6 +187,30 @@ def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
     return str(sm), str(ext)
 
 
+def _toy5_infeasible(tmp_path, data_dir):
+    """toy5 with requirement 1 (activity 2, skill 1) raised to 3 of its 2
+    masters: valid input, and no assignment exists."""
+    sidecar = json.loads((data_dir / "toy5_skills.json").read_text(encoding="utf-8"))
+    sidecar["requirements"][0]["count"] = 3
+    ext = tmp_path / "infeasible.json"
+    ext.write_text(json.dumps(sidecar), encoding="utf-8")
+    return str(data_dir / "toy5.sm"), str(ext)
+
+
+@pytest.fixture()
+def j20_cut(data_dir, monkeypatch):
+    """j20's paths, with every solve cut at 300 nodes: the payoff table's
+    makespan-first row stops at makespan 78.5 (the optimum is 205/3)."""
+    from msrcpspr import cli
+    from msrcpspr.solver import SolveLimits
+
+    monkeypatch.setattr(cli, "_limits", lambda args: SolveLimits(node_limit=300))
+    return str(data_dir / "j20.sm"), str(data_dir / "j20_skills.json")
+
+
+_SWEEP_ONE = ["--parameter", "retrieval", "--multipliers", "1"]
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -482,6 +506,24 @@ class TestSweep:
         assert all(r.split(",")[6] == "1" for r in scaled)
 
 
+    @pytest.mark.parametrize("command", [["pareto"], ["sweep", *_SWEEP_ONE]], ids=["pareto", "sweep"])
+    def test_infeasible_instance_exits_one(self, data_dir, tmp_path, command):
+        sm, ext = _toy5_infeasible(tmp_path, data_dir)
+        code = main([*command, "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
+        assert code == 1
+
+    @pytest.mark.parametrize("command", [["pareto"], ["sweep", *_SWEEP_ONE]], ids=["pareto", "sweep"])
+    def test_cut_solves_exit_one(self, j20_cut, tmp_path, command):
+        # The cut front still has points and no flagged row, but its
+        # payoff table is not proved.
+        sm, ext = j20_cut
+        code = main([*command, "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
+        assert code == 1
+        if command[0] == "sweep":
+            rows = (tmp_path / "sweep_retrieval.csv").read_text().splitlines()[1:]
+            assert len(rows) == 5 and all(row.endswith(",0") for row in rows)
+
+
 class TestSimulate:
     def test_csv_columns_and_determinism(self, toy_paths, tmp_path):
         sm, ext = toy_paths
@@ -602,6 +644,15 @@ class TestSolveAndGantt:
                          "--out", str(tmp_path / sub)]) == 0
         assert (tmp_path / "a" / "gantt.csv").read_bytes() == (tmp_path / "b" / "gantt.csv").read_bytes()
         assert (tmp_path / "a" / "gantt.svg").read_bytes() == (tmp_path / "b" / "gantt.svg").read_bytes()
+
+    def test_gantt_of_a_cut_solve_exits_one(self, j20_cut, tmp_path, capsys):
+        # As solve does, the cut schedule is still written.
+        sm, ext = j20_cut
+        code = main(["gantt", "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "makespan 78.5," in out and "stage statuses timeout, optimal" in out
+        assert (tmp_path / "gantt.csv").exists() and (tmp_path / "gantt.svg").exists()
 
 
 class TestColdStart:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -10,20 +11,23 @@ from hypothesis import strategies as st
 from msrcpspr import pareto
 
 from msrcpspr.instance import ValidationError, topological_order, validate
-from msrcpspr.queueing import QueueOperatingPoint, waiting_time
+from msrcpspr.queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
+    _BUDGET_TOL,
+    _PRUNE_TOL,
     GuardRailError,
     SolveLimits,
     SubproblemSpec,
     _BranchAndBound,
     _WarmStart,
+    _slack_reward,
     brute_force_front,
     enumerate_assignments,
     lexicographic_optimum,
     lexicographic_outcome,
     solve,
 )
-from msrcpspr.schedule import CycleError, earliest_starts
+from msrcpspr.schedule import CycleError, earliest_starts, evaluate, tighten_starts
 
 from conftest import build_instance, chain3_instance, random_small_instance, single1_instance
 
@@ -151,12 +155,14 @@ class TestSolve:
         assert one_short.status == "timeout"
         assert one_short.nodes_explored == full.nodes_explored - 1
 
-    def test_sequencing_search_honours_limits(self):
+    def test_sequencing_search_honours_limits(self, monkeypatch):
         # Seven activities share one resource, each behind a private head
         # and ahead of a private tail activity (one machine with release and
         # delivery times): a single assignment leaf whose 21 sequencing
-        # decisions hold nearly all the nodes and are not settled by the
-        # one-machine floor at the root.
+        # decisions hold most of the nodes and are not settled by the
+        # one-machine floor at the root.  The assignment search takes 22
+        # nodes and the sequencing root the 23rd; the proof takes 85, so a
+        # limit of 50 cuts the sequencing search.
         heads = (1, 9, 4, 12, 6, 2, 10)
         shared = (5, 3, 6, 4, 7, 2, 5)
         tails = (11, 2, 8, 5, 1, 9, 3)
@@ -174,10 +180,21 @@ class TestSolve:
             resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0))],
             requirements={9 + i: {1: 1} for i in range(7)},
         )
-        limits = SolveLimits(time_limit=0.2, node_limit=100)
-        result = solve(instance, SubproblemSpec(primary="makespan"), limits)
+        spec = SubproblemSpec(primary="makespan")
+        assert solve(instance, spec).nodes_explored == 85
+        cut = []
+        original = _BranchAndBound._sequence
+
+        def watched(self, upper):
+            outcome = original(self, upper)
+            cut.append(self.timed_out)
+            return outcome
+
+        monkeypatch.setattr(_BranchAndBound, "_sequence", watched)
+        result = solve(instance, spec, SolveLimits(node_limit=50))
         assert result.status == "timeout"
-        assert result.nodes_explored <= 100
+        assert result.nodes_explored == 50
+        assert cut == [True]
 
     def test_one_resource_proved_at_its_floor(self):
         # Nine unrelated activities on one resource: every order has the
@@ -348,16 +365,28 @@ def _exhaustive_makespan(bb: _BranchAndBound, decisions: list[tuple[int, int]]) 
     return min(_orientation_makespans(bb, decisions).values(), default=math.inf)
 
 
+def _first_kept(items, value):
+    """What a scan of ``items`` in order keeps when a later item replaces
+    the kept one only if its ``value`` is lower by more than ``_PRUNE_TOL``
+    (two orders of one float sum differ by an ulp, and tie)."""
+    kept, kept_value = None, math.inf
+    for item in items:
+        if value(item) < kept_value - _PRUNE_TOL:
+            kept, kept_value = item, value(item)
+    return kept
+
+
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # Every child value passed down must be the full longest path of the
     # child graph, the maintained heads and tails must equal fresh passes
     # bit for bit at every node, every floor must equal its generator-form
     # recomputation, and the search must return the best of all
-    # orientations.  Every arc selection fixes must hold in every
-    # orientation below the node whose makespan is below the incumbent at
-    # that moment, and a node selection closes must have none.  The
-    # sequencing search runs on the assignment search's own graph, so it
-    # must hand that graph back unchanged.
+    # orientations, the first of them (within ``_PRUNE_TOL``) in the order
+    # that tries i->j before j->i.  Every arc selection fixes must hold in
+    # every orientation below the node whose makespan is below the
+    # incumbent at that moment, and a node selection closes must have none.
+    # The sequencing search runs on the assignment search's own graph, so
+    # it must hand that graph back unchanged.
     original = _BranchAndBound._sequence_dfs
     original_floor = _BranchAndBound._floor
     original_select = _BranchAndBound._select
@@ -395,15 +424,17 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         return floor
 
     def checking_select(self, decisions, idx):
-        # The orientations below this node keep its branch arcs, the arcs
-        # of the order keys' graph between the users of one resource.
-        best, key_succ = self.seq_best, self.key_succ
-        mark = len(self.selected)
+        # The orientations below this node keep its branch arcs: the arcs
+        # of the graph that are neither precedence arcs nor selected ones.
+        best, mark = self.seq_best, len(self.selected)
+        branch = {
+            (u, v) for u in range(self.n) for v in self.succ[u] if v not in prec_succ[u]
+        } - set(self.selected)
         is_open = original_select(self, decisions, idx)
         below = [
             set(arcs)
             for arcs, makespan in makespans.items()
-            if makespan < best and all(v in key_succ[u] for u, v in arcs[:idx])
+            if makespan < best and set(arcs[:idx]) <= branch
         ]
         if is_open:
             selections[True] += len(self.selected) - mark
@@ -429,13 +460,14 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         weights = list(bb.weights)
         leaf_heads = list(bb.heads)
         makespans = _orientation_makespans(bb, decisions)
-        brute = min(makespans.values())
+        first = _first_kept(makespans, makespans.get)
+        brute = makespans[first]
         # The leaf starts from the assignment search's heads, with no pass.
         assert leaf_heads == earliest_starts(n, prec_succ, weights)
         roots = len(floors)
         makespan, dirs = bb._sequenced(math.inf)
         assert floors[roots] == bb.root_bound <= makespan
-        assert makespan == pytest.approx(brute, abs=1e-12)
+        assert (makespan, tuple(dirs[len(dirs) - len(decisions) :])) == (brute, first)
         # Every undo restored its values: the root passes hold again.
         assert bb.heads == earliest_starts(n, prec_succ, weights)
         assert bb.after == earliest_starts(n, prec_pred, weights)
@@ -449,7 +481,7 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         for upper in sorted(set(makespans.values()))[:3]:
             outcome = bb._sequence(upper)
             if brute < upper:
-                assert outcome[0] == pytest.approx(brute, abs=1e-12)
+                assert outcome == (brute, dirs)
             else:
                 assert outcome is None
         assert (bb.succ, bb.pred, bb.reach) == (prec_succ, prec_pred, prec_reach)
@@ -781,6 +813,115 @@ def test_solve_matches_oracle_on_drawn_instances(instance):
         by_cost = solve(instance, SubproblemSpec(primary="cost", budget=point.makespan))
         assert by_cost.status == "optimal"
         assert by_cost.objectives.cost == pytest.approx(point.cost, abs=1e-9)
+
+
+def _leaves(instance) -> list:
+    """Every stable, acyclic leaf as (assignment, solution, makespan, cost):
+    the candidates of ``acts`` in product order, then, per assignment, the
+    orientations of its sorted sharing pairs with i->j before j->i."""
+    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    n, shape = bb.n, (bb.n, instance.skill_count, len(instance.resources))
+    leaves = []
+    for chosen in itertools.product(*(range(len(c)) for c in bb.candidates)):
+        X = np.zeros(shape, dtype=np.int8)
+        users = {}
+        for u, candidates, cand_idx in zip(bb.acts, bb.candidates, chosen):
+            for skill, res in candidates[cand_idx]:
+                X[u, skill - 1, res - 1] = 1
+                users.setdefault(res, []).append(u)
+        pairs = sorted(
+            {p for nodes in users.values() for p in itertools.combinations(sorted(nodes), 2)}
+        )
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            Z = np.zeros((n, n), dtype=np.int8)
+            for (i, j), flip in zip(pairs, flips):
+                Z[(j, i) if flip else (i, j)] = 1
+            try:
+                solution = tighten_starts(instance, X, Z)
+            except (CycleError, InstabilityError):
+                continue
+            objectives = evaluate(instance, solution)
+            leaves.append((chosen, solution, objectives.makespan, objectives.cost))
+    return leaves
+
+
+def _first_optimal_leaf(leaves, spec: SubproblemSpec):
+    """The leaf an exhaustive scan keeps: each assignment offers its first
+    shortest orientation and a later assignment replaces the kept one only
+    when better on ``spec`` by more than ``_PRUNE_TOL``, both as
+    ``_first_kept`` scans."""
+
+    def objective(leaf):
+        _, _, makespan, cost = leaf
+        if spec.primary == "makespan":
+            if spec.budget is not None and cost > spec.budget + _BUDGET_TOL:
+                return math.inf
+            return makespan - _slack_reward(spec, cost)
+        if spec.budget is not None and not makespan < spec.budget + _BUDGET_TOL:
+            return math.inf
+        return cost
+
+    shortest = [
+        _first_kept(group, operator.itemgetter(2))
+        for _, group in itertools.groupby(leaves, key=operator.itemgetter(0))
+    ]
+    return _first_kept(shortest, objective)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instance=_guard_rail_instances(),
+    pick=st.integers(0, 2**16),
+    eps=st.sampled_from((1e-6, 1e-4, 1e-3)),
+)
+@example(
+    # One assignment has orientations at 2010.3333333335538 and, later, at
+    # 2010.3333333335536: one makespan summed in two orders.  A sequencing
+    # search that compares them exactly keeps the later one.
+    instance=build_instance(
+        durations={1: 0, 2: 0, 3: 0, 4: 2, 5: 0, 6: 0},
+        successors={1: (2, 3, 4, 5), 2: (6,), 3: (6,), 4: (6,), 5: (6,)},
+        skill_count=2,
+        resources=[
+            ({1, 2}, {1: 100.0, 2: 100.0}, (0.5, 0.5, 9.0)),
+            ({1}, {1: 100.0}, (0.5, 0.5, 2.0)),
+            ({1}, {1: 250.0}, (0.5, 0.5, 2.002)),
+        ],
+        requirements={2: {1: 1}, 3: {1: 1, 2: 1}, 4: {1: 1}, 5: {1: 0}},
+    ),
+    pick=0,
+    eps=1e-4,
+)
+def test_solve_returns_the_first_optimal_leaf(instance, pick, eps):
+    # The returned schedule is defined without the search: of the leaves in
+    # the scan order of ``_leaves``, the first optimal one.  Any later
+    # change of branching order must keep this.
+    leaves = _leaves(instance)
+    specs = [SubproblemSpec(primary="makespan"), SubproblemSpec(primary="cost")]
+    if leaves:
+        costs = sorted({cost for *_, cost in leaves})
+        makespans = sorted({makespan for _, _, makespan, _ in leaves})
+        cost_budget = costs[pick % len(costs)]
+        specs += [
+            SubproblemSpec(primary="makespan", budget=cost_budget),
+            SubproblemSpec(
+                primary="makespan",
+                budget=cost_budget,
+                eps=eps,
+                objective_range=max(costs[-1] - costs[0], 1.0),
+            ),
+            SubproblemSpec(primary="cost", budget=makespans[pick % len(makespans)]),
+        ]
+    for spec in specs:
+        result = solve(instance, spec)
+        kept = _first_optimal_leaf(leaves, spec)
+        if kept is None:
+            assert result.status == "infeasible", spec
+            continue
+        assert result.status == "optimal", spec
+        solution = kept[1]
+        assert np.array_equal(result.solution.assignment, solution.assignment), spec
+        assert np.array_equal(result.solution.sequencing, solution.sequencing), spec
 
 
 @settings(max_examples=150, deadline=None)
