@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .queueing import ReliabilityParams
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RESOURCE_COUNT = 4
 DEFAULT_DISRUPTION_RATE = 0.5
@@ -377,9 +374,10 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
 
     The sidecar is a JSON document (or an equivalent mapping) with keys
     ``skill_count``, ``resources`` and ``requirements``; unknown or
-    missing keys and values of the wrong type are rejected.  Skills
-    demanded by no resource only produce a warning: the solver will prove
-    the instance infeasible.
+    missing keys and values of the wrong type are rejected.  Demand that
+    the resources cannot cover is accepted silently: callers read it from
+    :func:`skill_coverage_issues`, and the solver proves such an instance
+    infeasible.
     """
     data = json.loads(sidecar) if isinstance(sidecar, str) else sidecar
     _check_keys(data, _SIDECAR_KEYS, "sidecar")
@@ -450,15 +448,12 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         )
         for job in range(1, partial.job_count + 1)
     )
-    instance = ProjectInstance(
+    return ProjectInstance(
         activities=activities,
         precedence=partial.precedence_matrix(),
         resources=tuple(resources),
         skill_count=skill_count,
     )
-    for issue in skill_coverage_issues(instance):
-        logger.warning("%s", issue)
-    return instance
 
 
 def skill_coverage_issues(instance: ProjectInstance) -> tuple[str, ...]:

@@ -31,7 +31,6 @@ from .solver import (
     SolveLimits,
     SolveResult,
     SubproblemSpec,
-    _WarmStart,
     check_eps,
     lexicographic_outcome,
     solve,
@@ -132,16 +131,16 @@ def enumerate_front(
     levels 0 and N are the payoff table's points.  With ``bypass`` on,
     levels that an optimal solution's budget slack already covers are
     skipped.  An unproven payoff table makes its end levels "timeout".
-    All solves share one warm start, so each begins from the schedules
-    the earlier ones found.
+    All solves share one sequencing memo, so each assignment's orientation
+    search runs once per front.
     """
     if grid_count < 2:
         raise ValueError(f"grid_count must be >= 2, got {grid_count}")
     check_eps(eps)
-    warm = _WarmStart()
+    memo: dict = {}
     try:
-        lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits, warm=warm)
-        lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits, warm=warm)
+        lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits, warm=memo)
+        lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits, warm=memo)
     except InfeasibleProblemError as exc:
         return ParetoFront(points=(), payoff=None, grid_count=grid_count, diagnosis=str(exc))
 
@@ -170,7 +169,7 @@ def enumerate_front(
         elif p == last:
             result = _table_level(lex_cost, levels[p])
         else:
-            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits, warm=warm)
+            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits, warm=memo)
         records.append(_record_for(p, levels[p], result))
         skip = 0
         if result.solution is not None and result.status == "optimal":

@@ -10,11 +10,10 @@ floor per shared resource; an assignment node counts only its assigned
 activities, with their waits at the current counts, and adds the exact
 remaining-cost minimum.  Both levels run on one graph whose heads and
 tails are kept up to date, not recomputed, per node (see
-:class:`_BranchAndBound`).  The solves of one front share a
-:class:`_WarmStart`: every schedule an earlier solve ended with seeds
-the incumbent of a later one whose budget it meets, and each assignment
-is sequenced once, its outcome read back after.  ``brute_force_front``
-is the independent exhaustive oracle for small instances.
+:class:`_BranchAndBound`).  The solves of one front share a memo, so
+each assignment is sequenced once and its outcome read back after.
+``brute_force_front`` is the independent exhaustive oracle for small
+instances.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -171,22 +170,6 @@ def _slack(spec: SubproblemSpec, makespan: float, cost: float) -> float | None:
     return max(0.0, spec.budget - (cost if spec.primary == "makespan" else makespan))
 
 
-class _WarmStart:
-    """What the solves of one front on one instance share.
-
-    ``pool`` holds the incumbent every solve ended with, as ``(chosen,
-    arcs, makespan, cost)`` computed at its leaf.  ``memo`` maps an
-    assignment (its candidate indices in mixed radix) to its sequencing
-    outcome, which does not depend on the subproblem: ``(makespan,
-    arcs)``, its first shortest orientation, when proven, or ``(upper,
-    None)`` when no orientation has a makespan below ``upper``.
-    """
-
-    def __init__(self):
-        self.pool: list[tuple[list[int], list[tuple[int, int]], float, float]] = []
-        self.memo: dict[int, tuple[float, list[tuple[int, int]] | None]] = {}
-
-
 def _raise_longest_paths(
     values: list[float],
     arcs: list[list[int]],
@@ -265,12 +248,9 @@ class _BranchAndBound:
     two orders of one float sum tie; pruning and selection drop only
     leaves that would not replace it.
 
-    A :class:`_WarmStart` seeds the incumbent with the best pool schedule
-    within the budget, ``_PRUNE_TOL`` above its value so that the first
-    leaf tying it replaces it, and a leaf reads its sequencing outcome from
-    the memo when the entry decides the leaf's bound.  Neither changes the
-    schedule returned; the seed comes back only from a search that a limit
-    cut short.
+    A leaf reads its sequencing outcome from the memo ``warm``, shared by
+    the solves of one front, when the entry decides the leaf's bound (see
+    ``_sequenced``).  That does not change the schedule returned.
     """
 
     def __init__(
@@ -278,7 +258,7 @@ class _BranchAndBound:
         instance: ProjectInstance,
         spec: SubproblemSpec,
         limits: SolveLimits,
-        warm: _WarmStart | None = None,
+        warm: dict | None = None,
     ):
         self.instance = instance
         self.spec = spec
@@ -364,25 +344,11 @@ class _BranchAndBound:
         self.undo: list[_UndoLog] = []
         self.nodes = 0
         self.timed_out = False
-        self.warm = warm or _WarmStart()
+        # Not ``warm or {}``: that would unshare a shared memo while it is empty.
+        self.memo = {} if warm is None else warm
         self.best_f = math.inf
-        # (chosen, arcs, makespan, cost), the shape of a pool entry.
+        # The incumbent leaf: (chosen, arcs, makespan, cost).
         self.best: tuple[list[int], list[tuple[int, int]], float, float] | None = None
-        # Seed with the best pool schedule within the budget, at a value a
-        # leaf within _PRUNE_TOL of it still beats: the search then keeps the
-        # first optimal leaf in its order, as it does unseeded.
-        for entry in self.warm.pool:
-            _, _, makespan, cost = entry
-            if spec.primary == "makespan":
-                if spec.budget is not None and cost > spec.budget + _BUDGET_TOL:
-                    continue
-                f = makespan - _slack_reward(spec, cost)
-            else:
-                if spec.budget is not None and not makespan < spec.budget + _BUDGET_TOL:
-                    continue
-                f = cost
-            if f + 2 * _PRUNE_TOL < self.best_f:
-                self.best_f, self.best = f + 2 * _PRUNE_TOL, entry
         self.deadline = time.perf_counter() + limits.time_limit
 
     # -- bounds -------------------------------------------------------
@@ -545,10 +511,15 @@ class _BranchAndBound:
 
     def _sequenced(self, upper: float) -> tuple[float, list[tuple[int, int]]] | None:
         """Best makespan below ``upper`` of the current assignment, with every
-        arc between users of one resource.  Read from the memo when its entry
-        decides ``upper``; else searched, and memoized unless a limit cut the
-        search short."""
-        memo = self.warm.memo
+        arc between users of one resource.
+
+        The memo maps an assignment (its candidate indices in mixed radix)
+        to an outcome that does not depend on the subproblem: ``(makespan,
+        arcs)``, its first shortest orientation, once proven, or ``(upper,
+        None)`` when no orientation has a makespan below ``upper``.  It is
+        read when its entry decides ``upper``; else the assignment is
+        searched, and memoized unless a limit cut the search short."""
+        memo = self.memo
         key = sum(c * r for c, r in zip(self.chosen, self.radix))
         entry = memo.get(key)
         if entry is not None:
@@ -681,7 +652,7 @@ def solve(
     spec: SubproblemSpec,
     limits: SolveLimits | None = None,
     *,
-    warm: _WarmStart | None = None,
+    warm: dict | None = None,
 ) -> SolveResult:
     """Prove the optimum of ``spec`` by depth-first branch and bound.
 
@@ -689,13 +660,12 @@ def solve(
     the optimized quantity is makespan - eps * slack / objective_range
     with slack = e - cost, i.e. ties in makespan are broken toward larger
     budget slack.  Returns a timeout status with the incumbent when a
-    limit is hit.  ``wall_time`` covers the search, not the rebuilding
-    of the best schedule.  ``warm``, shared by the solves of one front on
-    ``instance``, starts the search from what earlier solves found and
-    keeps what this one finds (see :class:`_WarmStart`).  The schedule
-    returned is the first optimal leaf in a fixed order (see
-    :class:`_BranchAndBound`), so it is the one a solve without ``warm``
-    returns.
+    limit is hit, or with none when the limit came before the first
+    leaf.  ``wall_time`` covers the search, not the rebuilding of the best
+    schedule.  ``warm`` is the sequencing memo shared by the solves of one
+    front on ``instance``; it saves searches, and a solve without it
+    returns the same schedule: the first optimal leaf in a fixed order
+    (see :class:`_BranchAndBound`).
     """
     limits = limits or SolveLimits()
     started = time.perf_counter()
@@ -706,8 +676,6 @@ def solve(
     if bb.best is None:
         status = "timeout" if bb.timed_out else "infeasible"
         return SolveResult(status, None, None, None, bb.nodes, wall)
-    if bb.best not in bb.warm.pool:
-        bb.warm.pool.append(bb.best)
     solution, objectives = bb.materialize()
     status = "timeout" if bb.timed_out else "optimal"
     _, _, makespan, cost = bb.best
@@ -732,24 +700,29 @@ def lexicographic_outcome(
     order: tuple[str, str] = ("makespan", "cost"),
     limits: SolveLimits | None = None,
     *,
-    warm: _WarmStart | None = None,
+    warm: dict | None = None,
 ) -> LexOutcome:
     """Optimize ``order[0]``, then ``order[1]`` with the first held at its optimum.
 
-    Both solves share ``warm`` (or a private one), so stage 2 starts from
-    stage 1's schedule and returns it, as "timeout", if a limit cuts it short.
+    Both solves share the memo ``warm`` (or a private one).  Stage 1's
+    schedule meets stage 2's budget, so a stage 2 that a limit cuts short
+    before a schedule of its own returns stage 1's, with its own status.
     """
     first, second = order
     if {first, second} != {"makespan", "cost"}:
         raise ValueError(f"order must name makespan and cost, got {order!r}")
-    warm = warm or _WarmStart()
+    warm = {} if warm is None else warm
     stage1 = solve(instance, SubproblemSpec(primary=first), limits, warm=warm)
     if stage1.objectives is None:
         raise InfeasibleProblemError(
             f"no feasible solution while optimizing {first} (status {stage1.status})"
         )
-    first_value = getattr(stage1.objectives, first)
-    stage2 = solve(instance, SubproblemSpec(primary=second, budget=first_value), limits, warm=warm)
+    spec = SubproblemSpec(primary=second, budget=getattr(stage1.objectives, first))
+    stage2 = solve(instance, spec, limits, warm=warm)
+    if stage2.solution is None:
+        objectives = stage1.objectives
+        slack = _slack(spec, objectives.makespan, objectives.cost)
+        stage2 = replace(stage2, solution=stage1.solution, objectives=objectives, slack=slack)
     statuses = (stage1.status, stage2.status)
     return LexOutcome(objectives=stage2.objectives, result=stage2, statuses=statuses)
 

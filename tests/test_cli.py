@@ -505,6 +505,20 @@ class TestSweep:
         assert scaled
         assert all(r.split(",")[6] == "1" for r in scaled)
 
+    def test_flagged_rows_of_proven_fronts_exit_zero(self, toy_paths, tmp_path, capsys):
+        # Both fronts are proved; the scaled one has two points more, so its
+        # rows 4 and 5 have no baseline point.  That flags them, and the
+        # exit code still follows the pareto rule alone.
+        sm, ext = toy_paths
+        code = main(["sweep", "--instance", sm, "--extension", ext, "--parameter",
+                     "retrieval", "--multipliers", "1.0,1.4", "--grid", "4",
+                     "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert "x1: 3 points" in out and "x1.4: 5 points" in out
+        rows = (tmp_path / "sweep_retrieval.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[6] for row in rows] == ["0"] * 6 + ["1"] * 2
+        assert code == 0
+
 
     @pytest.mark.parametrize("command", [["pareto"], ["sweep", *_SWEEP_ONE]], ids=["pareto", "sweep"])
     def test_infeasible_instance_exits_one(self, data_dir, tmp_path, command):
@@ -681,6 +695,23 @@ class TestColdStart:
 
 
 class TestConsoleScript:
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_skill_coverage_issue_reported_once(self, data_dir, tmp_path, command):
+        # validate prints the issue; a solving command logs it.  Either way
+        # it appears once across stdout and stderr.
+        src = str(Path(msrcpspr.__file__).resolve().parent.parent)
+        sm, ext = _toy5_infeasible(tmp_path, data_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "msrcpspr", command, "--instance", sm, "--extension", ext,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        issue = "activity 2 requires 3 resources with skill 1, only 2 master it"
+        assert (proc.stdout + proc.stderr).count(issue) == 1
+        assert proc.returncode == (0 if command == "validate" else 1)
+
     def test_module_entry_point_runs(self, toy_paths, tmp_path):
         src = str(Path(msrcpspr.__file__).resolve().parent.parent)
         sm, ext = toy_paths

@@ -77,7 +77,7 @@ def count_grid_solves(monkeypatch) -> list:
 class TestEnumerateFront:
     @pytest.mark.parametrize(
         "name,solves,nodes",
-        [("toy5", 7, 153), ("j10", 7, 1694), ("j20", 10, 11797)],
+        [("toy5", 7, 159), ("j10", 7, 1703), ("j20", 10, 11801)],
         ids=["toy5", "j10", "j20"],
     )
     def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msrcpspr import pareto
+from msrcpspr import pareto, solver
 
 from msrcpspr.instance import ValidationError, topological_order, validate
 from msrcpspr.queueing import InstabilityError, QueueOperatingPoint, waiting_time
@@ -19,7 +19,6 @@ from msrcpspr.solver import (
     SolveLimits,
     SubproblemSpec,
     _BranchAndBound,
-    _WarmStart,
     _slack_reward,
     brute_force_front,
     enumerate_assignments,
@@ -514,13 +513,13 @@ def test_leaf_closed_by_its_root_floor(monkeypatch):
         brute = _exhaustive_makespan(bb, decisions)
         assert makespan == pytest.approx(brute, abs=1e-12)
         assert brute >= floor
-        bb.warm = _WarmStart()
+        bb.memo = {}
         nodes = bb.nodes
         assert bb._sequenced(floor) is None
         assert bb.nodes == nodes + 1
         assert built == []
         key = sum(c * r for c, r in zip(bb.chosen, bb.radix))
-        assert bb.warm.memo == {key: (floor, None)}
+        assert bb.memo == {key: (floor, None)}
         # A search below the root that does not stop at its floor agrees.
         bb.root_bound = -math.inf
         assert original(bb, floor) is None
@@ -992,14 +991,9 @@ def test_limits_that_never_or_always_stop_are_rejected(limits):
         SolveLimits(**limits)
 
 
-class _Cold(_WarmStart):
-    """A warm start that keeps nothing, so every solve of a front is cold."""
-
-    def __init__(self):
-        pass
-
-    pool = property(lambda self: [])
-    memo = property(lambda self: {})
+def _cold(instance, spec, limits=None, *, warm=None):
+    """``solve`` without the front's memo, so every solve of a front is cold."""
+    return solve(instance, spec, limits)
 
 
 def _memo_key_chosen(bb: _BranchAndBound, key: int) -> list[int]:
@@ -1016,23 +1010,24 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
     # below any bound above it and nothing at or below it, or no
     # orientation below the stored bound.  A leaf reading the entry gets
     # what the fresh search gets.
-    made = []
+    memos = []
 
-    class Recorded(_WarmStart):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
+    def recorded(instance, spec, limits=None, *, warm=None):
+        memos.append(warm)
+        return solve(instance, spec, limits, warm=warm)
 
-    monkeypatch.setattr(pareto, "_WarmStart", Recorded)
+    monkeypatch.setattr(pareto, "solve", recorded)
+    monkeypatch.setattr(solver, "solve", recorded)
     pareto.enumerate_front(j10, 10, eps=1e-4)
-    (warm,) = made
+    memo = memos[0]
+    assert len(memos) == 7 and all(m is memo for m in memos)
     bb = _BranchAndBound(j10, SubproblemSpec(primary="makespan"), SolveLimits())
     kinds = set()
-    for key, (value, arcs) in warm.memo.items():
+    for key, (value, arcs) in memo.items():
         for idx, cand_idx in enumerate(_memo_key_chosen(bb, key)):
             bb._assign(idx, cand_idx)
         for upper in (value - 1.0, value, value + 1e-9, value + 10.0, math.inf):
-            bb.warm = _WarmStart()
+            bb.memo = {}
             outcome = bb._sequenced(upper)
             if upper <= value:
                 assert outcome is None
@@ -1040,7 +1035,7 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
                 assert outcome == (value, arcs)
             elif upper == math.inf:
                 assert outcome[0] >= value
-            bb.warm.memo = {key: (value, arcs)}
+            bb.memo = {key: (value, arcs)}
             assert bb._sequenced(upper) == outcome
         kinds.add(arcs is None)
         for _ in bb.chosen[:]:
@@ -1053,8 +1048,7 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
 @given(instance=_guard_rail_instances(), eps=st.sampled_from((1e-4, 0.0)))
 @example(
     # With eps 0, grid level 1 has two makespan optima at different costs;
-    # the pool holds the later one in search order.  A seed that only a
-    # strictly better leaf replaces would come back in place of the first.
+    # the memo must not change which of the two comes back.
     instance=build_instance(
         durations={1: 0, 2: 2, 3: 3, 4: 0},
         successors={1: (2,), 2: (3,), 3: (4,)},
@@ -1070,7 +1064,7 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
 )
 def test_warm_front_equals_cold_front(instance, eps):
     warm = pareto.enumerate_front(instance, 10, eps=eps)
-    with mock.patch.object(pareto, "_WarmStart", _Cold):
+    with mock.patch.object(pareto, "solve", _cold), mock.patch.object(solver, "solve", _cold):
         cold = pareto.enumerate_front(instance, 10, eps=eps)
     assert pareto.front_csv(warm, include_timing=False) == pareto.front_csv(
         cold, include_timing=False
@@ -1082,17 +1076,9 @@ def test_warm_front_equals_cold_front(instance, eps):
         assert np.array_equal(a.solution.sequencing, b.solution.sequencing)
 
 
-def test_cut_solve_memoizes_nothing_and_returns_its_seed(j10, monkeypatch):
+def test_cut_solve_memoizes_nothing(j10, monkeypatch):
     spec = SubproblemSpec(primary="makespan")
-    warm = _WarmStart()
-    proved = solve(j10, spec, warm=warm)
-    assert proved.status == "optimal" and len(warm.pool) == 1
-    # Seeded with its own optimum, the search finds that schedule again.
-    again = solve(j10, spec, warm=warm)
-    assert again.status == "optimal" and again.nodes_explored < proved.nodes_explored
-    assert np.array_equal(again.solution.assignment, proved.solution.assignment)
-    assert np.array_equal(again.solution.sequencing, proved.solution.sequencing)
-
+    proved = solve(j10, spec)
     searches = []
     original = _BranchAndBound._sequenced
 
@@ -1102,34 +1088,23 @@ def test_cut_solve_memoizes_nothing_and_returns_its_seed(j10, monkeypatch):
         return outcome
 
     monkeypatch.setattr(_BranchAndBound, "_sequenced", watched)
-    for limit in range(1, again.nodes_explored):
+    memo = {}
+    for limit in range(1, proved.nodes_explored):
         searches.clear()
-        warm.memo.clear()
-        cut = solve(j10, spec, SolveLimits(node_limit=limit), warm=warm)
+        cut = solve(j10, spec, SolveLimits(node_limit=limit), warm=memo)
         if searches:
             break
     # The first limit that reaches a sequencing search cuts it short.
     assert searches == [True]
-    assert warm.memo == {}
-    assert cut.status == "timeout"
-    assert cut.objectives == proved.objectives
-    assert np.array_equal(cut.solution.assignment, proved.solution.assignment)
-    assert np.array_equal(cut.solution.sequencing, proved.solution.sequencing)
+    assert memo == {}
+    assert cut.status == "timeout" and cut.solution is None
 
-
-def test_pool_schedules_outside_the_budget_do_not_seed(j10):
-    warm = _WarmStart()
-    fastest = solve(j10, SubproblemSpec(primary="makespan"), warm=warm).objectives
-    cheapest = solve(j10, SubproblemSpec(primary="cost"), warm=warm).objectives
-    assert fastest.makespan < cheapest.makespan and cheapest.cost < fastest.cost
-    # Each budget admits only one of the two pooled schedules, and not the
-    # one that is better on the primary.
-    for spec in (
-        SubproblemSpec(primary="cost", budget=fastest.makespan),
-        SubproblemSpec(primary="makespan", budget=cheapest.cost),
-    ):
-        seeded, cold = solve(j10, spec, warm=warm), solve(j10, spec)
-        assert seeded.status == cold.status == "optimal"
-        assert seeded.objectives == cold.objectives
-        assert np.array_equal(seeded.solution.assignment, cold.solution.assignment)
-        assert np.array_equal(seeded.solution.sequencing, cold.solution.sequencing)
+    # A leaf is len(acts) assignments below the root, so a solve cut at
+    # len(acts) nodes reaches none and has no schedule, however full the
+    # memo is.
+    solve(j10, spec, warm=memo)
+    assert memo
+    depth = len(_BranchAndBound(j10, spec, SolveLimits()).acts)
+    early = solve(j10, spec, SolveLimits(node_limit=depth), warm=memo)
+    assert early.status == "timeout"
+    assert early.solution is None and early.objectives is None
