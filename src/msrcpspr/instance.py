@@ -186,6 +186,8 @@ def parse_psplib(text: str) -> PartialInstance:
             if len(fields) < 3:
                 raise ParseError("precedence row needs jobnr, #modes, #successors", row + 1)
             job, _modes, nsucc = fields[0], fields[1], fields[2]
+            if not 1 <= job <= job_count:
+                raise ParseError(f"precedence row for job {job} outside 1..{job_count}", row + 1)
             succs = tuple(fields[3:])
             if len(succs) != nsucc:
                 raise ParseError(
@@ -214,6 +216,8 @@ def parse_psplib(text: str) -> PartialInstance:
                     row + 1,
                 )
             job = fields[0]
+            if not 1 <= job <= job_count:
+                raise ParseError(f"request row for job {job} outside 1..{job_count}", row + 1)
             if job in durations:
                 raise ParseError(f"duplicate request row for job {job}", row + 1)
             durations[job] = fields[2]
@@ -424,6 +428,7 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
         raise ValidationError("resource ids must be contiguous starting at 1")
 
     requirements: dict[int, dict[int, int]] = {}
+    seen: set[tuple[int, int]] = set()
     for entry in _entries(data, "requirements"):
         where = f"requirement entry {entry!r}"
         _check_keys(entry, _REQUIREMENT_KEYS, where)
@@ -437,6 +442,9 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
             raise ValidationError(f"requirement uses skill {skill} outside 1..{skill_count}")
         if count < 0:
             raise ValidationError(f"requirement count must be >= 0, got {count}")
+        if (act, skill) in seen:
+            raise ValidationError(f"second requirement entry for activity {act} skill {skill}")
+        seen.add((act, skill))
         if count > 0:
             requirements.setdefault(act, {})[skill] = count
 

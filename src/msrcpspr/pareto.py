@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .instance import ProjectInstance
-from .schedule import ScheduleSolution, _fmt
+from .schedule import TOL, ScheduleSolution, _fmt
 from .solver import (
     InfeasibleProblemError,
     LexOutcome,
@@ -38,7 +38,6 @@ from .solver import (
 
 DEFAULT_GRID_COUNT = 10
 DEFAULT_EPS = 1e-4
-_RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ class ParetoFront:
 
 
 def dominance_filter(points):
-    """Points not weakly dominated by any other, makespan ascending.
-
+    """Points not weakly dominated by any other, makespan ascending; a
+    cheaper point within ``TOL`` of the last kept makespan replaces it.
     Works on anything exposing ``makespan``/``cost`` or indexable pairs;
     duplicates collapse to their first occurrence.
     """
@@ -99,8 +98,10 @@ def dominance_filter(points):
     kept = []
     best_cost = math.inf
     for p in sorted(points, key=key):
-        _, cost = key(p)
+        makespan, cost = key(p)
         if cost < best_cost:
+            if kept and makespan <= key(kept[-1])[0] + TOL:
+                kept.pop()
             kept.append(p)
             best_cost = cost
     return kept
@@ -129,7 +130,7 @@ def enumerate_front(
     cost range into ``grid_count`` steps (levels p = 0..N), and minimizes
     makespan at every interior level with the augmented slack reward;
     levels 0 and N are the payoff table's points.  With ``bypass`` on,
-    levels that an optimal solution's budget slack already covers are
+    later levels whose budget an optimal point meets within ``TOL`` are
     skipped.  An unproven payoff table makes its end levels "timeout".
     All solves share one sequencing memo, so each assignment's orientation
     search runs once per front.
@@ -156,7 +157,7 @@ def enumerate_front(
         diagnosis = f"payoff table built from non-optimal solves: {sorted(statuses)}"
 
     objective_range = payoff.cost_nis - payoff.cost_pis
-    last = grid_count if objective_range > _RANGE_TOL else 0
+    last = grid_count if objective_range > TOL else 0
     step = objective_range / grid_count
     levels = [payoff.cost_nis - p * step for p in range(last + 1)]
     records: list[GridRecord] = []
@@ -175,7 +176,7 @@ def enumerate_front(
         if result.solution is not None and result.status == "optimal":
             found.append(_point_for(p, result))
             if bypass and result.slack is not None and step > 0:
-                skip = math.floor(result.slack / step + 1e-12)
+                skip = math.floor((result.slack + TOL) / step)
         for bypassed in range(p + 1, min(p + skip, last) + 1):
             records.append(
                 GridRecord(

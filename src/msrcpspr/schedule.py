@@ -17,7 +17,14 @@ import numpy as np
 from .instance import ProjectInstance, topological_order
 from .queueing import InstabilityError, QueueOperatingPoint, waiting_time
 
+# Model quantities (times, costs, budgets, residuals, weight sums) within TOL
+# are one value.  A later candidate replaces the kept one only when better by
+# more than TIE_TOL, so one float sum taken in two orders ties.  TIE_TOL is
+# absolute and absorbs that only below magnitude 4096, where two ulps are
+# 9.1e-13 (j20's front makespans are 68-125); a cost such as j20's 65,500 has
+# an ulp of 7.3e-12, so budgets derived from cost_nis - p*step need TOL.
 TOL = 1e-9
+TIE_TOL = 1e-12
 
 
 class CycleError(ValueError):
@@ -353,7 +360,7 @@ _CHART_WIDTH = 720
 def gantt_svg(rows: list[GanttRow], title: str = "schedule") -> str:
     """Standalone SVG chart; waits are drawn as light blocks after processing."""
     span = max((row.start + row.duration + row.wait for row in rows), default=1.0)
-    span = max(span, 1e-9)
+    span = max(span, TOL)
     scale = _CHART_WIDTH / span
     height = _MARGIN_TOP + _ROW_HEIGHT * len(rows) + 40
     width = _MARGIN_LEFT + _CHART_WIDTH + 20

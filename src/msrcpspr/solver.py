@@ -30,6 +30,8 @@ import numpy as np
 from .instance import ProjectInstance, ValidationError, topological_order
 from .queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from .schedule import (
+    TIE_TOL,
+    TOL,
     CycleError,
     ObjectiveValues,
     ScheduleSolution,
@@ -42,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pareto import ParetoFront
 
 EPS_RANGE = (1e-6, 1e-3)
-_PRUNE_TOL = 1e-12
-_BUDGET_TOL = 1e-9
 
 # (array, index, old value) entries, restored in reverse on backtrack.
 _UndoLog = list[tuple[list, int, object]]
@@ -237,16 +237,16 @@ class _BranchAndBound:
     node is pruned when its makespan or a floor reaches the incumbent, and
     the sequencing stops once a leaf reaches its root's bound.  Most leaves
     end at their root's floor, so it is tested before any pair is built.
-    Immediate selection (Carlier & Pinson) at the root and at each node
-    that passes its floor gives an open pair the other orientation when one
-    reaches the incumbent, for the whole subtree: it cuts only leaves that
-    a branch deeper down would cut.  Each pair (i, j) is tried as i->j,
-    then as j->i, so the tree is fixed and the schedule returned is the
-    first optimal leaf: in the order of the candidates of ``acts``, then of
-    the orientations of the sorted pairs.  At both levels a later leaf
-    replaces the kept one only when better by more than ``_PRUNE_TOL``, so
-    two orders of one float sum tie; pruning and selection drop only
-    leaves that would not replace it.
+    Immediate selection (Carlier & Pinson) at each node, before its floor
+    test (the arcs only raise the floor), gives an open pair the other
+    orientation when one reaches the incumbent, for the whole subtree: it
+    cuts only leaves that a branch deeper down would cut.  Each pair (i, j)
+    is tried as i->j, then as j->i, so the tree is fixed and the schedule
+    returned is the first optimal leaf: in the order of the candidates of
+    ``acts``, then of the orientations of the sorted pairs.  A budget holds
+    within ``TOL``; at both levels a later leaf replaces the kept one only
+    when better by more than ``TIE_TOL``, so two orders of one float sum
+    tie; pruning and selection drop only leaves that would not replace it.
 
     A leaf reads its sequencing outcome from the memo ``warm``, shared by
     the solves of one front, when the entry decides the leaf's bound (see
@@ -376,11 +376,11 @@ class _BranchAndBound:
         spec = self.spec
         primary_lb = self._makespan_lb() if spec.primary == "makespan" else self._cost_lb()
         if spec.budget is None:
-            return primary_lb >= self.best_f - _PRUNE_TOL
+            return primary_lb >= self.best_f - TIE_TOL
         secondary_lb = self._cost_lb() if spec.primary == "makespan" else self._makespan_lb()
-        if secondary_lb > spec.budget + _BUDGET_TOL:
+        if secondary_lb > spec.budget + TOL:
             return True
-        return primary_lb - _slack_reward(spec, secondary_lb) >= self.best_f - _PRUNE_TOL
+        return primary_lb - _slack_reward(spec, secondary_lb) >= self.best_f - TIE_TOL
 
     # -- search -------------------------------------------------------
 
@@ -496,9 +496,9 @@ class _BranchAndBound:
         # primary) or below the incumbent (cost primary).
         if spec.primary == "makespan":
             bonus = _slack_reward(spec, cost)
-            upper = self.best_f - _PRUNE_TOL + bonus
+            upper = self.best_f - TIE_TOL + bonus
         else:
-            upper = math.inf if spec.budget is None else spec.budget + _BUDGET_TOL
+            upper = math.inf if spec.budget is None else spec.budget + TOL
         outcome = self._sequenced(upper)
         if outcome is None:
             return
@@ -552,8 +552,7 @@ class _BranchAndBound:
                 decisions.append((i, j))
         if not decisions:  # The root is a leaf; its floor covers its makespan.
             return self.heads[self.sink], fixed
-        # A leaf is kept when its makespan is below seq_best, which then
-        # falls to that makespan less _PRUNE_TOL, the assignment search's tie.
+        # A leaf below seq_best is kept and lowers it to its makespan - TIE_TOL.
         self.seq_best = upper
         self.seq_leaf: tuple[float, list[tuple[int, int]]] | None = None
         self.selected: list[tuple[int, int]] = []
@@ -576,21 +575,19 @@ class _BranchAndBound:
             return
         self.nodes += 1
         current = self.heads[self.sink]
-        if idx == len(decisions):
-            if current < self.seq_best:
-                self.seq_best = current - _PRUNE_TOL
-                arcs = [(i, j) if (self.reach[i] >> j) & 1 else (j, i) for i, j in decisions]
-                self.seq_leaf = (current, arcs)
-            return
-        if self._floor() < self.seq_best:
+        if idx < len(decisions):
             self._branch(decisions, idx)
+        elif current < self.seq_best:
+            self.seq_best = current - TIE_TOL
+            arcs = [(i, j) if (self.reach[i] >> j) & 1 else (j, i) for i, j in decisions]
+            self.seq_leaf = (current, arcs)
 
     def _select(self, decisions: list[tuple[int, int]], idx: int) -> bool:
         """Orient each open pair of ``decisions[idx:]`` against the one
         orientation that reaches the incumbent, onto ``selected``, until no
         pair changes; False once a pair reaches it both ways or the floor does."""
         heads, after, w, reach = self.heads, self.after, self.weights, self.reach
-        best, mark, changed = self.seq_best, len(self.selected), True
+        best, changed = self.seq_best, True
         while changed:
             changed = False
             for i, j in decisions[idx:]:
@@ -605,7 +602,7 @@ class _BranchAndBound:
                     self._add_arc(*arc)
                     self.selected.append(arc)
                     changed = True
-        return len(self.selected) == mark or self._floor() < best
+        return self._floor() < best
 
     def _branch(self, decisions: list[tuple[int, int]], idx: int) -> None:
         """Select, then search ``decisions[idx]`` = (i, j) as i->j and then
@@ -741,8 +738,8 @@ def brute_force_front(instance: ProjectInstance) -> "ParetoFront":
     Enumerates every assignment satisfying the skill requirements, every
     orientation of every resource-sharing pair, completes start times
     through :func:`~msrcpspr.schedule.tighten_starts`, and keeps the
-    nondominated (makespan, cost) pairs, makespans compared with the
-    solver's budget tolerance.  Refuses instances beyond
+    (makespan, cost) pairs that :func:`~msrcpspr.pareto.dominance_filter`
+    keeps, the rule the solver's fronts share.  Refuses instances beyond
     6 executable activities, 4 resources or 3 skills.
     """
     from .pareto import ParetoFront, ParetoPoint, PayoffTable, dominance_filter
@@ -800,14 +797,7 @@ def brute_force_front(instance: ProjectInstance) -> "ParetoFront":
                     solution=solution,
                 )
             )
-    # The solver holds makespans within _BUDGET_TOL to be one value, so of
-    # two such points only the cheaper one (sorted last) is nondominated.
     front_points = dominance_filter(points)
-    front_points = [
-        p
-        for p, q in zip(front_points, front_points[1:] + [None])
-        if q is None or q.makespan > p.makespan + _BUDGET_TOL
-    ]
     if not front_points:
         return ParetoFront(
             points=(), payoff=None, grid_count=0, diagnosis="no feasible solution"

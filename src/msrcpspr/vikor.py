@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedule import _fmt
+from .schedule import TIE_TOL, TOL, _fmt
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,7 @@ def check_weights(weights: Sequence[float], v: float) -> None:
     """Reject criterion weights other than two nonnegative values summing
     to 1, and a strategy weight outside [0, 1]; NaN fails both."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (2,) or not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= 1e-9):
+    if w.shape != (2,) or not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= TOL):
         raise ValueError(f"weights must be two nonnegative values summing to 1, got {weights!r}")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"strategy weight v must lie in [0, 1], got {v!r}")
@@ -131,11 +131,11 @@ def rank(
 def select_compromise(ranking: VikorRanking) -> tuple[int, ...]:
     """Alternatives proposed as the compromise solution.
 
-    With acceptable advantage (Q gap to the runner-up at least
-    1/(m - 1)) and acceptable stability (the Q-best also leads by S or
-    by R) the best alternative stands alone.  Failing only stability
-    keeps the runner-up as well; failing advantage keeps every
-    alternative whose Q gap stays below the threshold.
+    With acceptable advantage (Q gap to the runner-up at least 1/(m - 1))
+    and acceptable stability (the Q-best also leads by S or by R) the best
+    alternative stands alone.  Failing only stability keeps the runner-up as
+    well; failing advantage keeps every alternative whose Q gap stays below
+    the threshold.  Each test counts values within ``TIE_TOL`` as equal.
     """
     m = len(ranking.alternatives)
     if m == 1:
@@ -144,16 +144,16 @@ def select_compromise(ranking: VikorRanking) -> tuple[int, ...]:
     q = ranking.q
     best = order[0]
     dq = 1.0 / (m - 1)
-    advantage = q[order[1]] - q[best] >= dq - 1e-12
+    advantage = q[order[1]] - q[best] >= dq - TIE_TOL
     stability = (
-        abs(ranking.s[best] - min(ranking.s)) <= 1e-12
-        or abs(ranking.r[best] - min(ranking.r)) <= 1e-12
+        abs(ranking.s[best] - min(ranking.s)) <= TIE_TOL
+        or abs(ranking.r[best] - min(ranking.r)) <= TIE_TOL
     )
     if advantage and stability:
         return (best,)
     if advantage:
         return (best, order[1])
-    cutoff = [j for j in order if q[j] - q[best] < dq - 1e-12]
+    cutoff = [j for j in order if q[j] - q[best] < dq - TIE_TOL]
     return tuple(cutoff)
 
 

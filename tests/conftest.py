@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -52,6 +53,25 @@ def build_instance(*, durations, successors, skill_count, resources, requirement
         precedence=precedence,
         resources=profiles,
         skill_count=skill_count,
+    )
+
+
+def relabel(instance: ProjectInstance, order) -> ProjectInstance:
+    """``instance`` with executable activity ``order[k]`` renamed k + 2.
+
+    The dummies keep ids 1 and n, and every activity keeps its duration,
+    requirements and arcs, so the new numbering need not be topological.
+    """
+    old = [1, *order, instance.n_nodes]
+    rows = np.array(old) - 1
+    return ProjectInstance(
+        activities=tuple(
+            dataclasses.replace(instance.activities[o - 1], id=new)
+            for new, o in enumerate(old, start=1)
+        ),
+        precedence=instance.precedence[np.ix_(rows, rows)],
+        resources=instance.resources,
+        skill_count=instance.skill_count,
     )
 
 

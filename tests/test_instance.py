@@ -89,6 +89,28 @@ class TestParsePsplib:
         with pytest.raises(ParseError, match="declares 2 successors"):
             parse_psplib(bad)
 
+    @pytest.mark.parametrize("job", [0, 6])
+    def test_precedence_row_outside_job_range(self, job):
+        # The extra row sits right after the row of job 5, on line 13.
+        bad = CHAIN5_SM.replace(
+            "   5        1          0\n",
+            f"   5        1          0\n{job:4d}        1          0\n",
+        )
+        with pytest.raises(ParseError, match=rf"precedence row for job {job} outside 1\.\.5") as exc:
+            parse_psplib(bad)
+        assert exc.value.line == 13
+
+    @pytest.mark.parametrize("job", [0, 6])
+    def test_request_row_outside_job_range(self, job):
+        # The extra row sits right after the row of job 5, on line 22.
+        bad = CHAIN5_SM.replace(
+            "   5      1     0       0\n",
+            f"   5      1     0       0\n{job:4d}      1     2       1\n",
+        )
+        with pytest.raises(ParseError, match=rf"request row for job {job} outside 1\.\.5") as exc:
+            parse_psplib(bad)
+        assert exc.value.line == 22
+
     def test_roundtrip_identity(self, data_dir):
         for name in ("toy5.sm", "j10.sm", "j20.sm"):
             partial = read_psplib(data_dir / name)
@@ -184,6 +206,16 @@ class TestLoadExtension:
             "requirements": [{"activity": 1, "skill": 1, "count": 1}],
         }
         with pytest.raises(ValidationError, match="non-executable"):
+            load_extension(partial, sidecar)
+
+    @pytest.mark.parametrize("count", [2, 0])
+    def test_second_requirement_entry_rejected(self, data_dir, count):
+        # A repeated (activity, skill) is rejected whatever its count, so
+        # neither entry silently wins.
+        partial = read_psplib(data_dir / "toy5.sm")
+        sidecar = json.loads((data_dir / "toy5_skills.json").read_text(encoding="utf-8"))
+        sidecar["requirements"].append({"activity": 2, "skill": 1, "count": count})
+        with pytest.raises(ValidationError, match="second requirement entry for activity 2 skill 1"):
             load_extension(partial, sidecar)
 
     def test_cost_must_cover_mastered_skills(self):

@@ -11,6 +11,7 @@ from msrcpspr.pareto import (
     front_csv,
     plain_epsilon_front,
 )
+from msrcpspr.schedule import TOL
 from msrcpspr.solver import (
     SolveLimits,
     SubproblemSpec,
@@ -43,6 +44,18 @@ class TestDominanceFilter:
     def test_weak_dominance_dropped(self):
         assert dominance_filter([(50.0, 100.0), (60.0, 100.0)]) == [(50.0, 100.0)]
         assert dominance_filter([(50.0, 100.0), (50.0, 120.0)]) == [(50.0, 100.0)]
+
+    def test_makespans_within_tol_are_one_value(self):
+        # The solver holds makespans within TOL to be one value, so of two
+        # such points only the cheaper one is nondominated; a gap above TOL
+        # is a trade-off.
+        assert dominance_filter([(50.0, 120.0), (50.0 + 1e-10, 100.0)]) == [(50.0 + 1e-10, 100.0)]
+        chain = [(50.0, 130.0), (50.0 + 0.6 * TOL, 120.0), (50.0 + 1.2 * TOL, 110.0)]
+        assert dominance_filter(chain) == chain[2:]
+        assert dominance_filter([(50.0, 120.0), (50.0 + 2 * TOL, 100.0)]) == [
+            (50.0, 120.0),
+            (50.0 + 2 * TOL, 100.0),
+        ]
 
     def test_mixed_objects(self):
         points = [

@@ -13,8 +13,6 @@ from msrcpspr import pareto, solver
 from msrcpspr.instance import ValidationError, topological_order, validate
 from msrcpspr.queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
-    _BUDGET_TOL,
-    _PRUNE_TOL,
     GuardRailError,
     SolveLimits,
     SubproblemSpec,
@@ -26,9 +24,16 @@ from msrcpspr.solver import (
     lexicographic_outcome,
     solve,
 )
-from msrcpspr.schedule import CycleError, earliest_starts, evaluate, tighten_starts
+from msrcpspr.schedule import TIE_TOL, TOL, CycleError, earliest_starts, evaluate, tighten_starts
 
-from conftest import build_instance, chain3_instance, random_small_instance, single1_instance
+from conftest import (
+    build_instance,
+    chain3_instance,
+    random_small_instance,
+    relabel,
+    single1_instance,
+)
+from test_pareto import sufficient_grid
 
 
 class TestEnumerateAssignments:
@@ -366,11 +371,11 @@ def _exhaustive_makespan(bb: _BranchAndBound, decisions: list[tuple[int, int]]) 
 
 def _first_kept(items, value):
     """What a scan of ``items`` in order keeps when a later item replaces
-    the kept one only if its ``value`` is lower by more than ``_PRUNE_TOL``
+    the kept one only if its ``value`` is lower by more than ``TIE_TOL``
     (two orders of one float sum differ by an ulp, and tie)."""
     kept, kept_value = None, math.inf
     for item in items:
-        if value(item) < kept_value - _PRUNE_TOL:
+        if value(item) < kept_value - TIE_TOL:
             kept, kept_value = item, value(item)
     return kept
 
@@ -380,7 +385,7 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # child graph, the maintained heads and tails must equal fresh passes
     # bit for bit at every node, every floor must equal its generator-form
     # recomputation, and the search must return the best of all
-    # orientations, the first of them (within ``_PRUNE_TOL``) in the order
+    # orientations, the first of them (within ``TIE_TOL``) in the order
     # that tries i->j before j->i.  Every arc selection fixes must hold in
     # every orientation below the node whose makespan is below the
     # incumbent at that moment, and a node selection closes must have none.
@@ -814,6 +819,35 @@ def test_solve_matches_oracle_on_drawn_instances(instance):
         assert by_cost.objectives.cost == pytest.approx(point.cost, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(instance=_guard_rail_instances(), data=st.data())
+def test_front_does_not_depend_on_activity_numbering(instance, data):
+    # The search orders its activities, pairs and memo keys by label; a
+    # relabelling, topological or not, must still give the oracle's front.
+    order = data.draw(st.permutations(list(instance.executable_ids)))
+    relabelled = relabel(instance, order)
+    assert validate(relabelled) == []
+    oracle = brute_force_front(instance)
+    front = pareto.enumerate_front(relabelled, sufficient_grid(oracle), eps=1e-4)
+    assert front.pairs() == pytest.approx(oracle.pairs(), abs=TOL)
+
+
+@pytest.mark.parametrize("name", ["j10", "j20"])
+def test_bundled_fronts_do_not_depend_on_activity_numbering(name, request):
+    # Point schedules and node counts follow the labels; the objective
+    # pairs of the front must not.
+    instance = request.getfixturevalue(name)
+    front = pareto.enumerate_front(instance, 10, eps=1e-4)
+    rng = np.random.default_rng(20261019)
+    for _ in range(2):
+        order = [int(a) for a in rng.permutation(list(instance.executable_ids))]
+        relabelled = relabel(instance, order)
+        assert validate(relabelled) == []
+        assert np.tril(relabelled.precedence).any()  # an arc runs against the numbering
+        got = pareto.enumerate_front(relabelled, 10, eps=1e-4)
+        assert got.pairs() == pytest.approx(front.pairs(), abs=TOL)
+
+
 def _leaves(instance) -> list:
     """Every stable, acyclic leaf as (assignment, solution, makespan, cost):
     the candidates of ``acts`` in product order, then, per assignment, the
@@ -847,16 +881,16 @@ def _leaves(instance) -> list:
 def _first_optimal_leaf(leaves, spec: SubproblemSpec):
     """The leaf an exhaustive scan keeps: each assignment offers its first
     shortest orientation and a later assignment replaces the kept one only
-    when better on ``spec`` by more than ``_PRUNE_TOL``, both as
+    when better on ``spec`` by more than ``TIE_TOL``, both as
     ``_first_kept`` scans."""
 
     def objective(leaf):
         _, _, makespan, cost = leaf
         if spec.primary == "makespan":
-            if spec.budget is not None and cost > spec.budget + _BUDGET_TOL:
+            if spec.budget is not None and cost > spec.budget + TOL:
                 return math.inf
             return makespan - _slack_reward(spec, cost)
-        if spec.budget is not None and not makespan < spec.budget + _BUDGET_TOL:
+        if spec.budget is not None and not makespan < spec.budget + TOL:
             return math.inf
         return cost
 
