@@ -10,8 +10,10 @@ event-driven simulation of the same dynamics and acts as the independent
 cross-check for the closed form.  The simulation is vectorised: customers
 are mapped to the server's up-time clock and back by merge-ranks over
 sorted arrays, and the queue itself is a running maximum on that clock.
-Each run is streamed in batch-sized pieces, so its memory grows with the
-batch size and the breakdown trajectory, not with the number of customers.
+Each run is streamed in batch-sized pieces, and the breakdown trajectory
+is drawn in blocks beside them and dropped behind them, so a run's memory
+grows with the batch size, not with the number of customers or the
+length of the trajectory.
 """
 
 from __future__ import annotations
@@ -132,37 +134,70 @@ def _arrival_count(rng: np.random.Generator, rate: float, horizon: float) -> int
     return count
 
 
-def _environment(
-    rng: np.random.Generator, disruption: float, retrieval: float, operational_needed: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating up/down trajectory covering ``operational_needed`` up-time.
+class _Trajectory:
+    """A window on the server's alternating up/down trajectory.
 
-    Returns (up_starts, up_lengths, op_offsets): the i-th up period spans
-    real time [up_starts[i], up_starts[i] + up_lengths[i]) and begins at
-    cumulative operational time op_offsets[i].  The server starts up at 0.
+    The server starts up at 0.  The window holds the periods from the
+    global index ``base`` on: period ``base + k`` spans real time
+    [up_starts[k], up_starts[k] + up_lengths[k]) and begins at cumulative
+    up-time op_offsets[k].  Periods are drawn only when a run reaches
+    them, in blocks of ``_CHUNK`` up lengths followed by ``_CHUNK`` down
+    lengths, and both start times are sequential cumsums carried from
+    block to block, so every period has the values of the trajectory
+    drawn whole from the same stream.  :meth:`trim` drops the periods a
+    run has left behind.
     """
-    ups: list[np.ndarray] = []
-    downs: list[np.ndarray] = []
-    up_total = 0.0
-    while up_total <= operational_needed:
-        up_block = rng.exponential(1.0 / disruption, _CHUNK)
-        down_block = rng.exponential(1.0 / retrieval, _CHUNK)
-        ups.append(up_block)
-        downs.append(down_block)
-        up_total += float(up_block.sum())
-    up_lengths = np.concatenate(ups)
-    down_lengths = np.concatenate(downs)
-    cycle = up_lengths + down_lengths
-    up_starts = np.concatenate(([0.0], np.cumsum(cycle)[:-1]))
-    op_offsets = np.concatenate(([0.0], np.cumsum(up_lengths)[:-1]))
-    return up_starts, up_lengths, op_offsets
+
+    def __init__(self, rng: np.random.Generator, disruption: float, retrieval: float):
+        self._rng = rng
+        self._up_mean, self._down_mean = 1.0 / disruption, 1.0 / retrieval
+        self.base = 0
+        self.up_starts = self.up_lengths = self.op_offsets = np.empty(0)
+        # Real start and up-time offset of the first period not drawn yet.
+        self._next_start = self._next_offset = 0.0
+
+    @property
+    def window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(up_starts, up_lengths, op_offsets) of the periods held."""
+        return self.up_starts, self.up_lengths, self.op_offsets
+
+    def cover(self, t: float) -> None:
+        """Draw until a period starting after real time ``t`` is drawn."""
+        while self._next_start <= t:
+            self._extend()
+
+    def cover_up_time(self, op: float) -> None:
+        """Draw until the drawn periods hold at least ``op`` of up-time."""
+        while self._next_offset < op:
+            self._extend()
+
+    def trim(self, t: float, period: int) -> None:
+        """Drop the periods before both the global index ``period`` and the
+        period that holds real time ``t``."""
+        first = int(np.searchsorted(self.up_starts, t, side="right")) - 1
+        first = min(first, period - self.base)
+        self.up_starts, self.up_lengths, self.op_offsets = (a[first:] for a in self.window)
+        self.base += first
+
+    def _extend(self) -> None:
+        ups = self._rng.exponential(self._up_mean, _CHUNK)
+        ends = ups + self._rng.exponential(self._down_mean, _CHUNK)
+        ends[0] += self._next_start
+        np.cumsum(ends, out=ends)
+        op_ends = ups.copy()
+        op_ends[0] += self._next_offset
+        np.cumsum(op_ends, out=op_ends)
+        self.up_starts = np.concatenate((self.up_starts, [self._next_start], ends[:-1]))
+        self.up_lengths = np.concatenate((self.up_lengths, ups))
+        self.op_offsets = np.concatenate((self.op_offsets, [self._next_offset], op_ends[:-1]))
+        self._next_start, self._next_offset = float(ends[-1]), float(op_ends[-1])
 
 
-def _op_clock(
-    t: float, up_starts: np.ndarray, up_lengths: np.ndarray, op_offsets: np.ndarray
-) -> float:
+def _op_clock(t: float, trajectory: _Trajectory) -> float:
     """The server's cumulative up-time at real time ``t``, mapped as
-    :func:`_departure_times` maps an arrival."""
+    :func:`_departure_times` maps an arrival; the window must hold the
+    period of ``t``."""
+    up_starts, up_lengths, op_offsets = trajectory.window
     i = int(np.searchsorted(up_starts, t, side="right")) - 1
     return float(min(t - up_starts[i], up_lengths[i]) + op_offsets[i])
 
@@ -219,29 +254,58 @@ def _departure_times(
     up_lengths: np.ndarray,
     op_offsets: np.ndarray,
     carry: tuple[float, float, int] = (0.0, -math.inf, 0),
+    base: int = 0,
 ) -> tuple[np.ndarray, tuple[float, float, int]]:
     """Exact FIFO departure instants of one piece of a run, and its carry.
 
     Works on the operational clock (cumulative server up-time): mapping
     arrivals onto that clock turns the halted-server system into an
     ordinary single-server queue, whose departure epochs follow the
-    Lindley recursion; mapping back yields real departure times.
+    Lindley recursion (:func:`_operational_departures`); mapping back
+    yields real departure times (:func:`_real_departures`).
 
     ``carry`` is (service total, running maximum, up period of the last
     departure) of the customers before the piece; the default starts a
     run.  The returned carry continues it, so a run cut anywhere gives the
     departures of the uncut run bit for bit: the service total is a
     sequential cumsum, a maximum is exact, and departures never go back to
-    an earlier up period.
+    an earlier up period.  Both mappings pick the periods that one
+    ``np.searchsorted`` per customer picks, with the same arithmetic, so
+    the result is bit-identical to that formulation.
 
-    Both clock mappings are merge-ranks (:func:`_clock_rank`), so both
-    need sorted keys: ``arrivals`` must be non-empty and non-decreasing,
-    and then so are the operational departures, a running sum of services
-    plus a running maximum (rounding is monotone).  They pick the same up
-    periods as ``np.searchsorted(up_starts, arrivals, "right") - 1`` and
-    ``np.searchsorted(op_offsets + up_lengths, op_departures, "left")``,
-    and the arithmetic is the same, only done in place, so the result is
-    bit-identical to that formulation.
+    The trajectory arrays may be a window that starts at the global period
+    ``base``, as long as it holds every period from the carried one, and
+    from the one that holds the first arrival, up to the one that holds
+    the last departure.  The carried period is a global index.
+    :func:`simulate_queue` runs the two halves itself and grows its window
+    between them.
+    """
+    service_total, running_max, period = carry
+    op, service_total, running_max = _operational_departures(
+        arrivals, services, up_starts, up_lengths, op_offsets, service_total, running_max
+    )
+    departures, period = _real_departures(op, up_starts, up_lengths, op_offsets, period, base)
+    return departures, (service_total, running_max, period)
+
+
+def _operational_departures(
+    arrivals: np.ndarray,
+    services: np.ndarray,
+    up_starts: np.ndarray,
+    up_lengths: np.ndarray,
+    op_offsets: np.ndarray,
+    service_total: float,
+    running_max: float,
+) -> tuple[np.ndarray, float, float]:
+    """Departure epochs on the operational clock, and the carried service
+    total and running maximum after the piece.
+
+    The arrival mapping is a merge-rank (:func:`_clock_rank`), so
+    ``arrivals`` must be non-empty and non-decreasing; then so are the
+    operational departures, a running sum of services plus a running
+    maximum (rounding is monotone).  It picks the same up periods as
+    ``np.searchsorted(up_starts, arrivals, "right") - 1``, and the
+    arithmetic is the same, only done in place.
     """
     idx = _clock_rank(arrivals, up_starts, "right") - 1
     op = arrivals - up_starts[idx]
@@ -250,7 +314,6 @@ def _departure_times(
     del idx
 
     # delta_n = max(alpha_n, delta_{n-1}) + s_n, unrolled to a running max.
-    service_total, running_max, period = carry
     service_cum = services.copy()
     service_cum[0] += service_total
     np.cumsum(service_cum, out=service_cum)
@@ -259,16 +322,34 @@ def _departure_times(
     np.maximum.accumulate(op, out=op)
     service_total, running_max = float(service_cum[-1]), float(op[-1])
     op += service_cum
-    del service_cum
+    return op, service_total, running_max
 
+
+def _real_departures(
+    op: np.ndarray,
+    up_starts: np.ndarray,
+    up_lengths: np.ndarray,
+    op_offsets: np.ndarray,
+    period: int,
+    base: int,
+) -> tuple[np.ndarray, int]:
+    """Real times of the operational departures ``op``, mapped back in
+    place, and the global up period of the last one.
+
+    A merge-rank against the up-period ends from the global ``period`` on,
+    in a window that starts at the global period ``base``; it picks the
+    same periods as ``np.searchsorted(op_offsets + up_lengths, op, "left")``
+    on the whole trajectory.
+    """
     # Only periods from the carried one up to the first that starts at or
     # after the last departure can end before a departure of this piece.
+    first = period - base
     end = int(np.searchsorted(op_offsets, op[-1], side="left"))
-    j = _clock_rank(op, op_offsets[period:end] + up_lengths[period:end], "left")
-    j += period
+    j = _clock_rank(op, op_offsets[first:end] + up_lengths[first:end], "left")
+    j += first
     op -= op_offsets[j]
     op += up_starts[j]
-    return op, (service_total, running_max, int(j[-1]))
+    return op, int(j[-1]) + base
 
 
 def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> SimEstimate:
@@ -286,12 +367,15 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     Deterministic for a fixed seed.
 
     The run is streamed: one pass counts the arrivals within the horizon
-    and one sums their services, keeping neither; the breakdown
-    trajectory is then drawn whole, and a last pass re-draws arrivals and
+    and one draws their services, keeping neither, which finds where the
+    breakdown trajectory's draws start.  A last pass re-draws arrivals and
     services from the same stream positions in batch-sized pieces, the
-    warm-up first and then one piece per batch.  Memory grows with the
-    batch size and the trajectory, not with the number of customers, and
-    every estimate is the one the whole-array run gives.
+    warm-up first and then one piece per batch, and draws the trajectory
+    from its own generator in blocks as the pieces reach it
+    (:class:`_Trajectory`), dropping the periods they have left behind.
+    Memory grows with the batch size, not with the number of customers or
+    the trajectory, and every estimate is the one the whole-array run
+    gives.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -313,19 +397,17 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     batch_size = kept // _BATCH_COUNT
 
     services_state = rng.bit_generator.state
-    service_total = 0.0
+    # Drawing the services advances the stream to where the trajectory's
+    # draws start; an exponential takes a variable number of raw draws, so
+    # that position can only be found by drawing.
     for start in range(0, customers, _CHUNK):
-        size = min(_CHUNK, customers - start)
-        service_total += float(rng.exponential(1.0 / params.service_rate, size).sum())
-    # The +1 absorbs the rounding of the total; periods beyond the last
-    # departure are drawn after every used one and change no value.
-    environment = _environment(
-        rng, params.disruption_rate, params.retrieval_rate, horizon + service_total + 1.0
-    )
+        rng.exponential(1.0 / params.service_rate, min(_CHUNK, customers - start))
+    trajectory = _Trajectory(rng, params.disruption_rate, params.retrieval_rate)
 
-    arrival_rng = np.random.default_rng(seed)
-    rng.bit_generator.state = services_state
-    epoch, op_epoch, carry = 0.0, 0.0, (0.0, -math.inf, 0)
+    arrival_rng, service_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    service_rng.bit_generator.state = services_state
+    epoch, op_epoch = 0.0, 0.0
+    service_total, running_max, period = 0.0, -math.inf, 0
     batch_means = np.empty(_BATCH_COUNT)
     controls = np.empty((_BATCH_COUNT, _CONTROL_COUNT))
     warmup_pieces = [min(batch_size, warmup - start) for start in range(0, warmup, batch_size)]
@@ -336,16 +418,24 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
         arrivals[0] += epoch
         np.cumsum(arrivals, out=arrivals)
         window_start, epoch = epoch, float(arrivals[-1])
-        op_window_start, op_epoch = op_epoch, _op_clock(epoch, *environment)
-        services = rng.exponential(1.0 / params.service_rate, size)
-        service_start = carry[0]
-        sojourns, carry = _departure_times(arrivals, services, *environment, carry)
+        trajectory.cover(epoch)
+        op_window_start, op_epoch = op_epoch, _op_clock(epoch, trajectory)
+        services = service_rng.exponential(1.0 / params.service_rate, size)
+        service_start = service_total
+        op, service_total, running_max = _operational_departures(
+            arrivals, services, *trajectory.window, service_total, running_max
+        )
+        trajectory.cover_up_time(float(op[-1]))
+        sojourns, period = _real_departures(op, *trajectory.window, period, trajectory.base)
         sojourns -= arrivals
+        # Later arrivals come at or after the epoch, and later departures
+        # map to the carried period or after it.
+        trajectory.trim(epoch, period)
         if row >= 0:
             batch_means[row] = sojourns.mean()
             # The running totals give the batch's gap and service sums.
             window = epoch - window_start
-            service_mean = (carry[0] - service_start) / size
+            service_mean = (service_total - service_start) / size
             controls[row] = window / size, service_mean, (op_epoch - op_window_start) / window
     r, v = params.retrieval_rate, params.disruption_rate
     known = np.array([1.0 / lam, 1.0 / params.service_rate, r / (r + v)])

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from msrcpspr import queueing
 from msrcpspr.queueing import (
     _BATCH_COUNT,
     _CHUNK,
@@ -15,6 +17,7 @@ from msrcpspr.queueing import (
     QueueOperatingPoint,
     ReliabilityParams,
     SimEstimate,
+    _Trajectory,
     _clock_rank,
     _controlled_mean,
     _departure_times,
@@ -326,13 +329,23 @@ def _oracle_cases(count):
     return cases
 
 
-def _cut_run(arrivals, services, environment, bounds):
+def _cut_run(arrivals, services, environment, bounds, trim=False):
     """Departures of a run fed to ``_departure_times`` in the pieces between
-    consecutive ``bounds``, the carry passed from piece to piece."""
+    consecutive ``bounds``, the carry passed from piece to piece.  With
+    ``trim``, each piece sees only a window of the trajectory: the periods
+    before both the carried one and the one that holds the piece's first
+    arrival are dropped."""
     carry = (0.0, -math.inf, 0)
+    base, window = 0, environment
     pieces = []
     for lo, hi in zip(bounds, bounds[1:]):
-        departures, carry = _departure_times(arrivals[lo:hi], services[lo:hi], *environment, carry)
+        if trim:
+            holder = int(np.searchsorted(environment[0], arrivals[lo], side="right")) - 1
+            base = min(holder, carry[2])
+            window = [a[base:] for a in environment]
+        departures, carry = _departure_times(
+            arrivals[lo:hi], services[lo:hi], *window, carry, base
+        )
         pieces.append(departures)
     return np.concatenate(pieces)
 
@@ -383,7 +396,8 @@ class TestSimulation:
             want = _searchsorted_departures(*case)
             assert np.array_equal(_departure_times(*case)[0], want)
             bounds = np.unique([0, n, *rng.integers(0, n, 8)]).tolist()
-            assert np.array_equal(_cut_run(arrivals, services, case[2:], bounds), want)
+            for trim in (False, True):
+                assert np.array_equal(_cut_run(arrivals, services, case[2:], bounds, trim), want)
 
     @settings(max_examples=300, deadline=None)
     @given(_tied_queues())
@@ -403,8 +417,9 @@ class TestSimulation:
         arrivals, services, *environment = case
         n = arrivals.size
         bounds = [0, *sorted(set(data.draw(st.lists(st.integers(1, n), max_size=n))) - {n}), n]
-        assert np.array_equal(_cut_run(arrivals, services, environment, bounds),
-                              _departure_times(*case)[0])
+        whole = _departure_times(*case)[0]
+        for trim in (False, True):
+            assert np.array_equal(_cut_run(arrivals, services, environment, bounds, trim), whole)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -424,6 +439,54 @@ class TestSimulation:
             assert outcomes[-1] == _outcome(_whole_array_simulate, pt, horizon, seed), (pt, horizon)
         assert any(isinstance(o, str) and "too short" in o for o in outcomes)
         assert sum(isinstance(o, SimEstimate) for o in outcomes) >= 25
+
+    def test_trajectory_window_paths(self, monkeypatch):
+        """The window draws blocks as the run reaches them, trims across
+        block boundaries and grows while mapping departures back, and the
+        run still equals the whole-array run bit for bit."""
+        runs = []
+
+        class Recording(_Trajectory):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.blocks = self.boundary_trims = self.departure_blocks = 0
+                runs.append(self)
+
+            def _extend(self):
+                super()._extend()
+                self.blocks += 1
+
+            def cover_up_time(self, op):
+                before = self.blocks
+                super().cover_up_time(op)
+                self.departure_blocks += self.blocks - before
+
+            def trim(self, t, period):
+                before = self.base
+                super().trim(t, period)
+                self.boundary_trims += self.base // _CHUNK > before // _CHUNK
+
+        monkeypatch.setattr(queueing, "_Trajectory", Recording)
+        # With breakdowns and repairs at rate 40, a block of 16,384 periods
+        # spans about 800 time units, so a run over 3,000 draws four; at 98%
+        # of the critical rate the backlog reaches past the drawn periods.
+        for pt, seed in ((point(2.0, 10.0, 40.0, 40.0), 0), (point(4.9, 10.0, 40.0, 40.0), 2)):
+            assert simulate_queue(pt, 3000.0, seed) == _whole_array_simulate(pt, 3000.0, seed)
+        heavy = runs[-1]
+        assert heavy.blocks >= 3
+        assert heavy.boundary_trims >= 1
+        assert heavy.departure_blocks >= 1
+
+    def test_peak_memory_at_the_worst_j10_point(self):
+        # j10's heaviest operating point: 6 M customers at the default
+        # horizon.  Drawing the trajectory whole peaked at 44 MiB.
+        tracemalloc.start()
+        try:
+            simulate_queue(point(6.0, 14.0, 0.5, 0.5), 1e6, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(7)
