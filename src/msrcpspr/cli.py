@@ -160,6 +160,8 @@ def run_sweep(
     """
     if not multipliers or not all(0 < m < math.inf for m in multipliers):
         raise ValidationError(f"multipliers must be one or more finite values > 0, got {multipliers!r}")
+    if len(set(multipliers)) < len(multipliers):
+        raise ValidationError(f"multipliers must not be repeated, got {multipliers!r}")
     baseline = pareto_mod.enumerate_front(problem, grid_count, eps, bypass=bypass, limits=limits)
     fronts: dict[float, pareto_mod.ParetoFront] = {}
     rows: list[SweepRow] = []
@@ -195,22 +197,14 @@ def run_sweep(
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = ["grid_point,multiplier,makespan,cost,makespan_change_pct,cost_change_pct,flagged"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.grid_point),
-                    _fmt(row.multiplier),
-                    _fmt(row.makespan) if row.makespan is not None else "",
-                    _fmt(row.cost) if row.cost is not None else "",
-                    _fmt(round(row.makespan_change_pct, 9)) if row.makespan_change_pct is not None else "",
-                    _fmt(round(row.cost_change_pct, 9)) if row.cost_change_pct is not None else "",
-                    "1" if row.flagged else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    def pct(value: float | None) -> float | None:
+        return None if value is None else round(value, 9)
+
+    return schedule.csv_text(
+        "grid_point,multiplier,makespan,cost,makespan_change_pct,cost_change_pct,flagged",
+        [(row.grid_point, row.multiplier, row.makespan, row.cost, pct(row.makespan_change_pct),
+          pct(row.cost_change_pct), int(row.flagged)) for row in rows],
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -272,22 +266,11 @@ def _available_cpus() -> int:
 
 
 def simulation_csv(rows) -> str:
-    lines = ["lambda,mu,upsilon,r,analytic_W,sim_W,ci_half_width"]
-    for lam, mu, upsilon, r, analytic, estimate in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(lam),
-                    _fmt(mu),
-                    _fmt(upsilon),
-                    _fmt(r),
-                    _fmt(round(analytic, 9)),
-                    _fmt(round(estimate.mean_wait, 9)),
-                    _fmt(round(estimate.half_width, 9)),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return schedule.csv_text("lambda,mu,upsilon,r,analytic_W,sim_W,ci_half_width", [
+        (lam, mu, upsilon, r, round(analytic, 9), round(estimate.mean_wait, 9),
+         round(estimate.half_width, 9))
+        for lam, mu, upsilon, r, analytic, estimate in rows
+    ])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .instance import ProjectInstance
-from .schedule import TOL, ScheduleSolution, _fmt
+from .schedule import TOL, ScheduleSolution, csv_text
 from .solver import (
     InfeasibleProblemError,
     LexOutcome,
@@ -244,19 +244,8 @@ def _point_for(p: int, result) -> ParetoPoint:
 
 def front_csv(front: ParetoFront, include_timing: bool = True) -> str:
     """Grid-level log as CSV: grid_point,makespan,cost,slack,solve_status,wall_time."""
-    lines = ["grid_point,makespan,cost,slack,solve_status,wall_time"]
-    for rec in front.grid_log:
-        wall = _fmt(round(rec.wall_time, 6)) if include_timing else ""
-        lines.append(
-            ",".join(
-                (
-                    str(rec.grid_point),
-                    _fmt(rec.makespan) if rec.makespan is not None else "",
-                    _fmt(rec.cost) if rec.cost is not None else "",
-                    _fmt(rec.slack) if rec.slack is not None else "",
-                    rec.status,
-                    wall,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text("grid_point,makespan,cost,slack,solve_status,wall_time", [
+        (rec.grid_point, rec.makespan, rec.cost, rec.slack, rec.status,
+         round(rec.wall_time, 6) if include_timing else None)
+        for rec in front.grid_log
+    ])

@@ -193,15 +193,6 @@ class _Trajectory:
         self._next_start, self._next_offset = float(ends[-1]), float(op_ends[-1])
 
 
-def _op_clock(t: float, trajectory: _Trajectory) -> float:
-    """The server's cumulative up-time at real time ``t``, mapped as
-    :func:`_departure_times` maps an arrival; the window must hold the
-    period of ``t``."""
-    up_starts, up_lengths, op_offsets = trajectory.window
-    i = int(np.searchsorted(up_starts, t, side="right")) - 1
-    return float(min(t - up_starts[i], up_lengths[i]) + op_offsets[i])
-
-
 def _controlled_mean(
     batch_means: np.ndarray, controls: np.ndarray, known: np.ndarray
 ) -> tuple[float, float]:
@@ -247,47 +238,6 @@ def _clock_rank(keys: np.ndarray, boundaries: np.ndarray, side: str) -> np.ndarr
     return np.cumsum(counts, out=counts)
 
 
-def _departure_times(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    up_starts: np.ndarray,
-    up_lengths: np.ndarray,
-    op_offsets: np.ndarray,
-    carry: tuple[float, float, int] = (0.0, -math.inf, 0),
-    base: int = 0,
-) -> tuple[np.ndarray, tuple[float, float, int]]:
-    """Exact FIFO departure instants of one piece of a run, and its carry.
-
-    Works on the operational clock (cumulative server up-time): mapping
-    arrivals onto that clock turns the halted-server system into an
-    ordinary single-server queue, whose departure epochs follow the
-    Lindley recursion (:func:`_operational_departures`); mapping back
-    yields real departure times (:func:`_real_departures`).
-
-    ``carry`` is (service total, running maximum, up period of the last
-    departure) of the customers before the piece; the default starts a
-    run.  The returned carry continues it, so a run cut anywhere gives the
-    departures of the uncut run bit for bit: the service total is a
-    sequential cumsum, a maximum is exact, and departures never go back to
-    an earlier up period.  Both mappings pick the periods that one
-    ``np.searchsorted`` per customer picks, with the same arithmetic, so
-    the result is bit-identical to that formulation.
-
-    The trajectory arrays may be a window that starts at the global period
-    ``base``, as long as it holds every period from the carried one, and
-    from the one that holds the first arrival, up to the one that holds
-    the last departure.  The carried period is a global index.
-    :func:`simulate_queue` runs the two halves itself and grows its window
-    between them.
-    """
-    service_total, running_max, period = carry
-    op, service_total, running_max = _operational_departures(
-        arrivals, services, up_starts, up_lengths, op_offsets, service_total, running_max
-    )
-    departures, period = _real_departures(op, up_starts, up_lengths, op_offsets, period, base)
-    return departures, (service_total, running_max, period)
-
-
 def _operational_departures(
     arrivals: np.ndarray,
     services: np.ndarray,
@@ -296,15 +246,24 @@ def _operational_departures(
     op_offsets: np.ndarray,
     service_total: float,
     running_max: float,
-) -> tuple[np.ndarray, float, float]:
-    """Departure epochs on the operational clock, and the carried service
-    total and running maximum after the piece.
+) -> tuple[np.ndarray, float, float, float]:
+    """FIFO departure epochs of one piece of a run on the operational clock
+    (cumulative server up-time), the carried service total and running
+    maximum after the piece, and the operational clock of its last arrival.
+
+    On that clock the halted-server system is an ordinary single-server
+    queue, whose departures follow the Lindley recursion.  The service
+    total and running maximum of the customers before the piece are
+    carried in (0 and -inf start a run); a cumsum carried in sequence and
+    a maximum are exact, so a run cut anywhere gives the uncut run's
+    values bit for bit.
 
     The arrival mapping is a merge-rank (:func:`_clock_rank`), so
-    ``arrivals`` must be non-empty and non-decreasing; then so are the
-    operational departures, a running sum of services plus a running
-    maximum (rounding is monotone).  It picks the same up periods as
-    ``np.searchsorted(up_starts, arrivals, "right") - 1``, and the
+    ``arrivals`` must be non-empty and non-decreasing, and the trajectory
+    window must hold the period of every arrival; then the operational
+    departures are non-decreasing too, a running sum of services plus a
+    running maximum (rounding is monotone).  It picks the same up periods
+    as ``np.searchsorted(up_starts, arrivals, "right") - 1``, and the
     arithmetic is the same, only done in place.
     """
     idx = _clock_rank(arrivals, up_starts, "right") - 1
@@ -312,6 +271,7 @@ def _operational_departures(
     np.minimum(op, up_lengths[idx], out=op)
     op += op_offsets[idx]
     del idx
+    last_arrival = float(op[-1])
 
     # delta_n = max(alpha_n, delta_{n-1}) + s_n, unrolled to a running max.
     service_cum = services.copy()
@@ -322,7 +282,7 @@ def _operational_departures(
     np.maximum.accumulate(op, out=op)
     service_total, running_max = float(service_cum[-1]), float(op[-1])
     op += service_cum
-    return op, service_total, running_max
+    return op, service_total, running_max, last_arrival
 
 
 def _real_departures(
@@ -336,8 +296,12 @@ def _real_departures(
     """Real times of the operational departures ``op``, mapped back in
     place, and the global up period of the last one.
 
-    A merge-rank against the up-period ends from the global ``period`` on,
-    in a window that starts at the global period ``base``; it picks the
+    ``period`` is carried in: the global up period of the previous
+    departure (0 starts a run).  Departures never go back to an earlier
+    period, so a run cut anywhere maps as the uncut run does.  The window
+    starts at the global period ``base`` and must hold every period from
+    the carried one up to the one that holds the last departure.  A
+    merge-rank against the up-period ends from ``period`` on, it picks the
     same periods as ``np.searchsorted(op_offsets + up_lengths, op, "left")``
     on the whole trajectory.
     """
@@ -419,10 +383,9 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
         np.cumsum(arrivals, out=arrivals)
         window_start, epoch = epoch, float(arrivals[-1])
         trajectory.cover(epoch)
-        op_window_start, op_epoch = op_epoch, _op_clock(epoch, trajectory)
         services = service_rng.exponential(1.0 / params.service_rate, size)
-        service_start = service_total
-        op, service_total, running_max = _operational_departures(
+        service_start, op_window_start = service_total, op_epoch
+        op, service_total, running_max, op_epoch = _operational_departures(
             arrivals, services, *trajectory.window, service_total, running_max
         )
         trajectory.cover_up_time(float(op[-1]))

@@ -341,14 +341,12 @@ def to_gantt(instance: ProjectInstance, sol: ScheduleSolution) -> list[GanttRow]
 
 
 def gantt_csv(rows: list[GanttRow]) -> str:
-    """CSV rendering: activity,start,wait,duration,resources (LF endings)."""
-    lines = ["activity,start,wait,duration,resources"]
-    for row in rows:
-        resources = "|".join(f"{res}:{skill}" for res, skill in row.resources)
-        lines.append(
-            f"{row.activity},{_fmt(row.start)},{_fmt(row.wait)},{_fmt(row.duration)},{resources}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV rendering: activity,start,wait,duration,resources."""
+    return csv_text("activity,start,wait,duration,resources", [
+        (row.activity, row.start, row.wait, row.duration,
+         "|".join(f"{res}:{skill}" for res, skill in row.resources))
+        for row in rows
+    ])
 
 
 _ROW_HEIGHT = 26
@@ -404,6 +402,18 @@ def gantt_svg(rows: list[GanttRow], title: str = "schedule") -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def csv_text(header: str, rows: list[tuple]) -> str:
+    """The CSV writers' one format: the header line, then one line per row
+    whose cells are a ``str`` as is, ``None`` as empty and any other value
+    through :func:`_fmt`; LF line ends and a trailing newline."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(
+            cell if isinstance(cell, str) else "" if cell is None else _fmt(cell) for cell in row
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(value: float) -> str:

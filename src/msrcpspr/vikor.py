@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedule import TIE_TOL, TOL, _fmt
+from .schedule import TIE_TOL, TOL, csv_text
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +72,10 @@ def rank(
     """Score and order the alternatives of a front (or raw value pairs).
 
     A criterion whose values coincide across all alternatives carries no
-    information; its terms are defined as zero and a warning is kept on
-    the ranking.  Ties in Q break by R, then S, then makespan, then the
-    original position, so the order is always total and deterministic.
+    information; its terms are defined as zero, and with two or more
+    alternatives a warning is kept on the ranking.  Ties in Q break by R,
+    then S, then makespan, then the original position, so the order is
+    always total and deterministic.
     """
     matrix = _as_matrix(front_or_points)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
@@ -90,7 +91,8 @@ def rank(
         worst = matrix[:, c].max()
         span = worst - best
         if span <= 0.0:
-            notes.append(f"criterion {name} is degenerate (all values {best:g}); terms set to 0")
+            if n_alt > 1:
+                notes.append(f"criterion {name} is degenerate (all values {best:g}); terms set to 0")
             continue
         terms[:, c] = w[c] * (matrix[:, c] - best) / span
     s = terms.sum(axis=1)
@@ -159,21 +161,8 @@ def select_compromise(ranking: VikorRanking) -> tuple[int, ...]:
 
 def ranking_csv(ranking: VikorRanking) -> str:
     """CSV export: rank,makespan,cost,S,R,Q,in_compromise_set."""
-    lines = ["rank,makespan,cost,S,R,Q,in_compromise_set"]
-    compromise = set(ranking.compromise)
-    for position, j in enumerate(ranking.order, start=1):
-        makespan, cost = ranking.alternatives[j]
-        lines.append(
-            ",".join(
-                (
-                    str(position),
-                    _fmt(makespan),
-                    _fmt(cost),
-                    _fmt(round(ranking.s[j], 12)),
-                    _fmt(round(ranking.r[j], 12)),
-                    _fmt(round(ranking.q[j], 12)),
-                    "1" if j in compromise else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text("rank,makespan,cost,S,R,Q,in_compromise_set", [
+        (position, *ranking.alternatives[j], round(ranking.s[j], 12), round(ranking.r[j], 12),
+         round(ranking.q[j], 12), int(j in ranking.compromise))
+        for position, j in enumerate(ranking.order, start=1)
+    ])

@@ -452,6 +452,15 @@ class TestSweep:
             fields = row.split(",")
             assert fields[4] == "0" and fields[5] == "0" and fields[6] == "0"
 
+    def test_matches_golden(self, toy_paths, tmp_path):
+        sm, ext = toy_paths
+        code = main(["sweep", "--instance", sm, "--extension", ext, "--parameter",
+                     "retrieval", "--multipliers", "1.0,1.4", "--grid", "6",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        got = (tmp_path / "sweep_retrieval.csv").read_bytes()
+        assert got == (GOLDEN_DIR / "toy5_sweep_retrieval_golden.csv").read_bytes()
+
     def test_retrieval_and_disruption_directions(self, toy_paths, tmp_path):
         from msrcpspr.cli import run_sweep
         from msrcpspr.instance import instance_from_files
@@ -471,6 +480,20 @@ class TestSweep:
         problem = instance_from_files(*toy_paths)
         with pytest.raises(ValidationError, match=r"got \[1\.0, nan\]"):
             run_sweep(problem, "retrieval", [1.0, math.nan], 6, 1e-4, SolveLimits())
+
+    def test_repeated_multiplier_exit_two(self, toy_paths, tmp_path, capsys, monkeypatch):
+        from msrcpspr import solver
+
+        def no_search(self):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(solver._BranchAndBound, "_dfs", no_search)
+        sm, ext = toy_paths
+        code = main(["sweep", "--instance", sm, "--extension", ext, "--parameter",
+                     "retrieval", "--multipliers", "1.4,1.4", "--out", str(tmp_path)])
+        assert code == 2
+        assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_retrieval.csv").exists()
 
     def test_bad_multiplier_exit_two(self, toy_paths, tmp_path):
         sm, ext = toy_paths
@@ -658,6 +681,11 @@ class TestSolveAndGantt:
                          "--out", str(tmp_path / sub)]) == 0
         assert (tmp_path / "a" / "gantt.csv").read_bytes() == (tmp_path / "b" / "gantt.csv").read_bytes()
         assert (tmp_path / "a" / "gantt.svg").read_bytes() == (tmp_path / "b" / "gantt.svg").read_bytes()
+
+    def test_gantt_matches_golden(self, toy_paths, tmp_path):
+        sm, ext = toy_paths
+        assert main(["gantt", "--instance", sm, "--extension", ext, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "gantt.csv").read_bytes() == (GOLDEN_DIR / "toy5_gantt_golden.csv").read_bytes()
 
     def test_gantt_of_a_cut_solve_exits_one(self, j20_cut, tmp_path, capsys):
         # As solve does, the cut schedule is still written.

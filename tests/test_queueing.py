@@ -20,7 +20,8 @@ from msrcpspr.queueing import (
     _Trajectory,
     _clock_rank,
     _controlled_mean,
-    _departure_times,
+    _operational_departures,
+    _real_departures,
     critical_arrival_rate,
     simulate_queue,
     waiting_time,
@@ -232,9 +233,22 @@ def _reference_departures(arrivals, services, up_starts, up_lengths, op_offsets)
     return np.array(departures)
 
 
+def _departure_times(arrivals, services, up_starts, up_lengths, op_offsets,
+                     carry=(0.0, -math.inf, 0), base=0):
+    """Departures of one piece of a run, the two clock mappings chained as
+    ``simulate_queue`` chains them, and the carry (service total, running
+    maximum, up period of the last departure) that continues the run."""
+    service_total, running_max, period = carry
+    op, service_total, running_max, _ = _operational_departures(
+        arrivals, services, up_starts, up_lengths, op_offsets, service_total, running_max
+    )
+    departures, period = _real_departures(op, up_starts, up_lengths, op_offsets, period, base)
+    return departures, (service_total, running_max, period)
+
+
 def _searchsorted_departures(arrivals, services, up_starts, up_lengths, op_offsets):
     """The clock mappings as one binary search per customer: the formulation
-    the merge-rank in ``_departure_times`` must reproduce bit for bit."""
+    the merge-ranks in ``_departure_times`` must reproduce bit for bit."""
     idx = np.searchsorted(up_starts, arrivals, side="right") - 1
     op_arrivals = op_offsets[idx] + np.minimum(arrivals - up_starts[idx], up_lengths[idx])
     service_cum = np.cumsum(services)
@@ -410,6 +424,12 @@ class TestSimulation:
     ))
     def test_bit_identical_under_ties(self, case):
         assert np.array_equal(_departure_times(*case)[0], _searchsorted_departures(*case))
+        # The up-time clock of the last arrival, read by one binary search.
+        arrivals, _, up_starts, up_lengths, op_offsets = case
+        t = arrivals[-1]
+        i = int(np.searchsorted(up_starts, t, "right")) - 1
+        want = op_offsets[i] + min(t - up_starts[i], up_lengths[i])
+        assert _operational_departures(*case, 0.0, -math.inf)[3] == want
 
     @settings(max_examples=300, deadline=None)
     @given(_tied_queues(), st.data())

@@ -139,6 +139,10 @@ class TestDegenerateInputs:
         assert ranking.order == (0,)
         assert ranking.compromise == (0,)
 
+    def test_single_alternative_warns_nothing(self):
+        # One alternative compares nothing, so no criterion is degenerate.
+        assert rank([(50.0, 100.0)]).warnings == ()
+
     def test_two_point_trade_off_keeps_both(self):
         # Symmetric trade-off: Q gap 0 < DQ = 1, advantage fails, both stay.
         ranking = rank([(10.0, 900.0), (20.0, 100.0)])
