@@ -378,9 +378,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=os.environ.get("MSRCPSPR_LOG", "INFO"))
     args = build_parser().parse_args(argv)
     try:
+        # An unknown MSRCPSPR_LOG level is input: ValueError, exit 2.
+        logging.basicConfig(stream=sys.stderr, level=os.environ.get("MSRCPSPR_LOG", "INFO"))
         return _COMMANDS[args.command](args)
     except (schedule.CycleError, queueing.InstabilityError):
         # Parsing rejects cyclic precedence and the solver skips unstable

@@ -485,43 +485,42 @@ def skill_coverage_issues(instance: ProjectInstance) -> tuple[str, ...]:
     return tuple(issues)
 
 
-def default_extension(
-    partial: PartialInstance,
-    resource_count: int = DEFAULT_RESOURCE_COUNT,
-    disruption_rate: float = DEFAULT_DISRUPTION_RATE,
-    retrieval_rate: float = DEFAULT_RETRIEVAL_RATE,
-    cost_seed: int = DEFAULT_COST_SEED,
-    request_cap: int = DEFAULT_REQUEST_CAP,
-) -> dict:
+def default_extension(partial: PartialInstance, cost_seed: int = DEFAULT_COST_SEED) -> dict:
     """Documented reproducible sidecar derived from a PSPLIB file.
 
     Adaptation rule: each PSPLIB renewable type becomes one skill;
-    resource k (of ``resource_count``) masters skill ceil(k*|S|/|R|) plus
-    its cyclic successor; activity requirements are the per-type requests
-    capped at ``request_cap``; per-skill costs are drawn once from a
-    seeded generator (100 x uniform{1..9}, resources in id order, skills
-    ascending); service rates are sized to the total demand U as
+    resource k (of ``DEFAULT_RESOURCE_COUNT``) masters skill
+    ceil(k*|S|/|R|) plus its cyclic successor; activity requirements are
+    the per-type requests capped at ``DEFAULT_REQUEST_CAP``; per-skill
+    costs are drawn once from a generator seeded with ``cost_seed``
+    (100 x uniform{1..9}, resources in id order, skills ascending); every
+    resource has the default disruption and retrieval rates, and service
+    rates are sized to the total demand U as
     mu = (retrieval + disruption) / retrieval * (ceil(U / |R|) + 2), so a
     balanced allocation sits safely inside the stability region while an
-    unbalanced one does not.
+    unbalanced one does not.  A file with no renewable type has no skill
+    to derive and raises ``ValueError``.
     """
     skill_count = partial.renewable_count
+    if skill_count < 1:
+        raise ValueError("the PSPLIB file has no renewable resource type to become a skill")
     requirements = []
     total_demand = 0
     for job in range(2, partial.job_count):
         for skill, request in enumerate(partial.requests[job - 1], start=1):
-            count = min(request, request_cap)
+            count = min(request, DEFAULT_REQUEST_CAP)
             if count > 0:
                 requirements.append({"activity": job, "skill": skill, "count": count})
                 total_demand += count
 
-    balanced_load = math.ceil(total_demand / resource_count) if total_demand else 1
-    service_rate = (retrieval_rate + disruption_rate) / retrieval_rate * (balanced_load + 2)
+    balanced_load = math.ceil(total_demand / DEFAULT_RESOURCE_COUNT) if total_demand else 1
+    rates = DEFAULT_RETRIEVAL_RATE + DEFAULT_DISRUPTION_RATE
+    service_rate = rates / DEFAULT_RETRIEVAL_RATE * (balanced_load + 2)
 
     rng = np.random.default_rng(cost_seed)
     resources = []
-    for k in range(1, resource_count + 1):
-        base_skill = math.ceil(k * skill_count / resource_count)
+    for k in range(1, DEFAULT_RESOURCE_COUNT + 1):
+        base_skill = math.ceil(k * skill_count / DEFAULT_RESOURCE_COUNT)
         neighbor = base_skill % skill_count + 1
         skills = sorted({base_skill, neighbor})
         costs = {str(skill): 100 * int(rng.integers(1, 10)) for skill in skills}
@@ -530,8 +529,8 @@ def default_extension(
                 "id": k,
                 "skills": skills,
                 "cost_per_skill": costs,
-                "disruption_rate": disruption_rate,
-                "retrieval_rate": retrieval_rate,
+                "disruption_rate": DEFAULT_DISRUPTION_RATE,
+                "retrieval_rate": DEFAULT_RETRIEVAL_RATE,
                 "service_rate": service_rate,
             }
         )

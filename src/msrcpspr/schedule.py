@@ -355,7 +355,7 @@ _MARGIN_TOP = 30
 _CHART_WIDTH = 720
 
 
-def gantt_svg(rows: list[GanttRow], title: str = "schedule") -> str:
+def gantt_svg(rows: list[GanttRow]) -> str:
     """Standalone SVG chart; waits are drawn as light blocks after processing."""
     span = max((row.start + row.duration + row.wait for row in rows), default=1.0)
     span = max(span, TOL)
@@ -366,7 +366,7 @@ def gantt_svg(rows: list[GanttRow], title: str = "schedule") -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<text x="{_MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13">{title}</text>',
+        f'<text x="{_MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13">schedule</text>',
     ]
     for idx, row in enumerate(rows):
         y = _MARGIN_TOP + idx * _ROW_HEIGHT

@@ -230,23 +230,16 @@ class _BranchAndBound:
     :func:`earliest_starts` bit for bit.  A leaf's sequencing starts from
     the assignment search's heads and tails.
 
-    A sequencing child u->v has makespan
-    ``max(current, head[u] + w[u] + after[v] + w[v])``, passed down as its
-    bound.  Users of one resource run one at a time, so no leaf below a
-    node beats that resource's floor ``min head + sum w + min after``.  A
-    node is pruned when its makespan or a floor reaches the incumbent, and
-    the sequencing stops once a leaf reaches its root's bound.  Most leaves
-    end at their root's floor, so it is tested before any pair is built.
-    Immediate selection (Carlier & Pinson) at each node, before its floor
-    test (the arcs only raise the floor), gives an open pair the other
-    orientation when one reaches the incumbent, for the whole subtree: it
-    cuts only leaves that a branch deeper down would cut.  Each pair (i, j)
-    is tried as i->j, then as j->i, so the tree is fixed and the schedule
-    returned is the first optimal leaf: in the order of the candidates of
-    ``acts``, then of the orientations of the sorted pairs.  A budget holds
-    within ``TOL``; at both levels a later leaf replaces the kept one only
-    when better by more than ``TIE_TOL``, so two orders of one float sum
-    tie; pruning and selection drop only leaves that would not replace it.
+    ``_sequenced`` is the sequencing root: it takes the root's floor
+    (most leaves end there, before any pair is built) and hands the pairs
+    the graph leaves open to ``_branch``, the one sequencing recursion.
+    ``_branch`` selects arcs (Carlier & Pinson) and tries its pair (i, j)
+    as i->j, then as j->i, so the tree is fixed and the schedule returned
+    is the first optimal leaf: in the order of the candidates of ``acts``,
+    then of the orientations of the sorted pairs.  A budget holds within
+    ``TOL``; at both levels a later leaf replaces the kept one only when
+    better by more than ``TIE_TOL``, so two orders of one float sum tie;
+    pruning and selection drop only leaves that would not replace it.
 
     A leaf reads its sequencing outcome from the memo ``warm``, shared by
     the solves of one front, when the entry decides the leaf's bound (see
@@ -350,6 +343,15 @@ class _BranchAndBound:
         # The incumbent leaf: (chosen, arcs, makespan, cost).
         self.best: tuple[list[int], list[tuple[int, int]], float, float] | None = None
         self.deadline = time.perf_counter() + limits.time_limit
+        # The sequencing search of the current full assignment: the
+        # resources ``_floor`` reads (compiled by ``_makespan_lb``), the
+        # root's floor, the value a leaf must beat, the kept leaf
+        # (makespan, arcs) and the arcs selection has added on the path.
+        self.machines: list[tuple[operator.itemgetter, float]] = []
+        self.root_bound = -math.inf
+        self.seq_best = math.inf
+        self.seq_leaf: tuple[float, list[tuple[int, int]]] | None = None
+        self.selected: list[tuple[int, int]] = []
 
     # -- bounds -------------------------------------------------------
 
@@ -517,8 +519,9 @@ class _BranchAndBound:
         to an outcome that does not depend on the subproblem: ``(makespan,
         arcs)``, its first shortest orientation, once proven, or ``(upper,
         None)`` when no orientation has a makespan below ``upper``.  It is
-        read when its entry decides ``upper``; else the assignment is
-        searched, and memoized unless a limit cut the search short."""
+        read when its entry decides ``upper``; else the assignment counts a
+        root node, whose floor may close it, is searched by ``_branch`` and
+        is memoized unless a limit cut the search short."""
         memo = self.memo
         key = sum(c * r for c, r in zip(self.chosen, self.radix))
         entry = memo.get(key)
@@ -532,32 +535,20 @@ class _BranchAndBound:
             return None
         self.nodes += 1
         self.root_bound = self._makespan_lb()
-        outcome = self._sequence(upper) if self.root_bound < upper else None
+        self.seq_leaf = None
+        if self.root_bound < upper:
+            # The sharing pairs, those the graph orients already first;
+            # ``_branch`` decides the rest in sorted order.
+            pairs = {p for nodes in self.users for p in itertools.combinations(sorted(nodes), 2)}
+            reach = self.reach
+            oriented, undecided = [], []
+            for i, j in sorted(pairs):
+                (oriented if (reach[i] >> j | reach[j] >> i) & 1 else undecided).append((i, j))
+            self.seq_best = upper
+            self._branch(oriented + undecided, len(oriented))
         if not self.timed_out:
-            memo[key] = outcome or (upper, None)
-        return outcome
-
-    def _sequence(self, upper: float) -> tuple[float, list[tuple[int, int]]] | None:
-        """The search below a root node whose floor is below ``upper``."""
-        pairs = {p for nodes in self.users for p in itertools.combinations(sorted(nodes), 2)}
-        fixed: list[tuple[int, int]] = []
-        decisions: list[tuple[int, int]] = []
-        reach = self.reach
-        for i, j in sorted(pairs):
-            if (reach[i] >> j) & 1:
-                fixed.append((i, j))
-            elif (reach[j] >> i) & 1:
-                fixed.append((j, i))
-            else:
-                decisions.append((i, j))
-        if not decisions:  # The root is a leaf; its floor covers its makespan.
-            return self.heads[self.sink], fixed
-        # A leaf below seq_best is kept and lowers it to its makespan - TIE_TOL.
-        self.seq_best = upper
-        self.seq_leaf: tuple[float, list[tuple[int, int]]] | None = None
-        self.selected: list[tuple[int, int]] = []
-        self._branch(decisions, 0)
-        return None if self.seq_leaf is None else (self.seq_leaf[0], fixed + self.seq_leaf[1])
+            memo[key] = self.seq_leaf or (upper, None)
+        return self.seq_leaf
 
     def _floor(self) -> float:
         """No orientation of the current graph ends before the sink's head,
@@ -569,18 +560,6 @@ class _BranchAndBound:
             if machine > floor:
                 floor = machine
         return floor
-
-    def _sequence_dfs(self, decisions: list[tuple[int, int]], idx: int, bound: float) -> None:
-        if bound >= self.seq_best or self._out_of_budget():
-            return
-        self.nodes += 1
-        current = self.heads[self.sink]
-        if idx < len(decisions):
-            self._branch(decisions, idx)
-        elif current < self.seq_best:
-            self.seq_best = current - TIE_TOL
-            arcs = [(i, j) if (self.reach[i] >> j) & 1 else (j, i) for i, j in decisions]
-            self.seq_leaf = (current, arcs)
 
     def _select(self, decisions: list[tuple[int, int]], idx: int) -> bool:
         """Orient each open pair of ``decisions[idx:]`` against the one
@@ -604,22 +583,38 @@ class _BranchAndBound:
                     changed = True
         return self._floor() < best
 
-    def _branch(self, decisions: list[tuple[int, int]], idx: int) -> None:
-        """Select, then search ``decisions[idx]`` = (i, j) as i->j and then
-        as j->i; the selected arcs are removed on return."""
+    def _branch(self, pairs: list[tuple[int, int]], idx: int) -> None:
+        """Orient the sharing pairs ``pairs[idx:]`` (the graph orients the rest).
+
+        Past the last pair the node is a leaf, kept when below ``seq_best``.
+        Else selection, whose arcs only raise the floor, may close the node;
+        a child u->v of ``pairs[idx]`` = (i, j), i->j first, has makespan
+        ``max(current, head[u] + w[u] + after[v] + w[v])`` and is skipped
+        when that reaches ``seq_best``.  The search stops once a leaf reaches
+        the root's floor; the selected arcs are removed on return."""
+        heads, after, w, reach = self.heads, self.after, self.weights, self.reach
+        if idx == len(pairs):
+            makespan = heads[self.sink]
+            if makespan < self.seq_best:
+                self.seq_best = makespan - TIE_TOL
+                arcs = [(i, j) if (reach[i] >> j) & 1 else (j, i) for i, j in pairs]
+                self.seq_leaf = (makespan, arcs)
+            return
         mark = len(self.selected)
-        if self._select(decisions, idx):
-            heads, after, w = self.heads, self.after, self.weights
+        if self._select(pairs, idx):
             current = heads[self.sink]
-            i, j = decisions[idx]
+            i, j = pairs[idx]
             for u, v in ((i, j), (j, i)):
-                if (self.reach[v] >> u) & 1:
+                if (reach[v] >> u) & 1:
                     continue
                 child = max(heads[u] + w[u] + (after[v] + w[v]), current)
                 if child >= self.seq_best:
                     continue
+                if self._out_of_budget():
+                    break
+                self.nodes += 1
                 self._add_arc(u, v)
-                self._sequence_dfs(decisions, idx + 1, child)
+                self._branch(pairs, idx + 1)
                 self._remove_arc(u, v)
                 if self.seq_best <= self.root_bound:
                     break

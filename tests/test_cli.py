@@ -753,6 +753,22 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "OK" in proc.stdout
 
+    def test_unknown_log_level_exit_two(self, toy_paths, tmp_path):
+        # A subprocess: in-process, pytest's handlers on the root logger
+        # make ``logging.basicConfig`` a no-op that never reads the level.
+        src = str(Path(msrcpspr.__file__).resolve().parent.parent)
+        sm, ext = toy_paths
+        proc = subprocess.run(
+            [sys.executable, "-m", "msrcpspr", "validate", "--instance", sm, "--extension", ext,
+             "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "MSRCPSPR_LOG": "verbose"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "verbose" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_entry_point_runs(self, toy_paths, tmp_path):
         exe = shutil.which("msrcpspr")
         if exe is None:

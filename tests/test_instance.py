@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -249,6 +250,14 @@ class TestDefaultExtension:
             partial = read_psplib(data_dir / f"{name}.sm")
             bundled = json.loads((data_dir / f"{name}_skills.json").read_text())
             assert bundled == default_extension(partial)
+
+    def test_no_renewable_type_rejected(self, data_dir):
+        partial = read_psplib(data_dir / "j10.sm")
+        bare = dataclasses.replace(
+            partial, renewable_count=0, requests=tuple(() for _ in partial.requests)
+        )
+        with pytest.raises(ValueError, match="no renewable resource type"):
+            default_extension(bare)
 
     def test_deterministic(self, data_dir):
         partial = read_psplib(data_dir / "j10.sm")

@@ -187,14 +187,14 @@ class TestSolve:
         spec = SubproblemSpec(primary="makespan")
         assert solve(instance, spec).nodes_explored == 85
         cut = []
-        original = _BranchAndBound._sequence
+        original = _BranchAndBound._sequenced
 
         def watched(self, upper):
             outcome = original(self, upper)
             cut.append(self.timed_out)
             return outcome
 
-        monkeypatch.setattr(_BranchAndBound, "_sequence", watched)
+        monkeypatch.setattr(_BranchAndBound, "_sequenced", watched)
         result = solve(instance, spec, SolveLimits(node_limit=50))
         assert result.status == "timeout"
         assert result.nodes_explored == 50
@@ -381,8 +381,9 @@ def _first_kept(items, value):
 
 
 def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
-    # Every child value passed down must be the full longest path of the
-    # child graph, the maintained heads and tails must equal fresh passes
+    # Every arc inserted must raise the sink's head to the child makespan
+    # ``max(current, head[u] + w[u] + after[v] + w[v])`` that the search
+    # prunes on, the maintained heads and tails must equal fresh passes
     # bit for bit at every node, every floor must equal its generator-form
     # recomputation, and the search must return the best of all
     # orientations, the first of them (within ``TIE_TOL``) in the order
@@ -391,7 +392,8 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     # incumbent at that moment, and a node selection closes must have none.
     # The sequencing search runs on the assignment search's own graph, so
     # it must hand that graph back unchanged.
-    original = _BranchAndBound._sequence_dfs
+    original = _BranchAndBound._branch
+    original_add_arc = _BranchAndBound._add_arc
     original_floor = _BranchAndBound._floor
     original_select = _BranchAndBound._select
     checked = []
@@ -399,14 +401,17 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     makespans = {}
     selections = {True: 0, False: 0}
 
-    def checking_dfs(self, decisions, idx, bound):
-        heads = earliest_starts(self.n, self.succ, self.weights)
-        assert self.heads == heads
+    def checking_branch(self, pairs, idx):
+        assert self.heads == earliest_starts(self.n, self.succ, self.weights)
         assert self.after == earliest_starts(self.n, self.pred, self.weights)
-        if idx:
-            assert bound == pytest.approx(heads[self.sink], abs=1e-12)
-            checked.append(bound)
-        original(self, decisions, idx, bound)
+        original(self, pairs, idx)
+
+    def checking_add_arc(self, u, v):
+        heads, after, w = self.heads, self.after, self.weights
+        child = max(heads[self.sink], heads[u] + w[u] + (after[v] + w[v]))
+        original_add_arc(self, u, v)
+        assert self.heads[self.sink] == pytest.approx(child, abs=1e-12)
+        checked.append(child)
 
     def checking_floor(self):
         heads, after, w = self.heads, self.after, self.weights
@@ -449,7 +454,8 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
             assert below == []
         return is_open
 
-    monkeypatch.setattr(_BranchAndBound, "_sequence_dfs", checking_dfs)
+    monkeypatch.setattr(_BranchAndBound, "_branch", checking_branch)
+    monkeypatch.setattr(_BranchAndBound, "_add_arc", checking_add_arc)
     monkeypatch.setattr(_BranchAndBound, "_floor", checking_floor)
     monkeypatch.setattr(_BranchAndBound, "_select", checking_select)
     rng = np.random.default_rng(20261018)
@@ -483,7 +489,8 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         assert earliest_starts(n, succ, weights)[sink] == makespan
         # A tight incumbent lets selection fix arcs from the root on.
         for upper in sorted(set(makespans.values()))[:3]:
-            outcome = bb._sequence(upper)
+            bb.memo = {}
+            outcome = bb._sequenced(upper)
             if brute < upper:
                 assert outcome == (brute, dirs)
             else:
@@ -497,13 +504,19 @@ def test_leaf_closed_by_its_root_floor(monkeypatch):
     # pair, and memoizes that no orientation is below ``upper``, which the
     # exhaustive orientations and a full search at that bound confirm.
     built = []
-    original = _BranchAndBound._sequence
+    original = _BranchAndBound._branch
+    original_lb = _BranchAndBound._makespan_lb
 
-    def watched(self, upper):
-        built.append(upper)
-        return original(self, upper)
+    def watched(self, pairs, idx):
+        if not built:  # the search's entry, not its recursion
+            built.append(self.seq_best)
+        original(self, pairs, idx)
 
-    monkeypatch.setattr(_BranchAndBound, "_sequence", watched)
+    def no_floor(self):
+        original_lb(self)  # compiles the machines that _floor reads
+        return -math.inf
+
+    monkeypatch.setattr(_BranchAndBound, "_branch", watched)
     rng = np.random.default_rng(20261019)
     cases = 0
     while cases < 20:
@@ -526,8 +539,22 @@ def test_leaf_closed_by_its_root_floor(monkeypatch):
         key = sum(c * r for c, r in zip(bb.chosen, bb.radix))
         assert bb.memo == {key: (floor, None)}
         # A search below the root that does not stop at its floor agrees.
-        bb.root_bound = -math.inf
-        assert original(bb, floor) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(_BranchAndBound, "_makespan_lb", no_floor)
+            bb.memo = {}
+            assert bb._sequenced(floor) is None
+        assert built == [floor]
+        built.clear()
+
+
+def test_search_state_declared_in_init(j10):
+    # Every attribute of the search, the sequencing level's included, is
+    # created by ``__init__``: a whole j10 solve adds none.
+    bb = _BranchAndBound(j10, SubproblemSpec(primary="makespan"), SolveLimits())
+    declared = set(vars(bb))
+    bb._dfs()
+    assert bb.best is not None and not bb.timed_out
+    assert set(vars(bb)) == declared
 
 
 def test_forced_activities_come_first(corpus, j10, j20):
@@ -829,7 +856,9 @@ def test_front_does_not_depend_on_activity_numbering(instance, data):
     assert validate(relabelled) == []
     oracle = brute_force_front(instance)
     front = pareto.enumerate_front(relabelled, sufficient_grid(oracle), eps=1e-4)
-    assert front.pairs() == pytest.approx(oracle.pairs(), abs=TOL)
+    # An array, not a list of tuples: approx compares tuples exactly, and
+    # two tied orientations' makespans may differ in the last bit.
+    assert np.array(front.pairs()) == pytest.approx(np.array(oracle.pairs()), abs=TOL)
 
 
 @pytest.mark.parametrize("name", ["j10", "j20"])
