@@ -8,7 +8,6 @@ data artifacts to files in the --out directory only.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -19,7 +18,7 @@ from pathlib import Path
 from . import instance as instance_mod
 from . import pareto as pareto_mod
 from . import queueing, schedule, vikor
-from .instance import ParseError, ProjectInstance, ValidationError
+from .instance import ProjectInstance, ValidationError
 from .schedule import _fmt
 from .solver import InfeasibleProblemError, SolveLimits, SubproblemSpec, lexicographic_outcome, solve
 
@@ -387,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         # Parsing rejects cyclic precedence and the solver skips unstable
         # counts, so these are program faults, not input errors.
         raise
-    except (ParseError, ValidationError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         if isinstance(exc, InfeasibleProblemError):
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_UNSOLVED

@@ -6,7 +6,7 @@ contributes everything PSPLIB does not know about: skills, the
 skill-by-resource mastery sets, per-skill usage costs, and the
 breakdown/repair/service rates of every resource.
 :func:`default_extension` derives a documented, reproducible sidecar
-from the parsed file when none is supplied.
+from the parsed file; the CLI always reads one from ``--extension``.
 """
 
 from __future__ import annotations
@@ -624,6 +624,11 @@ def validate(instance: ProjectInstance) -> list[str]:
             violations.append(
                 f"resource {res.id} lists costs for unmastered skills {sorted(cost_skills - res.skills)}"
             )
+        for skill, cost in res.cost_per_skill:
+            if not 0 <= cost < math.inf:
+                violations.append(
+                    f"resource {res.id}: cost of skill {skill} must be finite and >= 0, is {cost!r}"
+                )
         rel = res.reliability
         for name, value in (
             ("disruption_rate", rel.disruption_rate),

@@ -31,6 +31,7 @@ from .solver import (
     SolveLimits,
     SolveResult,
     SubproblemSpec,
+    _BranchAndBound,
     check_eps,
     lexicographic_outcome,
     solve,
@@ -132,16 +133,16 @@ def enumerate_front(
     levels 0 and N are the payoff table's points.  With ``bypass`` on,
     later levels whose budget an optimal point meets within ``TOL`` are
     skipped.  An unproven payoff table makes its end levels "timeout".
-    All solves share one sequencing memo, so each assignment's orientation
-    search runs once per front.
+    All solves share one search object, so its tables are built once and
+    each assignment's orientation search runs once per front.
     """
     if grid_count < 2:
         raise ValueError(f"grid_count must be >= 2, got {grid_count}")
     check_eps(eps)
-    memo: dict = {}
+    search = _BranchAndBound(instance)
     try:
-        lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits, warm=memo)
-        lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits, warm=memo)
+        lex_makespan = lexicographic_outcome(instance, ("makespan", "cost"), limits, warm=search)
+        lex_cost = lexicographic_outcome(instance, ("cost", "makespan"), limits, warm=search)
     except InfeasibleProblemError as exc:
         return ParetoFront(points=(), payoff=None, grid_count=grid_count, diagnosis=str(exc))
 
@@ -170,7 +171,7 @@ def enumerate_front(
         elif p == last:
             result = _table_level(lex_cost, levels[p])
         else:
-            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits, warm=memo)
+            result = solve(instance, _grid_spec(levels[p], eps, objective_range), limits, warm=search)
         records.append(_record_for(p, levels[p], result))
         skip = 0
         if result.solution is not None and result.status == "optimal":

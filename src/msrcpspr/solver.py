@@ -10,8 +10,8 @@ floor per shared resource; an assignment node counts only its assigned
 activities, with their waits at the current counts, and adds the exact
 remaining-cost minimum.  Both levels run on one graph whose heads and
 tails are kept up to date, not recomputed, per node (see
-:class:`_BranchAndBound`).  The solves of one front share a memo, so
-each assignment is sequenced once and its outcome read back after.
+:class:`_BranchAndBound`).  The solves of one front share one search
+object, so its tables are built and each assignment is sequenced once.
 ``brute_force_front`` is the independent exhaustive oracle for small
 instances.
 """
@@ -205,21 +205,21 @@ def _raise_longest_paths(
 
 
 class _BranchAndBound:
-    """Both search levels of one solve, on one disjunctive graph.
+    """Both search levels of the solves of one front, on one disjunctive graph.
 
     ``_dfs`` assigns the activities, those with a single candidate first
     and the rest by descending gap between their dearest and cheapest
     candidate, topological order breaking ties; at each full assignment
-    ``_sequenced`` orients the pairs sharing a resource.  One object holds
-    everything a solve needs.  ``__init__`` checks the precedence graph and
+    ``_sequenced`` orients the pairs sharing a resource.  One object serves
+    the solves of one front: ``__init__`` checks the precedence graph and
     tabulates, once, the candidate assignments of every activity (cheapest
     first, with their resources and costs), the cheapest cost of every
-    suffix of them and each resource's wait per assignment count.  The
-    search then owns the graph (``succ``, ``pred``, and ``reach``: bit v
-    of ``reach[u]`` means u has a path to v), the node weights, the heads
-    (earliest starts over ``succ``), the tails ``after`` (longest path
-    from a node's end to the sink's start, over ``pred``), one undo stack
-    and one node count.
+    suffix of them and each resource's wait per assignment count; ``run``
+    solves one subproblem.  The search owns the graph (``succ``, ``pred``,
+    and ``reach``: bit v of ``reach[u]`` means u has a path to v), the node
+    weights, the heads (earliest starts over ``succ``), the tails ``after``
+    (longest path from a node's end to the sink's start, over ``pred``),
+    one undo stack and one node count.
 
     No node runs a longest-path pass.  ``_assign`` raises the weights of
     the users of its resources, pushes the raised heads forward and the
@@ -241,21 +241,13 @@ class _BranchAndBound:
     better by more than ``TIE_TOL``, so two orders of one float sum tie;
     pruning and selection drop only leaves that would not replace it.
 
-    A leaf reads its sequencing outcome from the memo ``warm``, shared by
-    the solves of one front, when the entry decides the leaf's bound (see
+    A leaf reads its sequencing outcome from ``memo``, which the object
+    keeps across its solves, when the entry decides the leaf's bound (see
     ``_sequenced``).  That does not change the schedule returned.
     """
 
-    def __init__(
-        self,
-        instance: ProjectInstance,
-        spec: SubproblemSpec,
-        limits: SolveLimits,
-        warm: dict | None = None,
-    ):
+    def __init__(self, instance: ProjectInstance):
         self.instance = instance
-        self.spec = spec
-        self.limits = limits
         n = instance.n_nodes
         self.n = n
         self.sink = n - 1
@@ -302,8 +294,6 @@ class _BranchAndBound:
             [tuple(sorted(k - 1 for _, k in pairs)) for _, pairs in entries] for _, entries in tabled
         ]
         self.cand_costs = [[cost for cost, _ in entries] for _, entries in tabled]
-        # Place value of each activity's candidate index in a memo key.
-        self.radix = [math.prod(map(len, self.candidates[:idx])) for idx in range(len(self.acts))]
 
         self.suffix_min_cost = [0.0] * (len(self.acts) + 1)
         for idx in range(len(self.acts) - 1, -1, -1):
@@ -322,27 +312,26 @@ class _BranchAndBound:
                     break
             self.wait_table.append(table)
 
-        n_res = len(instance.resources)
-        self.lam = [0] * n_res
         self.chosen: list[int] = []
         self.cost_so_far = 0.0
         # Node weights (duration plus the largest wait at the current
         # counts) of the assigned prefix and the assigned users of every
-        # resource, kept up to date by ``_assign``.
+        # resource (its count), kept up to date by ``_assign``.
         self.weights = list(self.durations)
         self.heads = earliest_starts(n, self.succ, self.weights, topo)
         self.after = earliest_starts(n, self.pred, self.weights, self.reverse_topo)
-        self.users: list[list[int]] = [[] for _ in range(n_res)]
+        self.users: list[list[int]] = [[] for _ in instance.resources]
         self.res_of: list[tuple[int, ...]] = [()] * n
         self.undo: list[_UndoLog] = []
+        self.memo: dict[tuple[int, ...], tuple[float, list[tuple[int, int]] | None]] = {}
+        # The current solve, set by ``run``; ``best`` is (chosen, arcs, makespan, cost).
+        self.spec: SubproblemSpec | None = None
+        self.limits = SolveLimits()
+        self.deadline = math.inf
         self.nodes = 0
         self.timed_out = False
-        # Not ``warm or {}``: that would unshare a shared memo while it is empty.
-        self.memo = {} if warm is None else warm
         self.best_f = math.inf
-        # The incumbent leaf: (chosen, arcs, makespan, cost).
         self.best: tuple[list[int], list[tuple[int, int]], float, float] | None = None
-        self.deadline = time.perf_counter() + limits.time_limit
         # The sequencing search of the current full assignment: the
         # resources ``_floor`` reads (compiled by ``_makespan_lb``), the
         # root's floor, the value a leaf must beat, the kept leaf
@@ -403,7 +392,6 @@ class _BranchAndBound:
         resources = self.cand_resources[idx][cand_idx]
         touched = [u]
         for k in resources:
-            self.lam[k] += 1
             for x in self.users[k]:
                 if x not in touched:
                     touched.append(x)
@@ -413,10 +401,10 @@ class _BranchAndBound:
         self.chosen.append(cand_idx)
 
         undo: _UndoLog = []
-        weights, waits, lam, arcs = self.weights, self.wait_table, self.lam, self.succ
+        weights, waits, users, arcs = self.weights, self.wait_table, self.users, self.succ
         for x in touched:
             if self.res_of[x]:
-                weight = self.durations[x] + max(waits[k][lam[k]] for k in self.res_of[x])
+                weight = self.durations[x] + max(waits[k][len(users[k])] for k in self.res_of[x])
                 if weight != weights[x]:
                     undo.append((weights, x, weights[x]))
                     weights[x] = weight
@@ -433,7 +421,6 @@ class _BranchAndBound:
         self.cost_so_far -= self.cand_costs[idx][cand_idx]
         self.res_of[u] = ()
         for k in self.cand_resources[idx][cand_idx]:
-            self.lam[k] -= 1
             self.users[k].pop()
 
     def _add_arc(self, u: int, v: int) -> None:
@@ -482,7 +469,7 @@ class _BranchAndBound:
             return
         for cand_idx in range(len(self.candidates[idx])):
             resources = self.cand_resources[idx][cand_idx]
-            if any(self.lam[k] + 1 >= len(self.wait_table[k]) for k in resources):
+            if any(len(self.users[k]) + 1 >= len(self.wait_table[k]) for k in resources):
                 continue
             self._assign(idx, cand_idx)
             self._dfs()
@@ -515,15 +502,15 @@ class _BranchAndBound:
         """Best makespan below ``upper`` of the current assignment, with every
         arc between users of one resource.
 
-        The memo maps an assignment (its candidate indices in mixed radix)
-        to an outcome that does not depend on the subproblem: ``(makespan,
+        The memo maps an assignment (its candidate indices ``chosen``) to an
+        outcome that does not depend on the subproblem: ``(makespan,
         arcs)``, its first shortest orientation, once proven, or ``(upper,
         None)`` when no orientation has a makespan below ``upper``.  It is
         read when its entry decides ``upper``; else the assignment counts a
         root node, whose floor may close it, is searched by ``_branch`` and
         is memoized unless a limit cut the search short."""
         memo = self.memo
-        key = sum(c * r for c, r in zip(self.chosen, self.radix))
+        key = tuple(self.chosen)
         entry = memo.get(key)
         if entry is not None:
             value, arcs = entry
@@ -621,22 +608,35 @@ class _BranchAndBound:
         while len(self.selected) > mark:
             self._remove_arc(*self.selected.pop())
 
-    # -- materialization ---------------------------------------------
+    # -- one solve ---------------------------------------------------
 
-    def materialize(self) -> tuple[ScheduleSolution, ObjectiveValues]:
-        assert self.best is not None
-        instance = self.instance
-        n = self.n
+    def run(self, spec: SubproblemSpec, limits: SolveLimits, started: float) -> SolveResult:
+        """One solve of ``spec`` on these tables and this memo (see :func:`solve`),
+        timed from ``started``.  Every per-solve attribute starts afresh, and
+        so does ``cost_so_far``: backtracking restores it by subtraction, which
+        may leave an ulp, where the undo log restores the rest exactly."""
+        self.spec, self.limits, self.nodes, self.timed_out = spec, limits, 0, False
+        self.best_f, self.best, self.cost_so_far = math.inf, None, 0.0
+        self.deadline = time.perf_counter() + limits.time_limit
+        if all(self.candidates):
+            self._dfs()
+        wall = time.perf_counter() - started
+        if self.best is None:
+            status = "timeout" if self.timed_out else "infeasible"
+            return SolveResult(status, None, None, None, self.nodes, wall)
+        status = "timeout" if self.timed_out else "optimal"
+        chosen, arcs, makespan, cost = self.best
+        instance, n = self.instance, self.n
         X = np.zeros((n, instance.skill_count, len(instance.resources)), dtype=np.int8)
-        for idx, cand_idx in enumerate(self.best[0]):
-            u = self.acts[idx]
+        for idx, cand_idx in enumerate(chosen):
             for skill, res in self.candidates[idx][cand_idx]:
-                X[u, skill - 1, res - 1] = 1
+                X[self.acts[idx], skill - 1, res - 1] = 1
         Z = np.zeros((n, n), dtype=np.int8)
-        for u, v in self.best[1]:
+        for u, v in arcs:
             Z[u, v] = 1
         solution = tighten_starts(instance, X, Z)
-        return solution, evaluate(instance, solution)
+        objectives = evaluate(instance, solution)
+        return SolveResult(status, solution, objectives, _slack(spec, makespan, cost), self.nodes, wall)
 
 
 def solve(
@@ -644,7 +644,7 @@ def solve(
     spec: SubproblemSpec,
     limits: SolveLimits | None = None,
     *,
-    warm: dict | None = None,
+    warm: _BranchAndBound | None = None,
 ) -> SolveResult:
     """Prove the optimum of ``spec`` by depth-first branch and bound.
 
@@ -654,24 +654,17 @@ def solve(
     budget slack.  Returns a timeout status with the incumbent when a
     limit is hit, or with none when the limit came before the first
     leaf.  ``wall_time`` covers the search, not the rebuilding of the best
-    schedule.  ``warm`` is the sequencing memo shared by the solves of one
-    front on ``instance``; it saves searches, and a solve without it
-    returns the same schedule: the first optimal leaf in a fixed order
-    (see :class:`_BranchAndBound`).
+    schedule.  ``warm`` is the search object of the solves of one front on
+    ``instance``, whose tables and memo save work; a solve without it
+    builds its own, within ``wall_time``, and returns the same schedule:
+    the first optimal leaf in a fixed order (see :class:`_BranchAndBound`).
     """
-    limits = limits or SolveLimits()
     started = time.perf_counter()
-    bb = _BranchAndBound(instance, spec, limits, warm)
-    if all(bb.candidates):
-        bb._dfs()
-    wall = time.perf_counter() - started
-    if bb.best is None:
-        status = "timeout" if bb.timed_out else "infeasible"
-        return SolveResult(status, None, None, None, bb.nodes, wall)
-    solution, objectives = bb.materialize()
-    status = "timeout" if bb.timed_out else "optimal"
-    _, _, makespan, cost = bb.best
-    return SolveResult(status, solution, objectives, _slack(spec, makespan, cost), bb.nodes, wall)
+    if warm is None:
+        warm = _BranchAndBound(instance)
+    elif warm.instance is not instance:
+        raise ValueError("warm is the search object of another instance")
+    return warm.run(spec, limits or SolveLimits(), started)
 
 
 class InfeasibleProblemError(ValueError):
@@ -692,18 +685,19 @@ def lexicographic_outcome(
     order: tuple[str, str] = ("makespan", "cost"),
     limits: SolveLimits | None = None,
     *,
-    warm: dict | None = None,
+    warm: _BranchAndBound | None = None,
 ) -> LexOutcome:
     """Optimize ``order[0]``, then ``order[1]`` with the first held at its optimum.
 
-    Both solves share the memo ``warm`` (or a private one).  Stage 1's
-    schedule meets stage 2's budget, so a stage 2 that a limit cuts short
-    before a schedule of its own returns stage 1's, with its own status.
+    Both solves share the search object ``warm`` (or one of their own).
+    Stage 1's schedule meets stage 2's budget, so a stage 2 that a limit
+    cuts short before a schedule of its own returns stage 1's, with its
+    own status.
     """
     first, second = order
     if {first, second} != {"makespan", "cost"}:
         raise ValueError(f"order must name makespan and cost, got {order!r}")
-    warm = {} if warm is None else warm
+    warm = warm or _BranchAndBound(instance)
     stage1 = solve(instance, SubproblemSpec(primary=first), limits, warm=warm)
     if stage1.objectives is None:
         raise InfeasibleProblemError(

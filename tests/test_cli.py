@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import msrcpspr
@@ -14,7 +15,7 @@ from msrcpspr import queueing
 from msrcpspr.cli import DEFAULT_HORIZON, build_parser, main, simulation_rows
 from msrcpspr.instance import instance_from_files
 from msrcpspr.queueing import InstabilityError
-from msrcpspr.schedule import CycleError
+from msrcpspr.schedule import TOL, CycleError
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
@@ -161,6 +162,24 @@ class TestValidate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "pareto"])
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -100.0], ids=["nan", "inf", "negative"])
+    def test_bad_skill_cost_exit_two(self, toy_paths, tmp_path, capsys, command, cost):
+        # A NaN cost would reach the solver as an infeasible front or a
+        # schedule whose cost cannot be printed, and the model's usage costs
+        # are nonnegative: every command rejects all three as invalid input.
+        sidecar = json.loads(Path(toy_paths[1]).read_text(encoding="utf-8"))
+        sidecar["resources"][0]["cost_per_skill"]["1"] = cost
+        ext = tmp_path / "cost.json"
+        ext.write_text(json.dumps(sidecar), encoding="utf-8")
+        code = main([command, "--instance", toy_paths[0], "--extension", str(ext),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"resource 1: cost of skill 1 must be finite and >= 0, is {cost!r}" in (
+            captured.out + captured.err
+        )
 
 
 def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
@@ -384,7 +403,7 @@ class TestPareto:
             if fields[4] == "optimal":
                 pairs.append((float(fields[1]), float(fields[2])))
         oracle = brute_force_front(toy5).pairs()
-        assert pairs == pytest.approx(oracle, abs=1e-9)
+        assert np.array(pairs) == pytest.approx(np.array(oracle), abs=TOL)
 
     def test_degenerate_instance_single_row(self, tmp_path):
         from msrcpspr.instance import serialize_psplib

@@ -210,7 +210,7 @@ class TestEnumerateFront:
         for name, instance in corpus.items():
             oracle = brute_force_front(instance)
             front = enumerate_front(instance, sufficient_grid(oracle), eps=1e-4)
-            assert front.pairs() == pytest.approx(oracle.pairs(), abs=1e-9), name
+            assert np.array(front.pairs()) == pytest.approx(np.array(oracle.pairs()), abs=TOL), name
 
     def test_oracle_equivalence_randomized(self):
         # differential campaign: the enumerated front must equal the
@@ -227,7 +227,9 @@ class TestEnumerateFront:
             if not oracle.points:
                 continue
             front = enumerate_front(instance, sufficient_grid(oracle), eps=1e-4)
-            assert front.pairs() == pytest.approx(oracle.pairs(), abs=1e-9), instance
+            assert np.array(front.pairs()) == pytest.approx(
+                np.array(oracle.pairs()), abs=TOL
+            ), instance
             checked += 1
 
     def test_front_invariants(self, toy5):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from msrcpspr import pareto, solver
 
-from msrcpspr.instance import ValidationError, topological_order, validate
+from msrcpspr.instance import ValidationError, scale_reliability, topological_order, validate
 from msrcpspr.queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
     GuardRailError,
@@ -272,7 +272,7 @@ class TestSolve:
             ],
             requirements={2: {1: 1}, 3: {2: 2}, 4: {1: 1}},
         )
-        bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        bb = _BranchAndBound(instance)
         assert [len(c) for c in bb.candidates] == [2, 2, 0]
         assert bb.acts == [3, 1, 2]
         result = solve(instance, SubproblemSpec(primary="makespan"))
@@ -328,7 +328,7 @@ def _sequencing_case(rng: np.random.Generator):
         resources=[({1}, {1: 10.0}, (0.5, 0.5, 40.0)), ({1}, {1: 20.0}, (0.5, 0.5, 40.0))],
         requirements={act: {1: int(rng.choice([0, 1, 1, 2]))} for act in range(2, n)},
     )
-    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    bb = _BranchAndBound(instance)
     for idx in range(len(bb.acts)):
         bb._assign(idx, int(rng.integers(len(bb.candidates[idx]))))
     pairs = {p for nodes in bb.users for p in itertools.combinations(sorted(nodes), 2)}
@@ -341,7 +341,7 @@ def _sequencing_case(rng: np.random.Generator):
 
 def _pristine(bb: _BranchAndBound):
     """A fresh search object's precedence graph for ``bb``'s instance."""
-    fresh = _BranchAndBound(bb.instance, bb.spec, bb.limits)
+    fresh = _BranchAndBound(bb.instance)
     return fresh.succ, fresh.pred, fresh.reach
 
 
@@ -536,8 +536,7 @@ def test_leaf_closed_by_its_root_floor(monkeypatch):
         assert bb._sequenced(floor) is None
         assert bb.nodes == nodes + 1
         assert built == []
-        key = sum(c * r for c, r in zip(bb.chosen, bb.radix))
-        assert bb.memo == {key: (floor, None)}
+        assert bb.memo == {tuple(bb.chosen): (floor, None)}
         # A search below the root that does not stop at its floor agrees.
         with monkeypatch.context() as patch:
             patch.setattr(_BranchAndBound, "_makespan_lb", no_floor)
@@ -550,10 +549,9 @@ def test_leaf_closed_by_its_root_floor(monkeypatch):
 def test_search_state_declared_in_init(j10):
     # Every attribute of the search, the sequencing level's included, is
     # created by ``__init__``: a whole j10 solve adds none.
-    bb = _BranchAndBound(j10, SubproblemSpec(primary="makespan"), SolveLimits())
+    bb = _BranchAndBound(j10)
     declared = set(vars(bb))
-    bb._dfs()
-    assert bb.best is not None and not bb.timed_out
+    assert solve(j10, SubproblemSpec(primary="makespan"), warm=bb).status == "optimal"
     assert set(vars(bb)) == declared
 
 
@@ -564,7 +562,7 @@ def test_forced_activities_come_first(corpus, j10, j20):
     instances = {**corpus, "j10": j10, "j20": j20}
     forced_counts, orders = {}, {}
     for name, instance in instances.items():
-        bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        bb = _BranchAndBound(instance)
         orders[name] = bb.acts
         topo, _ = topological_order(bb.succ)
         rank = {u: r for r, u in enumerate(topo)}
@@ -586,7 +584,6 @@ def test_forced_activities_come_first(corpus, j10, j20):
             ):
                 assert resources == tuple(sorted(k - 1 for _, k in pairs))
                 assert cost == bb.durations[u] * sum(cost_rate[l - 1, k - 1] for l, k in pairs)
-            assert bb.radix[idx] == math.prod(len(c) for c in bb.candidates[:idx])
     assert (forced_counts["toy5"], forced_counts["j10"], forced_counts["j20"]) == (0, 4, 6)
     # toy5's gaps are 1000, 720, 600, 600 and 360: activities 1 and 5 tie
     # and keep their topological order.
@@ -598,7 +595,7 @@ def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
     for idx, cand_idx in enumerate(bb.chosen):
         resources = bb.cand_resources[idx][cand_idx]
         if resources:
-            weights[bb.acts[idx]] += max(bb.wait_table[k][bb.lam[k]] for k in resources)
+            weights[bb.acts[idx]] += max(bb.wait_table[k][len(bb.users[k])] for k in resources)
     return weights
 
 
@@ -623,12 +620,11 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
     specs = (SubproblemSpec(primary="makespan"), SubproblemSpec(primary="cost"))
     for name, instance in {**corpus, **draws}.items():
         for spec in specs:
-            bb = _BranchAndBound(instance, spec, SolveLimits())
+            bb = _BranchAndBound(instance)
             pristine = _pristine(bb)
             root_heads = earliest_starts(bb.n, pristine[0], bb.durations)
             root_after = earliest_starts(bb.n, pristine[1], bb.durations)
-            bb._dfs()
-            assert bb.best is not None, name
+            assert solve(instance, spec, warm=bb).status == "optimal", name
             assert bb.weights == bb.durations, name
             assert bb.heads == root_heads, name
             assert bb.after == root_after, name
@@ -642,7 +638,7 @@ def test_wait_tables_are_nondecreasing(corpus, j10):
     # The assignment search only ever raises weights and heads; that holds
     # because no wait falls as a resource's count rises.
     for instance in [*corpus.values(), j10]:
-        bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+        bb = _BranchAndBound(instance)
         for row in bb.wait_table:
             assert all(a <= b for a, b in zip(row, row[1:]))
 
@@ -650,7 +646,7 @@ def test_wait_tables_are_nondecreasing(corpus, j10):
 class TestBounds:
     def test_critical_path_bound_admissible(self, corpus):
         for instance in corpus.values():
-            bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+            bb = _BranchAndBound(instance)
             lb = earliest_starts(bb.n, bb.succ, list(instance.duration_array))[bb.sink]
             front = brute_force_front(instance)
             for point in front.points:
@@ -874,14 +870,14 @@ def test_bundled_fronts_do_not_depend_on_activity_numbering(name, request):
         assert validate(relabelled) == []
         assert np.tril(relabelled.precedence).any()  # an arc runs against the numbering
         got = pareto.enumerate_front(relabelled, 10, eps=1e-4)
-        assert got.pairs() == pytest.approx(front.pairs(), abs=TOL)
+        assert np.array(got.pairs()) == pytest.approx(np.array(front.pairs()), abs=TOL)
 
 
 def _leaves(instance) -> list:
     """Every stable, acyclic leaf as (assignment, solution, makespan, cost):
     the candidates of ``acts`` in product order, then, per assignment, the
     orientations of its sorted sharing pairs with i->j before j->i."""
-    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    bb = _BranchAndBound(instance)
     n, shape = bb.n, (bb.n, instance.skill_count, len(instance.resources))
     leaves = []
     for chosen in itertools.product(*(range(len(c)) for c in bb.candidates)):
@@ -992,7 +988,7 @@ def test_makespan_bound_is_admissible(instance):
     # Walk every stable assignment: the bound at each node, full or not,
     # never exceeds the best makespan, over every orientation of the open
     # pairs sharing a resource, of any full assignment below it.
-    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    bb = _BranchAndBound(instance)
 
     def walk(idx):
         bound = bb._makespan_lb()
@@ -1008,7 +1004,7 @@ def test_makespan_bound_is_admissible(instance):
         else:
             best = math.inf
             for cand_idx, resources in enumerate(bb.cand_resources[idx]):
-                if any(bb.lam[k] + 1 >= len(bb.wait_table[k]) for k in resources):
+                if any(len(bb.users[k]) + 1 >= len(bb.wait_table[k]) for k in resources):
                     continue
                 bb._assign(idx, cand_idx)
                 best = min(best, walk(idx + 1))
@@ -1030,7 +1026,7 @@ def test_makespan_bound_adds_the_one_machine_floor():
         resources=[({1}, {1: 10.0}, (0.5, 0.5, 8.0))],
         requirements={2: {1: 1}, 3: {1: 1}},
     )
-    bb = _BranchAndBound(instance, SubproblemSpec(primary="makespan"), SolveLimits())
+    bb = _BranchAndBound(instance)
     bb._assign(0, 0)
     bb._assign(1, 0)
     wait = bb.wait_table[0][2]
@@ -1059,35 +1055,26 @@ def _cold(instance, spec, limits=None, *, warm=None):
     return solve(instance, spec, limits)
 
 
-def _memo_key_chosen(bb: _BranchAndBound, key: int) -> list[int]:
-    chosen = []
-    for radix in reversed(bb.radix):
-        cand_idx, key = divmod(key, radix)
-        chosen.append(cand_idx)
-    return chosen[::-1]
-
-
 def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
     # Every entry a j10 front memoizes is what a fresh search of its
     # assignment returns, whatever the bound: the proven makespan and arcs
     # below any bound above it and nothing at or below it, or no
     # orientation below the stored bound.  A leaf reading the entry gets
     # what the fresh search gets.
-    memos = []
+    searches = []
 
     def recorded(instance, spec, limits=None, *, warm=None):
-        memos.append(warm)
+        searches.append(warm)
         return solve(instance, spec, limits, warm=warm)
 
     monkeypatch.setattr(pareto, "solve", recorded)
     monkeypatch.setattr(solver, "solve", recorded)
     pareto.enumerate_front(j10, 10, eps=1e-4)
-    memo = memos[0]
-    assert len(memos) == 7 and all(m is memo for m in memos)
-    bb = _BranchAndBound(j10, SubproblemSpec(primary="makespan"), SolveLimits())
+    assert len(searches) == 7 and all(s is searches[0] for s in searches)
+    bb = _BranchAndBound(j10)
     kinds = set()
-    for key, (value, arcs) in memo.items():
-        for idx, cand_idx in enumerate(_memo_key_chosen(bb, key)):
+    for key, (value, arcs) in searches[0].memo.items():
+        for idx, cand_idx in enumerate(key):
             bb._assign(idx, cand_idx)
         for upper in (value - 1.0, value, value + 1e-9, value + 10.0, math.inf):
             bb.memo = {}
@@ -1151,23 +1138,84 @@ def test_cut_solve_memoizes_nothing(j10, monkeypatch):
         return outcome
 
     monkeypatch.setattr(_BranchAndBound, "_sequenced", watched)
-    memo = {}
+    search = _BranchAndBound(j10)
     for limit in range(1, proved.nodes_explored):
         searches.clear()
-        cut = solve(j10, spec, SolveLimits(node_limit=limit), warm=memo)
+        cut = solve(j10, spec, SolveLimits(node_limit=limit), warm=search)
         if searches:
             break
     # The first limit that reaches a sequencing search cuts it short.
     assert searches == [True]
-    assert memo == {}
+    assert search.memo == {}
     assert cut.status == "timeout" and cut.solution is None
 
     # A leaf is len(acts) assignments below the root, so a solve cut at
     # len(acts) nodes reaches none and has no schedule, however full the
     # memo is.
-    solve(j10, spec, warm=memo)
-    assert memo
-    depth = len(_BranchAndBound(j10, spec, SolveLimits()).acts)
-    early = solve(j10, spec, SolveLimits(node_limit=depth), warm=memo)
+    solve(j10, spec, warm=search)
+    assert search.memo
+    early = solve(j10, spec, SolveLimits(node_limit=len(search.acts)), warm=search)
     assert early.status == "timeout"
     assert early.solution is None and early.objectives is None
+
+
+def test_one_search_per_front_and_per_payoff_row(j10, toy5, monkeypatch):
+    # A front builds its search once, for both payoff rows and every grid
+    # level; a payoff row called on its own builds one for both stages.
+    built, searches = [], []
+    original = _BranchAndBound.__init__
+
+    def counted_init(self, instance):
+        built.append(instance)
+        original(self, instance)
+
+    def recorded(instance, spec, limits=None, *, warm=None):
+        searches.append(warm)
+        return solve(instance, spec, limits, warm=warm)
+
+    monkeypatch.setattr(_BranchAndBound, "__init__", counted_init)
+    monkeypatch.setattr(pareto, "solve", recorded)
+    monkeypatch.setattr(solver, "solve", recorded)
+    pareto.enumerate_front(j10, 10, eps=1e-4)
+    assert built == [j10]
+    assert len(searches) == 7 and all(s is searches[0] for s in searches)
+    built.clear()
+    lexicographic_outcome(toy5, ("makespan", "cost"))
+    assert built == [toy5]
+
+
+def test_search_of_another_instance_is_refused(j10):
+    # The memo is keyed by the candidate indices of one instance's tables.
+    # On j10 with faster retrieval an entry read back from j10's search
+    # would close leaves that are shorter there, so it must not be read.
+    search = _BranchAndBound(j10)
+    spec = SubproblemSpec(primary="makespan")
+    solve(j10, spec, warm=search)
+    with pytest.raises(ValueError, match="another instance"):
+        solve(scale_reliability(j10, "retrieval", 1.4), spec, warm=search)
+
+
+_BUILT_STATE = (
+    "weights", "heads", "after", "reach", "succ", "pred",
+    "users", "res_of", "chosen", "undo", "cost_so_far", "selected",
+)
+
+
+@pytest.mark.parametrize("name, primary", [("toy5", "makespan"), ("j10", "cost")])
+def test_reused_search_returns_to_its_built_state(name, primary, request):
+    # A solve, proved or cut at any node limit, hands the shared search
+    # back as built, so the next solve of a front starts where a fresh
+    # object would.  The memo is emptied before each cut so that every
+    # limit cuts the same tree at another node.
+    instance = request.getfixturevalue(name)
+    spec = SubproblemSpec(primary=primary)
+    fresh = {attr: getattr(_BranchAndBound(instance), attr) for attr in _BUILT_STATE}
+    search = _BranchAndBound(instance)
+    full = solve(instance, spec, warm=search)
+    assert full.status == "optimal"
+    assert {attr: getattr(search, attr) for attr in _BUILT_STATE} == fresh
+    for limit in range(1, full.nodes_explored + 1):
+        search.memo.clear()
+        cut = solve(instance, spec, SolveLimits(node_limit=limit), warm=search)
+        assert cut.status == ("optimal" if limit == full.nodes_explored else "timeout")
+        assert {attr: getattr(search, attr) for attr in _BUILT_STATE} == fresh, limit
