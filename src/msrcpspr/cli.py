@@ -8,6 +8,7 @@ data artifacts to files in the --out directory only.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -145,7 +146,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 def run_sweep(
     problem: ProjectInstance,
     parameter: str,
-    multipliers: list[float],
+    multipliers: list[float] | tuple[float, ...],
     grid_count: int,
     eps: float,
     limits: SolveLimits,
@@ -320,7 +321,9 @@ def _parse_multipliers(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once and shared: parsing never changes it, and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="msrcpspr",
         description="Bi-objective multi-skill project scheduling with unreliable resources",
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", "sensitivity of the front to reliability scaling", solves=True)
     p.add_argument("--parameter", choices=("retrieval", "disruption"), required=True)
-    p.add_argument("--multipliers", type=_parse_multipliers, default=[1.0, 1.4])
+    p.add_argument("--multipliers", type=_parse_multipliers, default=(1.0, 1.4))
     p.add_argument("--grid", type=int, default=pareto_mod.DEFAULT_GRID_COUNT, metavar="N")
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
     p.add_argument("--no-bypass", action="store_true")
@@ -382,9 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         # An unknown MSRCPSPR_LOG level is input: ValueError, exit 2.
         logging.basicConfig(stream=sys.stderr, level=os.environ.get("MSRCPSPR_LOG", "INFO"))
         return _COMMANDS[args.command](args)
-    except (schedule.CycleError, queueing.InstabilityError):
-        # Parsing rejects cyclic precedence and the solver skips unstable
-        # counts, so these are program faults, not input errors.
+    except (schedule.CycleError, schedule.InfeasibleSolutionError, queueing.InstabilityError):
+        # Parsing rejects cyclic precedence, the solver skips unstable counts
+        # and returns only feasible schedules: program faults, not input errors.
         raise
     except (FileNotFoundError, ValueError) as exc:
         if isinstance(exc, InfeasibleProblemError):

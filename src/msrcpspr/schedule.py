@@ -10,6 +10,7 @@ completes a valid (X, Z) pair into the earliest-start solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ TIE_TOL = 1e-12
 
 class CycleError(ValueError):
     """The union of precedence and sequencing arcs is cyclic."""
+
+
+class InfeasibleSolutionError(ValueError):
+    """A solution handed to :func:`to_gantt` breaks a model relation."""
 
 
 @dataclass(eq=False)
@@ -100,24 +105,31 @@ def check_feasibility(instance: ProjectInstance, sol: ScheduleSolution) -> list[
     _check_shapes(instance, sol)
     violations: list[Violation] = []
     n = instance.n_nodes
-    X = sol.assignment
-    Z = sol.sequencing
-    req = instance.requirement_matrix
-    mastery = instance.mastery_matrix
-    d = instance.duration_array
+    # Read as Python lists: a numpy scalar per element costs more than its test.
+    X = sol.assignment.tolist()
+    skill_load = sol.assignment.sum(axis=2).tolist()  # [i][l]: resources on skill l
+    res_load = sol.assignment.sum(axis=1).tolist()    # [i][k]: skills on resource k
+    Z = sol.sequencing.tolist()
+    req = instance.requirement_matrix.tolist()
+    mastery = instance.mastery_matrix.tolist()
+    d = instance.duration_array.tolist()
+    rates = sol.arrival_rates.tolist()
+    waits = sol.waits.tolist()
+    T = sol.activity_waits.tolist()
+    S = sol.starts.tolist()
     executables = list(instance.executable_ids)
 
     for i in executables:
         for skill in range(1, instance.skill_count + 1):
-            assigned = int(X[i - 1, skill - 1, :].sum())
-            needed = int(req[i - 1, skill - 1])
+            assigned = int(skill_load[i - 1][skill - 1])
+            needed = int(req[i - 1][skill - 1])
             if assigned != needed:
                 violations.append(
                     Violation(3, (i, skill), assigned - needed,
                               f"eq3: activity {i} skill {skill} has {assigned} resources, needs {needed}")
                 )
         for res in range(1, len(instance.resources) + 1):
-            used = int(X[i - 1, :, res - 1].sum())
+            used = int(res_load[i - 1][res - 1])
             if used > 1:
                 violations.append(
                     Violation(4, (i, res), used - 1,
@@ -126,23 +138,23 @@ def check_feasibility(instance: ProjectInstance, sol: ScheduleSolution) -> list[
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            both = int(Z[i - 1, j - 1]) + int(Z[j - 1, i - 1])
+            both = int(Z[i - 1][j - 1]) + int(Z[j - 1][i - 1])
             if both > 1:
                 violations.append(
                     Violation(5, (i, j), both - 1,
                               f"eq5: activities {i} and {j} sequence each other both ways")
                 )
             for res in range(1, len(instance.resources) + 1):
-                load = int(X[i - 1, :, res - 1].sum()) + int(X[j - 1, :, res - 1].sum())
+                load = int(res_load[i - 1][res - 1]) + int(res_load[j - 1][res - 1])
                 if load > 1 + both:
                     violations.append(
                         Violation(6, (i, j, res), load - 1 - both,
                                   f"eq6: unsequenced activities {i} and {j} share resource {res}")
                     )
 
-    counts = X.sum(axis=(0, 1)).astype(float)
+    counts = sol.assignment.sum(axis=(0, 1)).astype(float).tolist()
     for res in range(1, len(instance.resources) + 1):
-        stored = float(sol.arrival_rates[res - 1])
+        stored = float(rates[res - 1])
         if abs(stored - counts[res - 1]) > TOL:
             violations.append(
                 Violation(7, (res,), stored - counts[res - 1],
@@ -151,8 +163,8 @@ def check_feasibility(instance: ProjectInstance, sol: ScheduleSolution) -> list[
 
     for res_profile in instance.resources:
         res = res_profile.id
-        stored = float(sol.waits[res - 1])
-        point = QueueOperatingPoint(float(sol.arrival_rates[res - 1]), res_profile.reliability)
+        stored = float(waits[res - 1])
+        point = QueueOperatingPoint(float(rates[res - 1]), res_profile.reliability)
         try:
             expected = waiting_time(point)
         except (InstabilityError, ValueError):
@@ -161,16 +173,17 @@ def check_feasibility(instance: ProjectInstance, sol: ScheduleSolution) -> list[
                           f"eq8: resource {res} operates at an unstable arrival rate")
             )
             continue
-        if not np.isfinite(stored) or abs(stored - expected) > TOL:
+        if not math.isfinite(stored) or abs(stored - expected) > TOL:
             violations.append(
                 Violation(8, (res,), stored - expected,
                           f"eq8: resource {res} wait {stored:g} != queue value {expected:g}")
             )
 
+    usage = sol.usage.tolist()
     for i in executables:
         for res in range(1, len(instance.resources) + 1):
-            uses = int(X[i - 1, :, res - 1].sum()) >= 1
-            flagged = bool(sol.usage[i - 1, res - 1])
+            uses = int(res_load[i - 1][res - 1]) >= 1
+            flagged = bool(usage[i - 1][res - 1])
             if uses != flagged:
                 violations.append(
                     Violation(9, (i, res), float(flagged) - float(uses),
@@ -178,32 +191,32 @@ def check_feasibility(instance: ProjectInstance, sol: ScheduleSolution) -> list[
                               f"assignments say {int(uses)}")
                 )
             if flagged:
-                gap = float(sol.waits[res - 1]) - float(sol.activity_waits[i - 1])
+                gap = float(waits[res - 1]) - float(T[i - 1])
                 if gap > TOL:
                     violations.append(
                         Violation(9, (i, res), gap,
-                                  f"eq9: activity {i} wait {sol.activity_waits[i - 1]:g} below "
-                                  f"resource {res} wait {sol.waits[res - 1]:g}")
+                                  f"eq9: activity {i} wait {T[i - 1]:g} below "
+                                  f"resource {res} wait {waits[res - 1]:g}")
                     )
 
-    prec = instance.precedence
+    prec = instance.precedence.tolist()
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j or not (prec[i - 1, j - 1] or Z[i - 1, j - 1]):
+            if i == j or not (prec[i - 1][j - 1] or Z[i - 1][j - 1]):
                 continue
-            lhs = float(sol.starts[i - 1] + d[i - 1] + sol.activity_waits[i - 1])
-            gap = lhs - float(sol.starts[j - 1])
+            lhs = float(S[i - 1] + d[i - 1] + T[i - 1])
+            gap = lhs - float(S[j - 1])
             if gap > TOL:
                 violations.append(
                     Violation(10, (i, j), gap,
-                              f"eq10: activity {j} starts {sol.starts[j - 1]:g}, "
+                              f"eq10: activity {j} starts {S[j - 1]:g}, "
                               f"predecessor {i} releases it at {lhs:g}")
                 )
 
     for i in range(1, n + 1):
         for skill in range(1, instance.skill_count + 1):
             for res in range(1, len(instance.resources) + 1):
-                if X[i - 1, skill - 1, res - 1] and not mastery[skill - 1, res - 1]:
+                if X[i - 1][skill - 1][res - 1] and not mastery[skill - 1][res - 1]:
                     violations.append(
                         Violation(11, (i, skill, res), 1.0,
                                   f"eq11: resource {res} assigned skill {skill} on activity {i} "
@@ -216,10 +229,10 @@ def check_feasibility(instance: ProjectInstance, sol: ScheduleSolution) -> list[
         ("activity wait", sol.activity_waits),
         ("start", sol.starts),
     ):
-        for idx, value in enumerate(np.asarray(eq_values, dtype=float), start=1):
-            if not np.isfinite(value) or value < -TOL:
+        for idx, value in enumerate(np.asarray(eq_values, dtype=float).tolist(), start=1):
+            if not math.isfinite(value) or value < -TOL:
                 violations.append(
-                    Violation(12, (idx,), float(value),
+                    Violation(12, (idx,), value,
                               f"eq12: {name} {idx} is {value!r}, must be finite and >= 0")
                 )
     return violations
@@ -316,16 +329,17 @@ def to_gantt(instance: ProjectInstance, sol: ScheduleSolution) -> list[GanttRow]
     """
     violations = check_feasibility(instance, sol)
     if violations:
-        raise ValueError(
+        raise InfeasibleSolutionError(
             "cannot render an infeasible solution: " + "; ".join(v.message for v in violations[:3])
         )
+    X = sol.assignment.tolist()
     rows = []
     for i in instance.executable_ids:
         pairs = [
             (res, skill)
             for skill in range(1, instance.skill_count + 1)
             for res in range(1, len(instance.resources) + 1)
-            if sol.assignment[i - 1, skill - 1, res - 1]
+            if X[i - 1][skill - 1][res - 1]
         ]
         rows.append(
             GanttRow(

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import json
 import math
 import os
@@ -393,6 +395,20 @@ class TestPareto:
         with pytest.raises(type(error)):
             main(["pareto", "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("command", ["pareto", "solve", "gantt"])
+    def test_infeasible_rendered_schedule_is_not_an_input_error(
+        self, toy_paths, tmp_path, monkeypatch, command
+    ):
+        # The solver returns only feasible schedules, so one that fails the
+        # check before it is drawn is a program fault, not exit 2.
+        from msrcpspr import schedule
+
+        planted = schedule.Violation(10, (2, 3), 1.0, "eq10: planted")
+        monkeypatch.setattr(schedule, "check_feasibility", lambda instance, sol: [planted])
+        sm, ext = toy_paths
+        with pytest.raises(schedule.InfeasibleSolutionError, match="eq10: planted"):
+            main([command, "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
+
     def test_golden_points_backed_by_oracle(self, toy5):
         from msrcpspr.solver import brute_force_front
 
@@ -739,6 +755,56 @@ class TestColdStart:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_builds_no_parser(self):
+        # The parser is built on the first call of main, which every
+        # process that only imports the module would otherwise pay for.
+        src = str(Path(msrcpspr.__file__).resolve().parent.parent)
+        code = "import msrcpspr.cli; print(msrcpspr.cli.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "0"
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, toy_paths, tmp_path, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        sm, ext = toy_paths
+        after = []
+        for _ in range(3):
+            assert main(["validate", "--instance", sm, "--extension", ext, "--out", str(tmp_path)]) == 0
+            after.append(len(built))
+        # The first call builds the tree, one top-level parser and one per
+        # command; the next two build nothing.
+        assert built.count("msrcpspr") == 1
+        assert after == [len(built)] * 3
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, toy_paths, tmp_path):
+        sm, ext = toy_paths
+        argv = ["pareto", "--instance", sm, "--extension", ext, "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--v", "0.9", "--grid", "many"])
+        assert exc.value.code == 2
+        fresh = build_parser.__wrapped__()
+        assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        assert main(argv) == 0
+
+    def test_sweep_default_multipliers_cannot_be_changed(self):
+        argv = ["sweep", "--instance", "x.sm", "--parameter", "retrieval"]
+        first = build_parser().parse_args(argv)
+        with contextlib.suppress(AttributeError):
+            first.multipliers.append(9.0)
+        assert list(build_parser().parse_args(argv).multipliers) == [1.0, 1.4]
 
 
 class TestConsoleScript:

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from msrcpspr.queueing import InstabilityError
+from msrcpspr.pareto import enumerate_front
+from msrcpspr.queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from msrcpspr.schedule import (
+    TOL,
     CycleError,
+    InfeasibleSolutionError,
+    Violation,
+    _check_shapes,
     check_feasibility,
     earliest_starts,
     evaluate,
@@ -18,6 +23,7 @@ from conftest import (
     random_completion,
     sequencing_from_order,
 )
+from test_acceptance import _copy_solution, _corrupters
 
 
 def chain_instance(with_wait: float | None = None):
@@ -43,6 +49,163 @@ def zeros_solution(instance):
     X = np.zeros((instance.n_nodes, instance.skill_count, len(instance.resources)), dtype=np.int8)
     Z = np.zeros((instance.n_nodes, instance.n_nodes), dtype=np.int8)
     return X, Z
+
+
+def reference_check_feasibility(instance, sol):
+    """check_feasibility element by element over the numpy arrays: the
+    reference the list-based version must match violation for violation."""
+    _check_shapes(instance, sol)
+    violations = []
+    n = instance.n_nodes
+    X = sol.assignment
+    Z = sol.sequencing
+    req = instance.requirement_matrix
+    mastery = instance.mastery_matrix
+    d = instance.duration_array
+    executables = list(instance.executable_ids)
+
+    for i in executables:
+        for skill in range(1, instance.skill_count + 1):
+            assigned = int(X[i - 1, skill - 1, :].sum())
+            needed = int(req[i - 1, skill - 1])
+            if assigned != needed:
+                violations.append(
+                    Violation(3, (i, skill), assigned - needed,
+                              f"eq3: activity {i} skill {skill} has {assigned} resources, needs {needed}")
+                )
+        for res in range(1, len(instance.resources) + 1):
+            used = int(X[i - 1, :, res - 1].sum())
+            if used > 1:
+                violations.append(
+                    Violation(4, (i, res), used - 1,
+                              f"eq4: activity {i} uses resource {res} for {used} skills (max 1)")
+                )
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            both = int(Z[i - 1, j - 1]) + int(Z[j - 1, i - 1])
+            if both > 1:
+                violations.append(
+                    Violation(5, (i, j), both - 1,
+                              f"eq5: activities {i} and {j} sequence each other both ways")
+                )
+            for res in range(1, len(instance.resources) + 1):
+                load = int(X[i - 1, :, res - 1].sum()) + int(X[j - 1, :, res - 1].sum())
+                if load > 1 + both:
+                    violations.append(
+                        Violation(6, (i, j, res), load - 1 - both,
+                                  f"eq6: unsequenced activities {i} and {j} share resource {res}")
+                    )
+
+    counts = X.sum(axis=(0, 1)).astype(float)
+    for res in range(1, len(instance.resources) + 1):
+        stored = float(sol.arrival_rates[res - 1])
+        if abs(stored - counts[res - 1]) > TOL:
+            violations.append(
+                Violation(7, (res,), stored - counts[res - 1],
+                          f"eq7: resource {res} arrival rate {stored:g} != assignment count {counts[res - 1]:g}")
+            )
+
+    for res_profile in instance.resources:
+        res = res_profile.id
+        stored = float(sol.waits[res - 1])
+        point = QueueOperatingPoint(float(sol.arrival_rates[res - 1]), res_profile.reliability)
+        try:
+            expected = waiting_time(point)
+        except (InstabilityError, ValueError):
+            violations.append(
+                Violation(8, (res,), float("inf"),
+                          f"eq8: resource {res} operates at an unstable arrival rate")
+            )
+            continue
+        if not np.isfinite(stored) or abs(stored - expected) > TOL:
+            violations.append(
+                Violation(8, (res,), stored - expected,
+                          f"eq8: resource {res} wait {stored:g} != queue value {expected:g}")
+            )
+
+    for i in executables:
+        for res in range(1, len(instance.resources) + 1):
+            uses = int(X[i - 1, :, res - 1].sum()) >= 1
+            flagged = bool(sol.usage[i - 1, res - 1])
+            if uses != flagged:
+                violations.append(
+                    Violation(9, (i, res), float(flagged) - float(uses),
+                              f"eq9: activity {i} usage flag for resource {res} is {int(flagged)}, "
+                              f"assignments say {int(uses)}")
+                )
+            if flagged:
+                gap = float(sol.waits[res - 1]) - float(sol.activity_waits[i - 1])
+                if gap > TOL:
+                    violations.append(
+                        Violation(9, (i, res), gap,
+                                  f"eq9: activity {i} wait {sol.activity_waits[i - 1]:g} below "
+                                  f"resource {res} wait {sol.waits[res - 1]:g}")
+                    )
+
+    prec = instance.precedence
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j or not (prec[i - 1, j - 1] or Z[i - 1, j - 1]):
+                continue
+            lhs = float(sol.starts[i - 1] + d[i - 1] + sol.activity_waits[i - 1])
+            gap = lhs - float(sol.starts[j - 1])
+            if gap > TOL:
+                violations.append(
+                    Violation(10, (i, j), gap,
+                              f"eq10: activity {j} starts {sol.starts[j - 1]:g}, "
+                              f"predecessor {i} releases it at {lhs:g}")
+                )
+
+    for i in range(1, n + 1):
+        for skill in range(1, instance.skill_count + 1):
+            for res in range(1, len(instance.resources) + 1):
+                if X[i - 1, skill - 1, res - 1] and not mastery[skill - 1, res - 1]:
+                    violations.append(
+                        Violation(11, (i, skill, res), 1.0,
+                                  f"eq11: resource {res} assigned skill {skill} on activity {i} "
+                                  f"without mastering it")
+                    )
+
+    for name, eq_values in (
+        ("arrival rate", sol.arrival_rates),
+        ("resource wait", sol.waits),
+        ("activity wait", sol.activity_waits),
+        ("start", sol.starts),
+    ):
+        for idx, value in enumerate(np.asarray(eq_values, dtype=float), start=1):
+            if not np.isfinite(value) or value < -TOL:
+                violations.append(
+                    Violation(12, (idx,), float(value),
+                              f"eq12: {name} {idx} is {value!r}, must be finite and >= 0")
+                )
+    return violations
+
+
+def _violation_key(v):
+    """Every field, the residual by repr so NaN equals NaN; eq12's message,
+    which the reference renders through the numpy repr, is checked apart."""
+    return v.equation, v.indices, repr(float(v.residual)), None if v.equation == 12 else v.message
+
+
+def _random_corruptions(sol, rng, count):
+    """``count`` copies of ``sol``, each with one to three seeded edits of
+    X, Z, S, W, T, lambda or Y."""
+    out = []
+    for _ in range(count):
+        broken = _copy_solution(sol)
+        for _ in range(int(rng.integers(1, 4))):
+            field = ("assignment", "sequencing", "usage", "starts", "waits", "activity_waits",
+                     "arrival_rates")[int(rng.integers(7))]
+            values = getattr(broken, field)
+            at = tuple(int(rng.integers(size)) for size in values.shape)
+            if values.dtype == np.int8:
+                values[at] = 1 - values[at]
+            else:
+                values[at] = (values[at] + rng.choice([-2.5, -0.5, 0.5, 1.0]), -1.0, np.nan,
+                              np.inf)[int(rng.integers(4))]
+        out.append(broken)
+    return out
 
 
 class TestTightenStarts:
@@ -161,6 +324,45 @@ class TestCheckFeasibility:
         sol.sequencing[2, 1] = 1
         equations = {v.equation for v in check_feasibility(toy5, sol)}
         assert 5 in equations
+
+    def test_matches_the_elementwise_reference(self, corpus, j10, j20):
+        # Feasible completions of the corpus, the j10 and j20 front points,
+        # the acceptance suite's corruption of each of equations 3-12, and
+        # seeded random edits: the same violations in the same order.
+        rng = np.random.default_rng(26)
+        cases = []
+        for instance in corpus.values():
+            for _ in range(3):
+                cases.append((instance, tighten_starts(instance, *random_completion(instance, rng))))
+        for instance in (j10, j20):
+            front = enumerate_front(instance, 10, eps=1e-4)
+            cases.extend((instance, point.solution) for point in front.points)
+        checked, equations = 0, set()
+        for instance, sol in cases:
+            assert check_feasibility(instance, sol) == []
+            broken = []
+            for _, mutate in _corrupters(instance, sol):
+                broken.append(_copy_solution(sol))
+                mutate(broken[-1])
+            broken += _random_corruptions(sol, rng, 12)
+            for bad in broken:
+                got = check_feasibility(instance, bad)
+                want = reference_check_feasibility(instance, bad)
+                assert list(map(_violation_key, got)) == list(map(_violation_key, want))
+                for v in got:
+                    if v.equation == 12:
+                        assert f" is {float(v.residual)!r}, must be" in v.message
+                equations.update(v.equation for v in got)
+                checked += 1
+        assert equations == set(range(3, 13))
+        assert checked > 300
+
+    def test_eq12_message_shows_a_plain_float(self, toy5):
+        X, Z, sol = self.feasible_toy5(toy5)
+        sol.starts[2] = -1.0
+        [violation] = [v for v in check_feasibility(toy5, sol) if v.equation == 12]
+        assert violation.message == "eq12: start 3 is -1.0, must be finite and >= 0"
+        assert violation.residual == -1.0
 
     def test_dimension_mismatch_is_structural(self, toy5):
         X, Z, sol = self.feasible_toy5(toy5)
@@ -287,8 +489,9 @@ class TestGantt:
         sol.starts[2] = 0.0
         sol.starts[1] = 0.0
         sol.assignment[1, :, :] = 0
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(ValueError, match="infeasible") as err:
             to_gantt(toy5, sol)
+        assert isinstance(err.value, InfeasibleSolutionError)
 
     def test_csv_shape(self, toy5):
         rng = np.random.default_rng(4)
