@@ -13,7 +13,10 @@ sorted arrays, and the queue itself is a running maximum on that clock.
 Each run is streamed in batch-sized pieces, and the breakdown trajectory
 is drawn in blocks beside them and dropped behind them, so a run's memory
 grows with the batch size, not with the number of customers or the
-length of the trajectory.
+length of the trajectory.  Every running sum and running maximum writes a
+fresh array: numpy holds the GIL for the whole of an accumulate whose
+``out=`` is its own input, which would serialise the points ``simulate``
+runs on a thread pool.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _arrival_count(rng: np.random.Generator, rate: float, horizon: float) -> int
         block = rng.exponential(1.0 / rate, _CHUNK)
         total += float(block.sum())
         block[0] += epoch
-        np.cumsum(block, out=block)
+        block = np.cumsum(block)
         epoch = float(block[-1])
         count += int(np.searchsorted(block, horizon, side="right"))
     return count
@@ -183,10 +186,10 @@ class _Trajectory:
         ups = self._rng.exponential(self._up_mean, _CHUNK)
         ends = ups + self._rng.exponential(self._down_mean, _CHUNK)
         ends[0] += self._next_start
-        np.cumsum(ends, out=ends)
+        ends = np.cumsum(ends)
         op_ends = ups.copy()
         op_ends[0] += self._next_offset
-        np.cumsum(op_ends, out=op_ends)
+        op_ends = np.cumsum(op_ends)
         self.up_starts = np.concatenate((self.up_starts, [self._next_start], ends[:-1]))
         self.up_lengths = np.concatenate((self.up_lengths, ups))
         self.op_offsets = np.concatenate((self.op_offsets, [self._next_offset], op_ends[:-1]))
@@ -235,7 +238,7 @@ def _clock_rank(keys: np.ndarray, boundaries: np.ndarray, side: str) -> np.ndarr
     positions = np.searchsorted(keys, boundaries[lo:hi], side=flipped)
     counts = np.bincount(positions, minlength=keys.size + 1)[:-1]
     counts[0] += lo
-    return np.cumsum(counts, out=counts)
+    return np.cumsum(counts)
 
 
 def _operational_departures(
@@ -264,7 +267,9 @@ def _operational_departures(
     departures are non-decreasing too, a running sum of services plus a
     running maximum (rounding is monotone).  It picks the same up periods
     as ``np.searchsorted(up_starts, arrivals, "right") - 1``, and the
-    arithmetic is the same, only done in place.
+    arithmetic is the same.  The elementwise steps run in place; the
+    running sum and maximum write fresh arrays, which lets numpy release
+    the GIL for them (see the module docstring).
     """
     idx = _clock_rank(arrivals, up_starts, "right") - 1
     op = arrivals - up_starts[idx]
@@ -276,10 +281,10 @@ def _operational_departures(
     # delta_n = max(alpha_n, delta_{n-1}) + s_n, unrolled to a running max.
     service_cum = services.copy()
     service_cum[0] += service_total
-    np.cumsum(service_cum, out=service_cum)
+    service_cum = np.cumsum(service_cum)
     op -= service_cum - services
     op[0] = max(op[0], running_max)
-    np.maximum.accumulate(op, out=op)
+    op = np.maximum.accumulate(op)
     service_total, running_max = float(service_cum[-1]), float(op[-1])
     op += service_cum
     return op, service_total, running_max, last_arrival
@@ -380,7 +385,7 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     ):
         arrivals = arrival_rng.exponential(1.0 / lam, size)
         arrivals[0] += epoch
-        np.cumsum(arrivals, out=arrivals)
+        arrivals = np.cumsum(arrivals)
         window_start, epoch = epoch, float(arrivals[-1])
         trajectory.cover(epoch)
         services = service_rng.exponential(1.0 / params.service_rate, size)

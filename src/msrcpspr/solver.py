@@ -351,7 +351,14 @@ class _BranchAndBound:
         weights + smallest tail of its assigned users, who run one at a
         time.  Waits only rise as counts rise, so no node below does better.
         At a full assignment this is the sequencing root's floor: the
-        resources compiled here are the ``machines`` that ``_floor`` reads."""
+        resources compiled here are the ``machines`` that ``_floor`` reads.
+
+        Rounding: the bound holds in exact arithmetic.  In floats a floor
+        adds head + load + tail in an order that no path uses, so it can
+        exceed the best makespan below by the rounding of both sums, about
+        4n units of 2**-53 of that makespan at most on an n-node graph (2 ulps
+        of 6015 on one drawn instance).  A node it prunes has no leaf better
+        than ``best_f`` by more than ``TIE_TOL`` plus that rounding."""
         weights = self.weights
         self.machines = [
             (operator.itemgetter(*nodes), sum(weights[u] for u in nodes))

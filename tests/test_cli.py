@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import msrcpspr
-from msrcpspr import queueing
+from msrcpspr import cli, queueing
 from msrcpspr.cli import DEFAULT_HORIZON, build_parser, main, simulation_rows
 from msrcpspr.instance import instance_from_files
 from msrcpspr.queueing import InstabilityError
@@ -665,6 +665,43 @@ class TestSimulate:
         assert err.endswith("error: horizon too short: 7 post-warmup samples, need >= 30\n")
         assert not (tmp_path / "simulate.csv").exists()
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_heaviest_points_go_first_and_row_zero_still_reports(
+        self, toy_paths, tmp_path, capsys, monkeypatch, width
+    ):
+        # At horizon 22 (seed 0) toy5's three lambda = 1 rows (0, 2 and 6)
+        # fail and every heavier row succeeds.  The pool takes the failing
+        # rows last, yet the message is row 0's and the pool is shut down.
+        # One worker runs the points as submitted: by descending arrival
+        # rate, in row order within a rate.
+        calls = []
+        simulate_queue = queueing.simulate_queue
+
+        def recorded(point, horizon, seed):
+            try:
+                estimate = simulate_queue(point, horizon, seed)
+            except ValueError:
+                calls.append((point.arrival_rate, seed, False))
+                raise
+            calls.append((point.arrival_rate, seed, True))
+            return estimate
+
+        monkeypatch.setattr(queueing, "simulate_queue", recorded)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: width)
+        threads = threading.active_count()
+        sm, ext = toy_paths
+        assert main(["simulate", "--instance", sm, "--extension", ext, "--horizon", "22",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: horizon too short: 15 post-warmup samples, need >= 30\n")
+        assert not (tmp_path / "simulate.csv").exists()
+        assert threading.active_count() == threads
+        assert all(ok == (lam > 1) for lam, _, ok in calls)
+        assert (1.0, 0, False) in calls
+        if width == 1:
+            heavy = [(4.0, 5), (3.0, 4), (2.0, 1), (2.0, 3), (2.0, 7), (1.0, 0)]
+            assert calls[:6] == [(lam, 7919 * row, lam > 1) for lam, row in heavy]
 
     @pytest.mark.parametrize(
         "lam,expected",
