@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import logging
 import math
 import os
@@ -172,28 +173,23 @@ def run_sweep(
             scaled = instance_mod.scale_reliability(problem, parameter, multiplier)
             front = pareto_mod.enumerate_front(scaled, grid_count, eps, bypass=bypass, limits=limits)
         fronts[multiplier] = front
-        for idx in range(max(len(baseline.points), len(front.points))):
-            base_point = baseline.points[idx] if idx < len(baseline.points) else None
-            point = front.points[idx] if idx < len(front.points) else None
-            if base_point is None or point is None:
-                rows.append(
-                    SweepRow(idx + 1, multiplier, point.makespan if point else None,
-                             point.cost if point else None, None, None, True)
-                )
-                continue
-            m_pct = (
-                (point.makespan - base_point.makespan) / base_point.makespan * 100.0
-                if base_point.makespan else None
-            )
-            c_pct = (
-                (point.cost - base_point.cost) / base_point.cost * 100.0
-                if base_point.cost else None
-            )
+        pairs = itertools.zip_longest(baseline.points, front.points)
+        for idx, (base_point, point) in enumerate(pairs, start=1):
+            m_pct = c_pct = None
+            if base_point is not None and point is not None:
+                m_pct = _change_pct(point.makespan, base_point.makespan)
+                c_pct = _change_pct(point.cost, base_point.cost)
             rows.append(
-                SweepRow(idx + 1, multiplier, point.makespan, point.cost, m_pct, c_pct,
+                SweepRow(idx, multiplier, point.makespan if point else None,
+                         point.cost if point else None, m_pct, c_pct,
                          m_pct is None or c_pct is None)
             )
     return rows, fronts
+
+
+def _change_pct(new: float, old: float) -> float | None:
+    """Percent change from ``old`` to ``new``; None from a zero baseline."""
+    return (new - old) / old * 100.0 if old else None
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
@@ -339,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--extension", type=Path, help="skill/reliability sidecar JSON")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         if solves:
-            p.add_argument("--time-limit", type=float, default=300.0, help="seconds per subproblem")
+            p.add_argument("--time-limit", type=float, default=SolveLimits.time_limit,
+                           help="seconds per subproblem")
         return p
 
     command("validate", "check instance and sidecar")
@@ -391,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         # Parsing rejects cyclic precedence, the solver skips unstable counts
         # and returns only feasible schedules: program faults, not input errors.
         raise
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # OSError: an input that cannot be read or an --out that cannot be made.
         if isinstance(exc, InfeasibleProblemError):
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_UNSOLVED

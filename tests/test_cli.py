@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,8 @@ from msrcpspr.instance import instance_from_files
 from msrcpspr.queueing import InstabilityError
 from msrcpspr.schedule import TOL, CycleError
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+REPO_DIR = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = REPO_DIR / "tests" / "data"
 
 CYCLIC_SM = """\
 ************************************************************************
@@ -76,6 +78,19 @@ class TestValidate:
         code = main(["validate", "--instance", str(tmp_path / "nope.sm"),
                      "--extension", toy_paths[1], "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--instance", "--extension", "--out"])
+    def test_unreadable_path_exit_two(self, toy_paths, tmp_path, capsys, flag):
+        # A directory where a file is read, or a file where --out makes a
+        # directory: an input error, not a traceback with exit 1.
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = ["pareto", "--instance", toy_paths[0], "--extension", toy_paths[1], "--out", str(tmp_path)]
+        argv[argv.index(flag) + 1] = str(taken) if flag == "--out" else str(tmp_path)
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit,named",
@@ -330,18 +345,43 @@ class TestNonFiniteInput:
 
 
 class TestPareto:
-    @pytest.mark.parametrize("name", ["toy5", "j10"])
-    def test_front_matches_golden(self, data_dir, tmp_path, name):
+    # Each artifact's expected bytes: a checked-in file, or a sha256.
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("toy5", {
+                "front.csv": GOLDEN_DIR / "toy5_front_golden.csv",
+                "ranking.csv": GOLDEN_DIR / "toy5_ranking_golden.csv",
+                "gantt_rank1.svg": "cf4777168d6e87acd33ead02426b2ffdc6cd3eb9d75d36c833d79548e75f1e00",
+            }),
+            ("j10", {
+                "front.csv": GOLDEN_DIR / "j10_front_golden.csv",
+                "ranking.csv": GOLDEN_DIR / "j10_ranking_golden.csv",
+                "gantt_rank1.svg": "8cd3826e1362fc6f9e0e92476973db79a5f861813628d61df7da328d158d00b8",
+            }),
+            ("j20", {
+                "front.csv": REPO_DIR / "perfbench" / "ref" / "j20_front.csv",
+                "ranking.csv": "50cc326aebf073a584c2b9cd2c8f737357a410d436d50bde25e16cb588f57059",
+                "gantt_rank1.svg": "3b45dc997b32b34e161ad9cdae9ae3c246df385255ee80449a1a620f554f4747",
+                "gantt_rank2.svg": "f1d09905759783adb49009f3bcbd24e5eebd4652d01b60e22aa0667b6a6c963b",
+            }),
+        ],
+        ids=["toy5", "j10", "j20"],
+    )
+    def test_front_matches_golden(self, data_dir, tmp_path, name, expected):
         code = main([
             "pareto", "--instance", str(data_dir / f"{name}.sm"),
             "--extension", str(data_dir / f"{name}_skills.json"), "--grid", "10",
             "--out", str(tmp_path), "--no-timing",
         ])
         assert code == 0
-        for artifact in ("front", "ranking"):
-            got = (tmp_path / f"{artifact}.csv").read_bytes()
-            assert got == (GOLDEN_DIR / f"{name}_{artifact}_golden.csv").read_bytes(), artifact
-        assert list(tmp_path.glob("gantt_rank*.svg"))
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+        for artifact, want in expected.items():
+            got = (tmp_path / artifact).read_bytes()
+            if isinstance(want, Path):
+                assert got == want.read_bytes(), artifact
+            else:
+                assert hashlib.sha256(got).hexdigest() == want, artifact
 
     @pytest.mark.parametrize("cut", [("makespan", "cost"), ("cost", "makespan")])
     def test_unproven_payoff_table_exits_one(self, toy_paths, tmp_path, monkeypatch, cut):
@@ -495,6 +535,43 @@ class TestSweep:
         assert code == 0
         got = (tmp_path / "sweep_retrieval.csv").read_bytes()
         assert got == (GOLDEN_DIR / "toy5_sweep_retrieval_golden.csv").read_bytes()
+
+    @pytest.mark.parametrize("base_longer", [False, True], ids=["2-then-3", "3-then-2"])
+    def test_rows_align_fronts_of_unequal_length(self, toy5, monkeypatch, base_longer):
+        # A position one front lacks is flagged, as is a change from a zero
+        # baseline makespan.
+        from msrcpspr import pareto
+        from msrcpspr.cli import SweepRow, run_sweep
+        from msrcpspr.pareto import ParetoPoint
+        from msrcpspr.solver import SolveLimits
+
+        two = [ParetoPoint(0.0, 200.0), ParetoPoint(10.0, 100.0)]
+        three = [ParetoPoint(0.0, 250.0), ParetoPoint(12.0, 90.0), ParetoPoint(15.0, 80.0)]
+        base, scaled = (three, two) if base_longer else (two, three)
+        fronts = iter([base, scaled])
+        monkeypatch.setattr(
+            pareto, "enumerate_front", lambda *args, **kwargs: argparse.Namespace(points=next(fronts))
+        )
+        rows, _ = run_sweep(toy5, "retrieval", (1.0, 2.0), 6, 1e-4, SolveLimits())
+        identity = [
+            SweepRow(i, 1.0, p.makespan, p.cost, 0.0 if p.makespan else None, 0.0, not p.makespan)
+            for i, p in enumerate(base, start=1)
+        ]
+        if base_longer:
+            changed = [
+                SweepRow(1, 2.0, 0.0, 200.0, None, (200.0 - 250.0) / 250.0 * 100.0, True),
+                SweepRow(2, 2.0, 10.0, 100.0, (10.0 - 12.0) / 12.0 * 100.0,
+                         (100.0 - 90.0) / 90.0 * 100.0, False),
+                SweepRow(3, 2.0, None, None, None, None, True),
+            ]
+        else:
+            changed = [
+                SweepRow(1, 2.0, 0.0, 250.0, None, (250.0 - 200.0) / 200.0 * 100.0, True),
+                SweepRow(2, 2.0, 12.0, 90.0, (12.0 - 10.0) / 10.0 * 100.0,
+                         (90.0 - 100.0) / 100.0 * 100.0, False),
+                SweepRow(3, 2.0, 15.0, 80.0, None, None, True),
+            ]
+        assert rows == identity + changed
 
     def test_retrieval_and_disruption_directions(self, toy_paths, tmp_path):
         from msrcpspr.cli import run_sweep

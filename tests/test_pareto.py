@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from msrcpspr.instance import default_extension, load_extension, read_psplib
 from msrcpspr.pareto import (
     ParetoPoint,
     dominance_filter,
@@ -20,7 +21,7 @@ from msrcpspr.solver import (
     solve,
 )
 
-from conftest import build_instance, chain3_instance
+from conftest import DATA_DIR, build_instance, chain3_instance
 
 
 def sufficient_grid(front) -> int:
@@ -89,14 +90,30 @@ def count_grid_solves(monkeypatch) -> list:
 
 class TestEnumerateFront:
     @pytest.mark.parametrize(
-        "name,solves,nodes",
-        [("toy5", 7, 159), ("j10", 7, 1703), ("j20", 10, 11801)],
-        ids=["toy5", "j10", "j20"],
+        "name,solves,nodes,digest",
+        [
+            ("toy5", 7, 159, None),
+            ("j10", 7, 1703, None),
+            ("j20", 10, 11801, None),
+            # j20's network under default_extension(cost_seed=k): harder
+            # fronts, pinned by the sha256 of their front.csv without timing.
+            (1, 13, 34378, "ebeeb42547ae80be3cf0d3ecf3f3a175633090da1044781901f0a8cbf9af5f6b"),
+            (2, 11, 13244, "db734fbea981b9978ce430dbe49ed25265833f5862d04cb6024a08478ec79c33"),
+            (3, 8, 13953, "e14f179f3e0405b654563438c3b1adc633143e1303c0795958080ef39578e6d4"),
+            (4, 11, 22068, "f5035df4557c8a713d7bc1e0a842b9a6590a7716fec65aa4e55c2f57167db89b"),
+        ],
+        ids=["toy5", "j10", "j20", "j20-s1", "j20-s2", "j20-s3", "j20-s4"],
     )
-    def test_front_node_totals_are_pinned(self, name, solves, nodes, request, monkeypatch):
+    def test_front_node_totals_are_pinned(self, name, solves, nodes, digest, request, monkeypatch):
         # Node counts do not depend on the machine: a search change that
         # moves them must say so, and this pins the default sweep's totals.
         from msrcpspr import pareto, solver
+
+        if isinstance(name, int):
+            partial = read_psplib(DATA_DIR / "j20.sm")
+            instance = load_extension(partial, default_extension(partial, cost_seed=name))
+        else:
+            instance = request.getfixturevalue(name)
 
         results = []
         real_solve = solver.solve
@@ -107,9 +124,12 @@ class TestEnumerateFront:
 
         monkeypatch.setattr(solver, "solve", counted)
         monkeypatch.setattr(pareto, "solve", counted)
-        enumerate_front(request.getfixturevalue(name), 10, eps=1e-4)
+        front = enumerate_front(instance, 10, eps=1e-4)
         assert len(results) == solves
         assert sum(result.nodes_explored for result in results) == nodes
+        if digest is not None:
+            csv = front_csv(front, include_timing=False)
+            assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "name,digests",
