@@ -328,9 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str, solves: bool = False) -> argparse.ArgumentParser:
-        """A subcommand with the input and output flags; ``solves`` adds --time-limit."""
+    def command(name: str, help: str, run, solves: bool = False) -> argparse.ArgumentParser:
+        """A subcommand that ``run(args)`` carries out, with the input and output
+        flags; ``solves`` adds --time-limit."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--instance", required=True, type=Path, help="PSPLIB .sm file")
         p.add_argument("--extension", type=Path, help="skill/reliability sidecar JSON")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
@@ -339,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="seconds per subproblem")
         return p
 
-    command("validate", "check instance and sidecar")
+    command("validate", "check instance and sidecar", cmd_validate)
 
-    p = command("solve", "single-objective exact solve", solves=True)
+    p = command("solve", "single-objective exact solve", cmd_solve, solves=True)
     p.add_argument("--primary", choices=("makespan", "cost"), default="makespan")
     p.add_argument("--budget", type=float, help="bound on the other objective")
 
-    p = command("pareto", "enumerate the Pareto front and rank it", solves=True)
+    p = command("pareto", "enumerate the Pareto front and rank it", cmd_pareto, solves=True)
     p.add_argument("--no-timing", action="store_true", help="omit wall times from front.csv")
     p.add_argument("--grid", type=int, default=pareto_mod.DEFAULT_GRID_COUNT, metavar="N")
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
@@ -353,29 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=float, default=0.5, help="VIKOR strategy weight")
     p.add_argument("--no-bypass", action="store_true", help="solve every grid point")
 
-    p = command("sweep", "sensitivity of the front to reliability scaling", solves=True)
+    p = command("sweep", "sensitivity of the front to reliability scaling", cmd_sweep, solves=True)
     p.add_argument("--parameter", choices=("retrieval", "disruption"), required=True)
     p.add_argument("--multipliers", type=_parse_multipliers, default=(1.0, 1.4))
     p.add_argument("--grid", type=int, default=pareto_mod.DEFAULT_GRID_COUNT, metavar="N")
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
     p.add_argument("--no-bypass", action="store_true")
 
-    p = command("simulate", "validate waiting times against simulation")
+    p = command("simulate", "validate waiting times against simulation", cmd_simulate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON, help="simulated time units")
 
-    command("gantt", "render the makespan-optimal schedule", solves=True)
+    command("gantt", "render the makespan-optimal schedule", cmd_gantt, solves=True)
     return parser
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "solve": cmd_solve,
-    "pareto": cmd_pareto,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "gantt": cmd_gantt,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -383,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # An unknown MSRCPSPR_LOG level is input: ValueError, exit 2.
         logging.basicConfig(stream=sys.stderr, level=os.environ.get("MSRCPSPR_LOG", "INFO"))
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (schedule.CycleError, schedule.InfeasibleSolutionError, queueing.InstabilityError):
         # Parsing rejects cyclic precedence, the solver skips unstable counts
         # and returns only feasible schedules: program faults, not input errors.

@@ -400,8 +400,8 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
             res_id = _integer(entry["id"])
             skills = frozenset(_integer(s) for s in entry["skills"])
             # JSON object keys are strings, so the skill keys alone are parsed.
-            given = entry["cost_per_skill"].items()
-            costs = {_integer(int(k) if isinstance(k, str) else k): _real(v) for k, v in given}
+            given = [(_integer(int(k) if isinstance(k, str) else k), _real(v))
+                     for k, v in entry["cost_per_skill"].items()]
             reliability = ReliabilityParams(
                 disruption_rate=_real(entry["disruption_rate"]),
                 retrieval_rate=_real(entry["retrieval_rate"]),
@@ -409,6 +409,11 @@ def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectI
             )
         except (TypeError, ValueError, AttributeError):
             raise ValidationError(f"wrongly typed value in {where}") from None
+        costs: dict[int, float] = {}
+        for skill, cost in given:  # "1" and "01" name one skill
+            if skill in costs:
+                raise ValidationError(f"resource {res_id} gives skill {skill} more than one cost")
+            costs[skill] = cost
         if not skills <= set(range(1, skill_count + 1)):
             raise ValidationError(f"resource {res_id} masters skills outside 1..{skill_count}")
         if set(costs) != skills:

@@ -12,8 +12,6 @@ remaining-cost minimum.  Both levels run on one graph whose heads and
 tails are kept up to date, not recomputed, per node (see
 :class:`_BranchAndBound`).  The solves of one front share one search
 object, so its tables are built and each assignment is sequenced once.
-``brute_force_front`` is the independent exhaustive oracle for small
-instances.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,21 +37,10 @@ from .schedule import (
     tighten_starts,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .pareto import ParetoFront
-
 EPS_RANGE = (1e-6, 1e-3)
 
 # (array, index, old value) entries, restored in reverse on backtrack.
 _UndoLog = list[tuple[list, int, object]]
-
-GUARD_MAX_ACTIVITIES = 6
-GUARD_MAX_RESOURCES = 4
-GUARD_MAX_SKILLS = 3
-
-
-class GuardRailError(ValueError):
-    """The brute-force oracle refuses instances beyond its guard rails."""
 
 
 def check_eps(eps: float) -> None:
@@ -726,82 +712,3 @@ def lexicographic_optimum(
     limits: SolveLimits | None = None,
 ) -> ObjectiveValues:
     return lexicographic_outcome(instance, order, limits).objectives
-
-
-def brute_force_front(instance: ProjectInstance) -> "ParetoFront":
-    """Exhaustive bi-objective front for guard-rail instances.
-
-    Enumerates every assignment satisfying the skill requirements, every
-    orientation of every resource-sharing pair, completes start times
-    through :func:`~msrcpspr.schedule.tighten_starts`, and keeps the
-    (makespan, cost) pairs that :func:`~msrcpspr.pareto.dominance_filter`
-    keeps, the rule the solver's fronts share.  Refuses instances beyond
-    6 executable activities, 4 resources or 3 skills.
-    """
-    from .pareto import ParetoFront, ParetoPoint, PayoffTable, dominance_filter
-
-    executables = list(instance.executable_ids)
-    if len(executables) > GUARD_MAX_ACTIVITIES:
-        raise GuardRailError(f"{len(executables)} executable activities > {GUARD_MAX_ACTIVITIES}")
-    if len(instance.resources) > GUARD_MAX_RESOURCES:
-        raise GuardRailError(f"{len(instance.resources)} resources > {GUARD_MAX_RESOURCES}")
-    if instance.skill_count > GUARD_MAX_SKILLS:
-        raise GuardRailError(f"{instance.skill_count} skills > {GUARD_MAX_SKILLS}")
-
-    n = instance.n_nodes
-    per_activity = [enumerate_assignments(instance, i) for i in executables]
-    if any(not options for options in per_activity):
-        return ParetoFront(
-            points=(),
-            payoff=None,
-            grid_count=0,
-            diagnosis="some activity has no feasible assignment",
-        )
-
-    points: list[ParetoPoint] = []
-    for combo in itertools.product(*per_activity):
-        X = np.zeros((n, instance.skill_count, len(instance.resources)), dtype=np.int8)
-        users: dict[int, list[int]] = {}
-        for act_id, pairs in zip(executables, combo):
-            for skill, res in pairs:
-                X[act_id - 1, skill - 1, res - 1] = 1
-                users.setdefault(res, []).append(act_id - 1)
-        sharing = sorted(
-            {
-                (min(a, b), max(a, b))
-                for nodes in users.values()
-                for a, b in itertools.combinations(nodes, 2)
-            }
-        )
-        for orientation in itertools.product((0, 1), repeat=len(sharing)):
-            Z = np.zeros((n, n), dtype=np.int8)
-            for (i, j), flip in zip(sharing, orientation):
-                if flip:
-                    Z[j, i] = 1
-                else:
-                    Z[i, j] = 1
-            try:
-                solution = tighten_starts(instance, X, Z)
-            except (CycleError, InstabilityError):
-                continue
-            objectives = evaluate(instance, solution)
-            points.append(
-                ParetoPoint(
-                    makespan=objectives.makespan,
-                    cost=objectives.cost,
-                    grid_index=None,
-                    solution=solution,
-                )
-            )
-    front_points = dominance_filter(points)
-    if not front_points:
-        return ParetoFront(
-            points=(), payoff=None, grid_count=0, diagnosis="no feasible solution"
-        )
-    payoff = PayoffTable(
-        makespan_pis=front_points[0].makespan,
-        makespan_nis=front_points[-1].makespan,
-        cost_pis=front_points[-1].cost,
-        cost_nis=front_points[0].cost,
-    )
-    return ParetoFront(points=tuple(front_points), payoff=payoff, grid_count=0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from msrcpspr.cli import run_sweep, simulation_csv, sweep_csv
 from msrcpspr.instance import scale_reliability
-from msrcpspr.pareto import enumerate_front, front_csv, plain_epsilon_front
+from msrcpspr.pareto import brute_force_front, enumerate_front, front_csv, plain_epsilon_front
 from msrcpspr.queueing import (
     QueueOperatingPoint,
     ReliabilityParams,
@@ -21,7 +21,7 @@ from msrcpspr.queueing import (
     waiting_time,
 )
 from msrcpspr.schedule import check_feasibility, gantt_csv, gantt_svg, tighten_starts, to_gantt
-from msrcpspr.solver import SolveLimits, SubproblemSpec, brute_force_front, solve
+from msrcpspr.solver import SolveLimits, SubproblemSpec, solve
 from msrcpspr.vikor import rank, ranking_csv
 
 from conftest import random_completion

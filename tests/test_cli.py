@@ -198,6 +198,20 @@ class TestValidate:
             captured.out + captured.err
         )
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "pareto"])
+    @pytest.mark.parametrize("key", ["01", " 1"])
+    def test_second_skill_cost_exit_two(self, toy_paths, tmp_path, capsys, command, key):
+        # "01" and " 1" read as skill 1, which already has a cost: the
+        # resource would otherwise cost whichever value came last.
+        sidecar = json.loads(Path(toy_paths[1]).read_text(encoding="utf-8"))
+        sidecar["resources"][0]["cost_per_skill"][key] = 999
+        ext = tmp_path / "cost.json"
+        ext.write_text(json.dumps(sidecar), encoding="utf-8")
+        code = main([command, "--instance", toy_paths[0], "--extension", str(ext),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: resource 1 gives skill 1 more than one cost" in capsys.readouterr().err
+
 
 def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
     """toy5 with some durations replaced, or resource 1's (disruption,
@@ -450,7 +464,7 @@ class TestPareto:
             main([command, "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
 
     def test_golden_points_backed_by_oracle(self, toy5):
-        from msrcpspr.solver import brute_force_front
+        from msrcpspr.pareto import brute_force_front
 
         rows = (GOLDEN_DIR / "toy5_front_golden.csv").read_text().splitlines()[1:]
         pairs = []

@@ -232,6 +232,16 @@ class TestLoadExtension:
         with pytest.raises(ValidationError, match="cost"):
             load_extension(partial, sidecar)
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", 1])
+    def test_second_cost_for_one_skill_rejected(self, data_dir, key):
+        # Every key is read as a skill number, so "1" and ``key`` are one
+        # skill: the resource gives it two costs, and neither may win.
+        partial = read_psplib(data_dir / "toy5.sm")
+        sidecar = json.loads((data_dir / "toy5_skills.json").read_text(encoding="utf-8"))
+        sidecar["resources"][0]["cost_per_skill"][key] = 999
+        with pytest.raises(ValidationError, match="resource 1 gives skill 1 more than one cost"):
+            load_extension(partial, sidecar)
+
 
 class TestDefaultExtension:
     def test_j10_adaptation_shape(self, data_dir):

@@ -7,6 +7,7 @@ import pytest
 from msrcpspr.instance import default_extension, load_extension, read_psplib
 from msrcpspr.pareto import (
     ParetoPoint,
+    brute_force_front,
     dominance_filter,
     enumerate_front,
     front_csv,
@@ -16,7 +17,6 @@ from msrcpspr.schedule import TOL
 from msrcpspr.solver import (
     SolveLimits,
     SubproblemSpec,
-    brute_force_front,
     lexicographic_outcome,
     solve,
 )

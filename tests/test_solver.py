@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from msrcpspr import pareto, solver
 
 from msrcpspr.instance import ValidationError, scale_reliability, topological_order, validate
+from msrcpspr.pareto import GuardRailError, brute_force_front
 from msrcpspr.queueing import InstabilityError, QueueOperatingPoint, waiting_time
 from msrcpspr.solver import (
-    GuardRailError,
     SolveLimits,
     SubproblemSpec,
     _BranchAndBound,
     _slack_reward,
-    brute_force_front,
     enumerate_assignments,
     lexicographic_optimum,
     lexicographic_outcome,
@@ -742,6 +741,20 @@ class TestJ20Exact:
         assert outcome.objectives.cost == pytest.approx(65500.0, abs=1e-9)
 
 
+def _sized_instance(activities: int, resources: int, skills: int):
+    """Parallel activities, the first needing skill 1 of resources that master every skill."""
+    n = activities + 2
+    return build_instance(
+        durations={i: 0 if i in (1, n) else 1 for i in range(1, n + 1)},
+        successors={1: tuple(range(2, n)), **{i: (n,) for i in range(2, n)}},
+        skill_count=skills,
+        resources=[
+            (set(range(1, skills + 1)), dict.fromkeys(range(1, skills + 1), 100.0), (0.5, 0.5, 8.0))
+        ] * resources,
+        requirements={2: {1: 1}},
+    )
+
+
 class TestBruteForce:
     def test_single_activity_two_resources(self):
         front = brute_force_front(single1_instance())
@@ -753,9 +766,20 @@ class TestBruteForce:
         front = brute_force_front(chain3_instance())
         assert len(front.points) == 1
 
-    def test_guard_rails(self, j10):
-        with pytest.raises(GuardRailError):
-            brute_force_front(j10)
+    @pytest.mark.parametrize(
+        "activities,resources,skills,named",
+        [(7, 4, 3, "7 executable activities > 6"), (6, 5, 3, "5 resources > 4"),
+         (6, 4, 4, "4 skills > 3")],
+        ids=["activities", "resources", "skills"],
+    )
+    def test_guard_rails(self, activities, resources, skills, named):
+        # Each rail trips on its own, the other two values within bounds.
+        with pytest.raises(GuardRailError, match=named):
+            brute_force_front(_sized_instance(activities, resources, skills))
+
+    def test_guard_rail_maximum_is_accepted(self):
+        front = brute_force_front(_sized_instance(6, 4, 3))
+        assert len(front.points) == 1
 
     def test_front_sorted_and_nondominated(self, corpus):
         for instance in corpus.values():

@@ -45,3 +45,62 @@ def test_perfbench_wraps_attributes_that_exist():
         env={**os.environ, "PYTHONPATH": str(REPO_DIR / "src")},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each module of the package mapped to the package modules it imports.
+
+    Every import counts wherever it stands: at module level, inside a
+    function or under ``if TYPE_CHECKING``.  ``from . import x`` and
+    ``from msrcpspr import x`` import module ``x`` when the package has
+    one and ``__init__`` otherwise.
+    """
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    graph: dict[str, set[str]] = {}
+    for name, tree in modules.items():
+        edges = graph[name] = set()
+        for node in ast.walk(tree):
+            absolute = isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "msrcpspr"
+            if isinstance(node, ast.ImportFrom) and (node.level or absolute):
+                target = node.module if node.level else node.module.partition(".")[2]
+                if target:
+                    edges.add(target.split(".")[0])
+                else:
+                    edges.update(a.name if a.name in modules else "__init__" for a in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    top, _, rest = alias.name.partition(".")
+                    if top == "msrcpspr":
+                        edges.add(rest.split(".")[0] or "__init__")
+    return graph
+
+
+def _first_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """A cycle of ``graph`` as the modules along it, first one repeated
+    at the end, or None; depth first from the modules in sorted order."""
+    done: set[str] = set()
+
+    def visit(node: str, path: list[str]) -> list[str] | None:
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        for child in sorted(graph.get(node, ())):
+            cycle = visit(child, path + [node])
+            if cycle:
+                return cycle
+        done.add(node)
+        return None
+
+    for start in sorted(graph):
+        cycle = visit(start, [])
+        if cycle:
+            return cycle
+    return None
+
+
+def test_package_imports_form_no_cycle():
+    # Each module imports only the layers below it, so any one of them can
+    # be read, imported and tested without the layers above.
+    cycle = _first_cycle(_package_imports())
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
