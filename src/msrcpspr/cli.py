@@ -120,9 +120,7 @@ def _unproven(front: pareto_mod.ParetoFront) -> bool:
 def cmd_pareto(args: argparse.Namespace) -> int:
     problem = load_problem(args)
     vikor.check_weights(args.weights, args.v)
-    front = pareto_mod.enumerate_front(
-        problem, args.grid, args.eps, bypass=not args.no_bypass, limits=_limits(args)
-    )
+    front = pareto_mod.enumerate_front(problem, args.grid, args.eps, limits=_limits(args))
     if front.diagnosis:
         logger.warning("%s", front.diagnosis)
     _write(args.out, "front.csv", pareto_mod.front_csv(front, not args.no_timing))
@@ -151,7 +149,6 @@ def run_sweep(
     grid_count: int,
     eps: float,
     limits: SolveLimits,
-    bypass: bool = True,
 ) -> tuple[list[SweepRow], dict[float, pareto_mod.ParetoFront]]:
     """Re-enumerate the front per scaled reliability parameter.
 
@@ -163,7 +160,7 @@ def run_sweep(
         raise ValidationError(f"multipliers must be one or more finite values > 0, got {multipliers!r}")
     if len(set(multipliers)) < len(multipliers):
         raise ValidationError(f"multipliers must not be repeated, got {multipliers!r}")
-    baseline = pareto_mod.enumerate_front(problem, grid_count, eps, bypass=bypass, limits=limits)
+    baseline = pareto_mod.enumerate_front(problem, grid_count, eps, limits=limits)
     fronts: dict[float, pareto_mod.ParetoFront] = {}
     rows: list[SweepRow] = []
     for multiplier in multipliers:
@@ -171,7 +168,7 @@ def run_sweep(
             front = baseline
         else:
             scaled = instance_mod.scale_reliability(problem, parameter, multiplier)
-            front = pareto_mod.enumerate_front(scaled, grid_count, eps, bypass=bypass, limits=limits)
+            front = pareto_mod.enumerate_front(scaled, grid_count, eps, limits=limits)
         fronts[multiplier] = front
         pairs = itertools.zip_longest(baseline.points, front.points)
         for idx, (base_point, point) in enumerate(pairs, start=1):
@@ -206,10 +203,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     problem = load_problem(args)
     parameter = args.parameter
-    rows, fronts = run_sweep(
-        problem, parameter, args.multipliers, args.grid, args.eps, _limits(args),
-        bypass=not args.no_bypass,
-    )
+    rows, fronts = run_sweep(problem, parameter, args.multipliers, args.grid, args.eps, _limits(args))
     _write(args.out, f"sweep_{parameter}.csv", sweep_csv(rows))
     flagged = sum(1 for row in rows if row.flagged)
     print(f"sweep over {parameter}: {len(rows)} rows, {flagged} flagged")
@@ -292,9 +286,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_gantt(args: argparse.Namespace) -> int:
     problem = load_problem(args)
     outcome = lexicographic_outcome(problem, ("makespan", "cost"), _limits(args))
-    if outcome.result.solution is None:
-        print("no feasible solution to render")
-        return EXIT_UNSOLVED
     rows = schedule.to_gantt(problem, outcome.result.solution)
     _write(args.out, "gantt.csv", schedule.gantt_csv(rows))
     _write(args.out, "gantt.svg", schedule.gantt_svg(rows))
@@ -353,14 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
     p.add_argument("--weights", type=_parse_weights, default=(0.5, 0.5), metavar="a,b")
     p.add_argument("--v", type=float, default=0.5, help="VIKOR strategy weight")
-    p.add_argument("--no-bypass", action="store_true", help="solve every grid point")
 
     p = command("sweep", "sensitivity of the front to reliability scaling", cmd_sweep, solves=True)
     p.add_argument("--parameter", choices=("retrieval", "disruption"), required=True)
     p.add_argument("--multipliers", type=_parse_multipliers, default=(1.0, 1.4))
     p.add_argument("--grid", type=int, default=pareto_mod.DEFAULT_GRID_COUNT, metavar="N")
     p.add_argument("--eps", type=float, default=pareto_mod.DEFAULT_EPS)
-    p.add_argument("--no-bypass", action="store_true")
 
     p = command("simulate", "validate waiting times against simulation", cmd_simulate)
     p.add_argument("--seed", type=int, default=0)
@@ -382,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (OSError, ValueError) as exc:
         # OSError: an input that cannot be read or an --out that cannot be made.
-        if isinstance(exc, InfeasibleProblemError):
-            print(f"infeasible: {exc}", file=sys.stderr)
+        if isinstance(exc, InfeasibleProblemError):  # says "infeasible" or "timed out"
+            print(exc, file=sys.stderr)
             return EXIT_UNSOLVED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

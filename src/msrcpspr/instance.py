@@ -373,17 +373,27 @@ def _entries(data: Mapping, key: str) -> list:
     return data[key]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members; ``json`` alone would keep the last of two equal keys."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValidationError(f"sidecar repeats key {key!r} in one object")
+        data[key] = value
+    return data
+
+
 def load_extension(partial: PartialInstance, sidecar: str | Mapping) -> ProjectInstance:
     """Combine a parsed PSPLIB file with a skill/reliability sidecar.
 
     The sidecar is a JSON document (or an equivalent mapping) with keys
     ``skill_count``, ``resources`` and ``requirements``; unknown or
-    missing keys and values of the wrong type are rejected.  Demand that
-    the resources cannot cover is accepted silently: callers read it from
-    :func:`skill_coverage_issues`, and the solver proves such an instance
-    infeasible.
+    missing keys, a key repeated in one JSON object and values of the
+    wrong type are rejected.  Demand that the resources cannot cover is
+    accepted silently: callers read it from :func:`skill_coverage_issues`,
+    and the solver proves such an instance infeasible.
     """
-    data = json.loads(sidecar) if isinstance(sidecar, str) else sidecar
+    data = json.loads(sidecar, object_pairs_hook=_unique_keys) if isinstance(sidecar, str) else sidecar
     _check_keys(data, _SIDECAR_KEYS, "sidecar")
     try:
         skill_count = _integer(data["skill_count"])

@@ -3,8 +3,9 @@
 The cost range between the two lexicographic optima is divided into
 ``grid_count`` steps; each grid level asks for the minimum makespan with
 cost at most that level, rewarding budget slack through the augmented
-objective.  Integer slack jumps let the sweep bypass grid levels that
-would repeat the previous solution.
+objective.  Bypass follows from the reward: with ``eps`` > 0 (AUGMECON2)
+integer slack jumps skip levels that would repeat the previous solution,
+and ``eps`` 0 (the classic epsilon-constraint method) solves every level.
 
 Grid levels 0 and N are the payoff table's own points, so they are
 read from it instead of being solved again (as AUGMECON-R does).
@@ -215,7 +216,6 @@ def enumerate_front(
     grid_count: int = DEFAULT_GRID_COUNT,
     eps: float = DEFAULT_EPS,
     *,
-    bypass: bool = True,
     limits: SolveLimits | None = None,
 ) -> ParetoFront:
     """Enumerate the nondominated (makespan, cost) points.
@@ -223,7 +223,7 @@ def enumerate_front(
     Builds the payoff table from the two lexicographic optima, grids the
     cost range into ``grid_count`` steps (levels p = 0..N), and minimizes
     makespan at every interior level with the augmented slack reward;
-    levels 0 and N are the payoff table's points.  With ``bypass`` on,
+    levels 0 and N are the payoff table's points.  With ``eps`` > 0,
     later levels whose budget an optimal point meets within ``TOL`` are
     skipped.  An unproven payoff table makes its end levels "timeout".
     All solves share one search object, so its tables are built once and
@@ -269,7 +269,7 @@ def enumerate_front(
         skip = 0
         if result.solution is not None and result.status == "optimal":
             found.append(_point_for(p, result))
-            if bypass and result.slack is not None and step > 0:
+            if eps and step > 0:
                 skip = math.floor((result.slack + TOL) / step)
         for bypassed in range(p + 1, min(p + skip, last) + 1):
             records.append(
@@ -301,12 +301,12 @@ def plain_epsilon_front(
     *,
     limits: SolveLimits | None = None,
 ) -> ParetoFront:
-    """Classic epsilon-constraint sweep: no slack reward, no bypass.
+    """Classic epsilon-constraint sweep: ``eps`` 0, no slack reward, no bypass.
 
     Shares the payoff table and grid with :func:`enumerate_front` so the
     two methods are comparable at equal ``grid_count``.
     """
-    return enumerate_front(instance, grid_count, eps=0.0, bypass=False, limits=limits)
+    return enumerate_front(instance, grid_count, 0.0, limits=limits)
 
 
 def _table_level(lex: LexOutcome, level: float) -> SolveResult:

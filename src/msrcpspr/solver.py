@@ -661,7 +661,7 @@ def solve(
 
 
 class InfeasibleProblemError(ValueError):
-    """The instance admits no assignment meeting its requirements."""
+    """No feasible schedule found: none exists, or a limit came first (the message says which)."""
 
 
 @dataclass(frozen=True)
@@ -685,7 +685,8 @@ def lexicographic_outcome(
     Both solves share the search object ``warm`` (or one of their own).
     Stage 1's schedule meets stage 2's budget, so a stage 2 that a limit
     cuts short before a schedule of its own returns stage 1's, with its
-    own status.
+    own status.  A stage 1 without a schedule raises
+    :class:`InfeasibleProblemError`, saying "timed out" if a limit cut it.
     """
     first, second = order
     if {first, second} != {"makespan", "cost"}:
@@ -693,9 +694,8 @@ def lexicographic_outcome(
     warm = warm or _BranchAndBound(instance)
     stage1 = solve(instance, SubproblemSpec(primary=first), limits, warm=warm)
     if stage1.objectives is None:
-        raise InfeasibleProblemError(
-            f"no feasible solution while optimizing {first} (status {stage1.status})"
-        )
+        stopped = "timed out" if stage1.status == "timeout" else "infeasible"
+        raise InfeasibleProblemError(f"{stopped}: no feasible solution while optimizing {first}")
     spec = SubproblemSpec(primary=second, budget=getattr(stage1.objectives, first))
     stage2 = solve(instance, spec, limits, warm=warm)
     if stage2.solution is None:

@@ -212,6 +212,17 @@ class TestValidate:
         assert code == 2
         assert "error: resource 1 gives skill 1 more than one cost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "pareto"])
+    def test_repeated_json_key_exit_two(self, toy_paths, tmp_path, capsys, command):
+        # Two costs under one key "1": the later one would win silently.
+        text = Path(toy_paths[1]).read_text(encoding="utf-8")
+        ext = tmp_path / "repeated.json"
+        ext.write_text(text.replace('{"1": 100}', '{"1": 999, "1": 100}'), encoding="utf-8")
+        code = main([command, "--instance", toy_paths[0], "--extension", str(ext),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: sidecar repeats key '1' in one object" in capsys.readouterr().err
+
 
 def _toy5_variant(tmp_path, data_dir, durations=None, rates=None):
     """toy5 with some durations replaced, or resource 1's (disruption,
@@ -268,6 +279,7 @@ class TestFlags:
             *[f"{cmd} --seed 3" for cmd in ("validate", "solve", "pareto", "sweep", "gantt")],
             *[f"{cmd} --time-limit 5" for cmd in ("validate", "simulate")],
             *[f"{cmd} --no-timing" for cmd in ("validate", "solve", "sweep", "simulate", "gantt")],
+            *[f"{cmd} --no-bypass" for cmd in ("pareto", "sweep")],
             "solve --eps 1e-4",
         ],
     )
@@ -423,6 +435,18 @@ class TestPareto:
         level0_status = "timeout" if cut[0] == "makespan" else "optimal"
         assert rows[1].startswith("0,") and rows[1].endswith(f",{level0_status},")
         assert rows[-1] == "10,,,,bypassed,"
+
+    def test_eps_zero_runs_the_classic_method(self, toy_paths, toy5, tmp_path):
+        # No slack reward, so no grid level is bypassed.
+        from msrcpspr.pareto import front_csv, plain_epsilon_front
+
+        sm, ext = toy_paths
+        code = main(["pareto", "--instance", sm, "--extension", ext, "--eps", "0",
+                     "--out", str(tmp_path), "--no-timing"])
+        assert code == 0
+        text = (tmp_path / "front.csv").read_text(encoding="utf-8")
+        assert ",bypassed," not in text
+        assert text == front_csv(plain_epsilon_front(toy5, 10), include_timing=False)
 
     def test_parallel_flag_is_rejected(self, toy_paths, tmp_path):
         sm, ext = toy_paths
@@ -849,6 +873,37 @@ class TestSolveAndGantt:
         sm, ext = toy_paths
         assert main(["gantt", "--instance", sm, "--extension", ext, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "gantt.csv").read_bytes() == (GOLDEN_DIR / "toy5_gantt_golden.csv").read_bytes()
+
+    def test_gantt_of_an_infeasible_instance_says_infeasible(self, data_dir, tmp_path, capsys):
+        sm, ext = _toy5_infeasible(tmp_path, data_dir)
+        assert main(["gantt", "--instance", sm, "--extension", ext, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "infeasible: no feasible solution while optimizing makespan" in err
+
+    def test_gantt_cut_before_a_schedule_says_timed_out(self, toy_paths, tmp_path, capsys,
+                                                        monkeypatch):
+        # Stage 1 stops on a limit before its first schedule: the instance
+        # may well be feasible, so the message must not call it infeasible.
+        import dataclasses
+
+        from msrcpspr import solver
+
+        real = solver.solve
+
+        def cut_stage1(instance, spec, limits=None, *, warm=None):
+            result = real(instance, spec, limits, warm=warm)
+            if spec.budget is not None:
+                return result
+            return dataclasses.replace(result, status="timeout", solution=None, objectives=None)
+
+        monkeypatch.setattr(solver, "solve", cut_stage1)
+        sm, ext = toy_paths
+        code = main(["gantt", "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "timed out: no feasible solution while optimizing makespan" in err
+        assert "infeasible" not in err
+        assert not (tmp_path / "gantt.csv").exists()
 
     def test_gantt_of_a_cut_solve_exits_one(self, j20_cut, tmp_path, capsys):
         # As solve does, the cut schedule is still written.

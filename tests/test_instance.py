@@ -242,6 +242,23 @@ class TestLoadExtension:
         with pytest.raises(ValidationError, match="resource 1 gives skill 1 more than one cost"):
             load_extension(partial, sidecar)
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ('"cost_per_skill": {"1": 100}', '"cost_per_skill": {"1": 999, "1": 100}', "'1'"),
+            ('"skill_count": 2,', '"skill_count": 2, "skill_count": 3,', "'skill_count'"),
+        ],
+        ids=["nested", "top-level"],
+    )
+    def test_repeated_json_key_rejected(self, data_dir, old, new, key):
+        # json alone keeps the later of two equal keys in one object, so
+        # the earlier value would be dropped without a word.
+        partial = read_psplib(data_dir / "toy5.sm")
+        text = (data_dir / "toy5_skills.json").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        with pytest.raises(ValidationError, match=f"sidecar repeats key {key} in one object"):
+            load_extension(partial, text.replace(old, new))
+
 
 class TestDefaultExtension:
     def test_j10_adaptation_shape(self, data_dir):
