@@ -152,9 +152,9 @@ def run_sweep(
 ) -> tuple[list[SweepRow], dict[float, pareto_mod.ParetoFront]]:
     """Re-enumerate the front per scaled reliability parameter.
 
-    Rows align fronts position by position (both are sorted by ascending
-    makespan); a position missing from a scaled front is flagged, as is
-    any front whose enumeration failed outright.
+    Rows align fronts position by position (both sorted by ascending
+    makespan), flagging a position either front lacks.  A front that fails
+    has no points, only a ``diagnosis``, so every row with it is flagged.
     """
     if not multipliers or not all(0 < m < math.inf for m in multipliers):
         raise ValidationError(f"multipliers must be one or more finite values > 0, got {multipliers!r}")
@@ -210,6 +210,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for multiplier, front in fronts.items():
         pis = front.payoff.makespan_pis if front.payoff else math.nan
         print(f"  x{multiplier:g}: {len(front.points)} points, makespan PIS {pis:g}")
+        if front.diagnosis:
+            logger.warning("x%g: %s", multiplier, front.diagnosis)
     return EXIT_UNSOLVED if any(map(_unproven, fronts.values())) else EXIT_OK
 
 

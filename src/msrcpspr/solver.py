@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,13 +149,6 @@ def _slack_reward(spec: SubproblemSpec, cost: float) -> float:
     return spec.eps * max(0.0, spec.budget - cost) / spec.objective_range
 
 
-def _slack(spec: SubproblemSpec, makespan: float, cost: float) -> float | None:
-    """The budget slack of a schedule under ``spec``; None without a budget."""
-    if spec.budget is None:
-        return None
-    return max(0.0, spec.budget - (cost if spec.primary == "makespan" else makespan))
-
-
 def _raise_longest_paths(
     values: list[float],
     arcs: list[list[int]],
@@ -201,11 +194,12 @@ class _BranchAndBound:
     tabulates, once, the candidate assignments of every activity (cheapest
     first, with their resources and costs), the cheapest cost of every
     suffix of them and each resource's wait per assignment count; ``run``
-    solves one subproblem.  The search owns the graph (``succ``, ``pred``,
+    searches one subproblem for its best leaf, and ``result`` builds the
+    schedule of a kept leaf.  The search owns the graph (``succ``, ``pred``,
     and ``reach``: bit v of ``reach[u]`` means u has a path to v), the node
     weights, the heads (earliest starts over ``succ``), the tails ``after``
     (longest path from a node's end to the sink's start, over ``pred``),
-    one undo stack and one node count.
+    one undo stack, one node count and the cost of each assigned prefix.
 
     No node runs a longest-path pass.  ``_assign`` raises the weights of
     the users of its resources, pushes the raised heads forward and the
@@ -299,7 +293,7 @@ class _BranchAndBound:
             self.wait_table.append(table)
 
         self.chosen: list[int] = []
-        self.cost_so_far = 0.0
+        self.prefix_costs = [0.0]  # per depth, folded left in ``acts`` order
         # Node weights (duration plus the largest wait at the current
         # counts) of the assigned prefix and the assigned users of every
         # resource (its count), kept up to date by ``_assign``.
@@ -354,7 +348,7 @@ class _BranchAndBound:
         return self._floor()
 
     def _cost_lb(self) -> float:
-        return self.cost_so_far + self.suffix_min_cost[len(self.chosen)]
+        return self.prefix_costs[-1] + self.suffix_min_cost[len(self.chosen)]
 
     def _prunable(self) -> bool:
         spec = self.spec
@@ -390,7 +384,7 @@ class _BranchAndBound:
                     touched.append(x)
             self.users[k].append(u)
         self.res_of[u] = resources
-        self.cost_so_far += self.cand_costs[idx][cand_idx]
+        self.prefix_costs.append(self.prefix_costs[-1] + self.cand_costs[idx][cand_idx])
         self.chosen.append(cand_idx)
 
         undo: _UndoLog = []
@@ -411,7 +405,7 @@ class _BranchAndBound:
         idx = len(self.chosen) - 1
         cand_idx = self.chosen.pop()
         u = self.acts[idx]
-        self.cost_so_far -= self.cand_costs[idx][cand_idx]
+        self.prefix_costs.pop()
         self.res_of[u] = ()
         for k in self.cand_resources[idx][cand_idx]:
             self.users[k].pop()
@@ -473,7 +467,7 @@ class _BranchAndBound:
     def _leaf(self) -> None:
         """Sequence a full assignment and keep it if it beats the incumbent."""
         spec = self.spec
-        cost = self.cost_so_far
+        cost = self.prefix_costs[-1]
         # _prunable has already held the leaf's cost to the budget (makespan
         # primary) or below the incumbent (cost primary).
         if spec.primary == "makespan":
@@ -603,23 +597,27 @@ class _BranchAndBound:
 
     # -- one solve ---------------------------------------------------
 
-    def run(self, spec: SubproblemSpec, limits: SolveLimits, started: float) -> SolveResult:
-        """One solve of ``spec`` on these tables and this memo (see :func:`solve`),
-        timed from ``started``.  Every per-solve attribute starts afresh, and
-        so does ``cost_so_far``: backtracking restores it by subtraction, which
-        may leave an ulp, where the undo log restores the rest exactly."""
-        self.spec, self.limits, self.nodes, self.timed_out = spec, limits, 0, False
-        self.best_f, self.best, self.cost_so_far = math.inf, None, 0.0
-        self.deadline = time.perf_counter() + limits.time_limit
+    def run(self, spec: SubproblemSpec, limits: SolveLimits | None) -> str:
+        """Search ``spec`` on these tables and this memo (see :func:`solve`) and
+        return its status; every per-solve attribute starts afresh.  The best
+        leaf, valued as the search valued it, stays in ``best`` and the node
+        count in ``nodes``: only ``result`` builds a schedule, of a kept leaf."""
+        self.spec, self.limits, self.nodes, self.timed_out = spec, limits or SolveLimits(), 0, False
+        self.best_f, self.best = math.inf, None
+        self.deadline = time.perf_counter() + self.limits.time_limit
         if all(self.candidates):
             self._dfs()
+        if self.timed_out:
+            return "timeout"
+        return "infeasible" if self.best is None else "optimal"
+
+    def result(self, status: str, leaf, started: float) -> SolveResult:
+        """The last ``run`` as a :class:`SolveResult` with the schedule of ``leaf`` (a ``best``)."""
         wall = time.perf_counter() - started
-        if self.best is None:
-            status = "timeout" if self.timed_out else "infeasible"
+        if leaf is None:
             return SolveResult(status, None, None, None, self.nodes, wall)
-        status = "timeout" if self.timed_out else "optimal"
-        chosen, arcs, makespan, cost = self.best
-        instance, n = self.instance, self.n
+        chosen, arcs, makespan, cost = leaf
+        instance, n, spec = self.instance, self.n, self.spec
         X = np.zeros((n, instance.skill_count, len(instance.resources)), dtype=np.int8)
         for idx, cand_idx in enumerate(chosen):
             for skill, res in self.candidates[idx][cand_idx]:
@@ -628,8 +626,10 @@ class _BranchAndBound:
         for u, v in arcs:
             Z[u, v] = 1
         solution = tighten_starts(instance, X, Z)
-        objectives = evaluate(instance, solution)
-        return SolveResult(status, solution, objectives, _slack(spec, makespan, cost), self.nodes, wall)
+        slack = None
+        if spec.budget is not None:
+            slack = max(0.0, spec.budget - (cost if spec.primary == "makespan" else makespan))
+        return SolveResult(status, solution, evaluate(instance, solution), slack, self.nodes, wall)
 
 
 def solve(
@@ -646,18 +646,18 @@ def solve(
     with slack = e - cost, i.e. ties in makespan are broken toward larger
     budget slack.  Returns a timeout status with the incumbent when a
     limit is hit, or with none when the limit came before the first
-    leaf.  ``wall_time`` covers the search, not the rebuilding of the best
-    schedule.  ``warm`` is the search object of the solves of one front on
-    ``instance``, whose tables and memo save work; a solve without it
-    builds its own, within ``wall_time``, and returns the same schedule:
-    the first optimal leaf in a fixed order (see :class:`_BranchAndBound`).
+    leaf.  Only that leaf becomes a schedule; ``wall_time`` covers the
+    search, not that build.  ``warm`` is the search object of the solves of
+    one front on ``instance``, whose tables and memo save work; a solve
+    without it builds its own, within ``wall_time``, and returns the same
+    schedule: the first optimal leaf in a fixed order (see :class:`_BranchAndBound`).
     """
     started = time.perf_counter()
-    if warm is None:
-        warm = _BranchAndBound(instance)
-    elif warm.instance is not instance:
+    warm = warm or _BranchAndBound(instance)
+    if warm.instance is not instance:
         raise ValueError("warm is the search object of another instance")
-    return warm.run(spec, limits or SolveLimits(), started)
+    status = warm.run(spec, limits)
+    return warm.result(status, warm.best, started)
 
 
 class InfeasibleProblemError(ValueError):
@@ -682,28 +682,29 @@ def lexicographic_outcome(
 ) -> LexOutcome:
     """Optimize ``order[0]``, then ``order[1]`` with the first held at its optimum.
 
-    Both solves share the search object ``warm`` (or one of their own).
-    Stage 1's schedule meets stage 2's budget, so a stage 2 that a limit
-    cuts short before a schedule of its own returns stage 1's, with its
-    own status.  A stage 1 without a schedule raises
-    :class:`InfeasibleProblemError`, saying "timed out" if a limit cut it.
+    Both stages run on the search object ``warm`` (or one of their own).
+    Stage 2's budget is stage 1's own value, as its search summed it, so
+    stage 2 meets it bit for bit.  One schedule is built: stage 2's leaf,
+    or stage 1's (slack 0) with stage 2's status when stage 2 has none.
+    A stage 1 without a leaf raises :class:`InfeasibleProblemError`, saying
+    "timed out" if a limit cut it.
     """
     first, second = order
     if {first, second} != {"makespan", "cost"}:
         raise ValueError(f"order must name makespan and cost, got {order!r}")
     warm = warm or _BranchAndBound(instance)
-    stage1 = solve(instance, SubproblemSpec(primary=first), limits, warm=warm)
-    if stage1.objectives is None:
-        stopped = "timed out" if stage1.status == "timeout" else "infeasible"
+    if warm.instance is not instance:
+        raise ValueError("warm is the search object of another instance")
+    status1 = warm.run(SubproblemSpec(primary=first), limits)
+    stage1 = warm.best
+    if stage1 is None:
+        stopped = "timed out" if status1 == "timeout" else "infeasible"
         raise InfeasibleProblemError(f"{stopped}: no feasible solution while optimizing {first}")
-    spec = SubproblemSpec(primary=second, budget=getattr(stage1.objectives, first))
-    stage2 = solve(instance, spec, limits, warm=warm)
-    if stage2.solution is None:
-        objectives = stage1.objectives
-        slack = _slack(spec, objectives.makespan, objectives.cost)
-        stage2 = replace(stage2, solution=stage1.solution, objectives=objectives, slack=slack)
-    statuses = (stage1.status, stage2.status)
-    return LexOutcome(objectives=stage2.objectives, result=stage2, statuses=statuses)
+    started = time.perf_counter()
+    budget = stage1[2] if first == "makespan" else stage1[3]
+    status2 = warm.run(SubproblemSpec(primary=second, budget=budget), limits)
+    result = warm.result(status2, warm.best or stage1, started)
+    return LexOutcome(objectives=result.objectives, result=result, statuses=(status1, status2))
 
 
 def lexicographic_optimum(

@@ -699,6 +699,21 @@ class TestSweep:
         code = main([*command, "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
         assert code == 1
 
+    def test_failed_front_says_why_per_multiplier(self, data_dir, tmp_path):
+        # The unscaled front fails outright, so no row is written, and stderr
+        # names its multiplier and diagnosis, as pareto logs its own.
+        sm, ext = _toy5_infeasible(tmp_path, data_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "msrcpspr", "sweep", "--instance", sm, "--extension", ext,
+             *_SWEEP_ONE, "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO_DIR / "src")},
+        )
+        assert proc.returncode == 1
+        assert (tmp_path / "sweep_retrieval.csv").read_text().splitlines() == [
+            "grid_point,multiplier,makespan,cost,makespan_change_pct,cost_change_pct,flagged"
+        ]
+        assert "x1: infeasible: no feasible solution while optimizing makespan" in proc.stderr
+
     @pytest.mark.parametrize("command", [["pareto"], ["sweep", *_SWEEP_ONE]], ids=["pareto", "sweep"])
     def test_cut_solves_exit_one(self, j20_cut, tmp_path, command):
         # The cut front still has points and no flagged row, but its
@@ -884,19 +899,17 @@ class TestSolveAndGantt:
                                                         monkeypatch):
         # Stage 1 stops on a limit before its first schedule: the instance
         # may well be feasible, so the message must not call it infeasible.
-        import dataclasses
-
+        # One node is the root alone, above every leaf.
         from msrcpspr import solver
 
-        real = solver.solve
+        real_run = solver._BranchAndBound.run
 
-        def cut_stage1(instance, spec, limits=None, *, warm=None):
-            result = real(instance, spec, limits, warm=warm)
-            if spec.budget is not None:
-                return result
-            return dataclasses.replace(result, status="timeout", solution=None, objectives=None)
+        def cut_stage1(self, spec, limits):
+            if spec.budget is None:
+                limits = solver.SolveLimits(node_limit=1)
+            return real_run(self, spec, limits)
 
-        monkeypatch.setattr(solver, "solve", cut_stage1)
+        monkeypatch.setattr(solver._BranchAndBound, "run", cut_stage1)
         sm, ext = toy_paths
         code = main(["gantt", "--instance", sm, "--extension", ext, "--out", str(tmp_path)])
         assert code == 1

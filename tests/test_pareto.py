@@ -107,7 +107,7 @@ class TestEnumerateFront:
     def test_front_node_totals_are_pinned(self, name, solves, nodes, digest, request, monkeypatch):
         # Node counts do not depend on the machine: a search change that
         # moves them must say so, and this pins the default sweep's totals.
-        from msrcpspr import pareto, solver
+        from msrcpspr import solver
 
         if isinstance(name, int):
             partial = read_psplib(DATA_DIR / "j20.sm")
@@ -115,18 +115,20 @@ class TestEnumerateFront:
         else:
             instance = request.getfixturevalue(name)
 
-        results = []
-        real_solve = solver.solve
+        # Every search runs through _BranchAndBound.run: the grid levels'
+        # solves and both stages of each payoff row.
+        searched = []
+        real_run = solver._BranchAndBound.run
 
-        def counted(instance, spec, limits=None, *, warm=None):
-            results.append(real_solve(instance, spec, limits, warm=warm))
-            return results[-1]
+        def counted(self, spec, limits):
+            status = real_run(self, spec, limits)
+            searched.append(self.nodes)
+            return status
 
-        monkeypatch.setattr(solver, "solve", counted)
-        monkeypatch.setattr(pareto, "solve", counted)
+        monkeypatch.setattr(solver._BranchAndBound, "run", counted)
         front = enumerate_front(instance, 10, eps=1e-4)
-        assert len(results) == solves
-        assert sum(result.nodes_explored for result in results) == nodes
+        assert len(searched) == solves
+        assert sum(searched) == nodes
         if digest is not None:
             csv = front_csv(front, include_timing=False)
             assert hashlib.sha256(csv.encode()).hexdigest() == digest

@@ -685,23 +685,24 @@ class TestLexicographic:
 
     def test_stage2_timeout_without_incumbent_is_reported(self, toy5, monkeypatch):
         # Stage 2 is cut before it finds a schedule of its own: it returns
-        # stage 1's, which seeds it, and the row must still say that stage
-        # 2 was not proved.
-        from msrcpspr import solver
+        # stage 1's, which meets its budget with no slack, and the row must
+        # still say that stage 2 was not proved.  Only that schedule is built.
+        stage1 = solve(toy5, SubproblemSpec(primary="makespan"))
+        real_run = _BranchAndBound.run
 
-        real_solve = solver.solve
-        stage1 = real_solve(toy5, SubproblemSpec(primary="makespan"))
-
-        def stage2_cut(instance, spec, limits=None, *, warm=None):
+        def stage2_cut(self, spec, limits):
             if spec.budget is not None:
                 limits = SolveLimits(node_limit=1)
-            return real_solve(instance, spec, limits, warm=warm)
+            return real_run(self, spec, limits)
 
-        monkeypatch.setattr(solver, "solve", stage2_cut)
+        monkeypatch.setattr(_BranchAndBound, "run", stage2_cut)
+        builds = count_builds(monkeypatch)
         outcome = lexicographic_outcome(toy5, ("makespan", "cost"))
+        assert len(builds) == 1
         assert outcome.statuses == ("optimal", "timeout")
         assert outcome.result.status == "timeout"
-        assert outcome.result.solution is not None
+        assert outcome.result.solution is builds[0]
+        assert outcome.result.slack == 0.0
         assert outcome.objectives == stage1.objectives
         assert np.array_equal(outcome.result.solution.assignment, stage1.solution.assignment)
         assert np.array_equal(outcome.result.solution.sequencing, stage1.solution.sequencing)
@@ -1090,9 +1091,39 @@ def test_limits_that_never_or_always_stop_are_rejected(limits):
         SolveLimits(**limits)
 
 
-def _cold(instance, spec, limits=None, *, warm=None):
-    """``solve`` without the front's memo, so every solve of a front is cold."""
-    return solve(instance, spec, limits)
+_REAL_RUN = _BranchAndBound.run
+
+
+def _cold_run(self, spec, limits):
+    """``_BranchAndBound.run`` on an empty memo, so every search of a front
+    (each grid level and both stages of each payoff row) is cold."""
+    self.memo = {}
+    return _REAL_RUN(self, spec, limits)
+
+
+def record_searches(monkeypatch) -> list:
+    """The search object of every ``_BranchAndBound.run``, in call order."""
+    searches = []
+    real_run = _BranchAndBound.run
+
+    def recorded(self, spec, limits):
+        searches.append(self)
+        return real_run(self, spec, limits)
+
+    monkeypatch.setattr(_BranchAndBound, "run", recorded)
+    return searches
+
+
+def count_builds(monkeypatch) -> list:
+    """Every schedule the solver builds, in build order."""
+    builds = []
+
+    def counted(instance, X, Z):
+        builds.append(tighten_starts(instance, X, Z))
+        return builds[-1]
+
+    monkeypatch.setattr(solver, "tighten_starts", counted)
+    return builds
 
 
 def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
@@ -1101,14 +1132,7 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
     # below any bound above it and nothing at or below it, or no
     # orientation below the stored bound.  A leaf reading the entry gets
     # what the fresh search gets.
-    searches = []
-
-    def recorded(instance, spec, limits=None, *, warm=None):
-        searches.append(warm)
-        return solve(instance, spec, limits, warm=warm)
-
-    monkeypatch.setattr(pareto, "solve", recorded)
-    monkeypatch.setattr(solver, "solve", recorded)
+    searches = record_searches(monkeypatch)
     pareto.enumerate_front(j10, 10, eps=1e-4)
     assert len(searches) == 7 and all(s is searches[0] for s in searches)
     bb = _BranchAndBound(j10)
@@ -1154,7 +1178,7 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
 )
 def test_warm_front_equals_cold_front(instance, eps):
     warm = pareto.enumerate_front(instance, 10, eps=eps)
-    with mock.patch.object(pareto, "solve", _cold), mock.patch.object(solver, "solve", _cold):
+    with mock.patch.object(_BranchAndBound, "run", _cold_run):
         cold = pareto.enumerate_front(instance, 10, eps=eps)
     assert pareto.front_csv(warm, include_timing=False) == pareto.front_csv(
         cold, include_timing=False
@@ -1202,20 +1226,15 @@ def test_cut_solve_memoizes_nothing(j10, monkeypatch):
 def test_one_search_per_front_and_per_payoff_row(j10, toy5, monkeypatch):
     # A front builds its search once, for both payoff rows and every grid
     # level; a payoff row called on its own builds one for both stages.
-    built, searches = [], []
+    built = []
     original = _BranchAndBound.__init__
 
     def counted_init(self, instance):
         built.append(instance)
         original(self, instance)
 
-    def recorded(instance, spec, limits=None, *, warm=None):
-        searches.append(warm)
-        return solve(instance, spec, limits, warm=warm)
-
     monkeypatch.setattr(_BranchAndBound, "__init__", counted_init)
-    monkeypatch.setattr(pareto, "solve", recorded)
-    monkeypatch.setattr(solver, "solve", recorded)
+    searches = record_searches(monkeypatch)
     pareto.enumerate_front(j10, 10, eps=1e-4)
     assert built == [j10]
     assert len(searches) == 7 and all(s is searches[0] for s in searches)
@@ -1231,13 +1250,16 @@ def test_search_of_another_instance_is_refused(j10):
     search = _BranchAndBound(j10)
     spec = SubproblemSpec(primary="makespan")
     solve(j10, spec, warm=search)
+    scaled = scale_reliability(j10, "retrieval", 1.4)
     with pytest.raises(ValueError, match="another instance"):
-        solve(scale_reliability(j10, "retrieval", 1.4), spec, warm=search)
+        solve(scaled, spec, warm=search)
+    with pytest.raises(ValueError, match="another instance"):
+        lexicographic_outcome(scaled, warm=search)
 
 
 _BUILT_STATE = (
     "weights", "heads", "after", "reach", "succ", "pred",
-    "users", "res_of", "chosen", "undo", "cost_so_far", "selected",
+    "users", "res_of", "chosen", "undo", "prefix_costs", "selected",
 )
 
 
@@ -1259,3 +1281,80 @@ def test_reused_search_returns_to_its_built_state(name, primary, request):
         cut = solve(instance, spec, SolveLimits(node_limit=limit), warm=search)
         assert cut.status == ("optimal" if limit == full.nodes_explored else "timeout")
         assert {attr: getattr(search, attr) for attr in _BUILT_STATE} == fresh, limit
+
+
+def _real_cost_instance():
+    """Three activities on three resources whose cost rates are not integers,
+    so a total cost is a float sum whose value depends on its order."""
+    return build_instance(
+        durations={1: 0, 2: 4, 3: 6, 4: 1, 5: 0},
+        successors={1: (2, 3), 2: (4,), 3: (4,), 4: (5,)},
+        skill_count=2,
+        resources=[
+            ({1}, {1: 252986.06679553768}, (0.5, 0.5, 8.0)),
+            ({1}, {1: 127920.8318388447}, (0.5, 0.5, 8.0)),
+            ({2}, {2: 626997.3669996801}, (0.5, 0.5, 8.0)),
+        ],
+        requirements={2: {1: 1, 2: 1}, 3: {1: 1, 2: 1}, 4: {1: 1}},
+    )
+
+
+def test_real_cost_payoff_row_is_proved():
+    # Stage 2 of the cost-first row is budgeted by stage 1's cost as its
+    # search summed it, not as ``evaluate`` sums the schedule, so it finds
+    # stage 1's leaf again and the front's last level reads "optimal".
+    from msrcpspr import cli
+
+    instance = _real_cost_instance()
+    assert lexicographic_outcome(instance, ("cost", "makespan")).statuses == ("optimal", "optimal")
+    front = pareto.enumerate_front(instance, 10, eps=1e-4)
+    assert front.diagnosis is None
+    assert all(rec.status != "timeout" for rec in front.grid_log)
+    assert (front.grid_log[-1].grid_point, front.grid_log[-1].status) == (10, "optimal")
+    assert not cli._unproven(front)
+
+
+def test_each_assignment_has_one_cost(monkeypatch):
+    # Every solve of a real-cost front values a full assignment alike: the
+    # left fold of its candidates' costs in ``acts`` order, whatever path
+    # the search took to reach it.
+    instance = build_instance(
+        durations={1: 0, 2: 2, 3: 3, 4: 5, 5: 3, 6: 0},
+        successors={1: (2, 3, 4), 2: (6,), 3: (6,), 4: (5,), 5: (6,)},
+        skill_count=1,
+        resources=[
+            ({1}, {1: 303019.5482511926}, (0.5, 0.5, 12.0)),
+            ({1}, {1: 235056.0369748025}, (0.5, 0.5, 10.0)),
+        ],
+        requirements={2: {1: 1}, 3: {1: 1}, 4: {1: 1}, 5: {1: 1}},
+    )
+    costs: dict[tuple[int, ...], set[float]] = {}
+    folds: dict[tuple[int, ...], float] = {}
+    real_leaf = _BranchAndBound._leaf
+
+    def recorded(self):
+        key = tuple(self.chosen)
+        costs.setdefault(key, set()).add(self.prefix_costs[-1])
+        fold = 0.0
+        for idx, cand_idx in enumerate(key):
+            fold += self.cand_costs[idx][cand_idx]
+        folds[key] = fold
+        return real_leaf(self)
+
+    monkeypatch.setattr(_BranchAndBound, "_leaf", recorded)
+    pareto.enumerate_front(instance, 10, eps=1e-4)
+    assert len(costs) > 1
+    assert {key: values for key, values in costs.items() if len(values) > 1} == {}
+    assert {key: values.pop() for key, values in costs.items()} == folds
+
+
+def test_only_kept_leaves_become_schedules(j10, monkeypatch):
+    # A payoff row builds stage 2's schedule alone; a front builds one per
+    # payoff row and one per solved interior level.
+    builds = count_builds(monkeypatch)
+    lexicographic_outcome(j10)
+    assert len(builds) == 1
+    builds.clear()
+    front = pareto.enumerate_front(j10, 10, eps=1e-4)
+    assert len(builds) == 5
+    assert len([rec for rec in front.grid_log if rec.status != "bypassed"]) == 5
