@@ -24,11 +24,11 @@ from .queueing import InstabilityError, QueueOperatingPoint, waiting_time
 # absolute and absorbs that only below magnitude 4096, where two ulps are
 # 9.1e-13 (j20's front makespans are 68-125); a cost such as j20's 65,500 has
 # an ulp of 7.3e-12, so budgets derived from cost_nis - p*step need TOL.
-# Bounds keep the same contract: a makespan floor or a cost bound summed in
-# another order can exceed the value it bounds by a few ulps of it (see
-# solver._BranchAndBound._makespan_lb), so above 4096 a leaf that beats the
-# incumbent by less may be pruned as a tie, and above 2**22 (about 4.2e6),
-# where two ulps exceed TOL, so may a leaf that just meets its budget.
+# Bounds keep the same contract: a makespan floor can exceed the makespan it
+# bounds by a few ulps (see solver._BranchAndBound._makespan_lb), so above 4096
+# a leaf that beats the incumbent by less may be pruned as a tie, and above
+# 2**22 (about 4.2e6), where two ulps exceed TOL, so may one that just meets a
+# makespan budget.  The cost bound sums in a leaf's order and never exceeds its cost.
 TOL = 1e-9
 TIE_TOL = 1e-12
 

@@ -7,11 +7,12 @@ resource has finitely many possible waits; they are tabulated up front,
 which keeps the whole problem combinatorial.  Both levels bound their
 nodes with heads and tails of the disjunctive graph and a one-machine
 floor per shared resource; an assignment node counts only its assigned
-activities, with their waits at the current counts, and adds the exact
-remaining-cost minimum.  Both levels run on one graph whose heads and
-tails are kept up to date, not recomputed, per node (see
-:class:`_BranchAndBound`).  The solves of one front share one search
-object, so its tables are built and each assignment is sequenced once.
+activities, with their waits at the current counts, and adds the
+cheapest cost of the rest.  An assignment node recomputes its heads and
+tails over the fixed precedence graph; the sequencing search keeps them
+up to date as it inserts arcs (see :class:`_BranchAndBound`).  The
+solves of one front share one search object, so its tables are built
+and each assignment is sequenced once.
 """
 
 from __future__ import annotations
@@ -154,25 +155,16 @@ def _raise_longest_paths(
     arcs: list[list[int]],
     weights: list[float],
     source: int,
-    starts: list[int],
     undo: _UndoLog,
 ) -> None:
     """Restore ``values[y] >= values[x] + weights[x]`` along ``arcs`` after
-    the release of ``source`` into ``starts`` may have risen.
+    an arc out of ``source`` was added to them.
 
-    ``values`` held longest paths over ``arcs`` before, except at the arcs
-    out of ``source`` into ``starts`` (new arcs, or a risen weight of
-    ``source``); values only rise, so a work list from there reaches the
-    same maxima as a full pass.  Every overwritten value is logged in
-    ``undo``.
+    ``values`` held longest paths over ``arcs`` except along the new arc;
+    values only rise, so a work list from ``source`` reaches the same
+    maxima as a full pass.  Every overwritten value is logged in ``undo``.
     """
-    release = values[source] + weights[source]
-    stack = []
-    for y in starts:
-        if release > values[y]:
-            undo.append((values, y, values[y]))
-            values[y] = release
-            stack.append(y)
+    stack = [source]
     while stack:
         x = stack.pop()
         release = values[x] + weights[x]
@@ -192,23 +184,24 @@ class _BranchAndBound:
     ``_sequenced`` orients the pairs sharing a resource.  One object serves
     the solves of one front: ``__init__`` checks the precedence graph and
     tabulates, once, the candidate assignments of every activity (cheapest
-    first, with their resources and costs), the cheapest cost of every
-    suffix of them and each resource's wait per assignment count; ``run``
-    searches one subproblem for its best leaf, and ``result`` builds the
-    schedule of a kept leaf.  The search owns the graph (``succ``, ``pred``,
-    and ``reach``: bit v of ``reach[u]`` means u has a path to v), the node
-    weights, the heads (earliest starts over ``succ``), the tails ``after``
-    (longest path from a node's end to the sink's start, over ``pred``),
-    one undo stack, one node count and the cost of each assigned prefix.
+    first, with their resources and costs) and each resource's wait per
+    assignment count; ``run`` searches one subproblem for its best leaf,
+    and ``result`` builds the schedule of a kept leaf.  The search owns the
+    graph (``succ``, ``pred``, and ``reach``: bit v of ``reach[u]`` means u
+    has a path to v), the node weights, the heads (earliest starts over
+    ``succ``), the tails ``after`` (longest path from a node's end to the
+    sink's start, over ``pred``), one node count and each prefix's cost.
 
-    No node runs a longest-path pass.  ``_assign`` raises the weights of
-    the users of its resources, pushes the raised heads forward and the
-    raised tails backward; ``_add_arc`` u->v raises heads forward from v
-    and tails backward from u.  Each logs what it overwrites and
-    ``_restore`` writes the latest log back.  Values only rise and each is
-    the maximum of the same float sums as in a full pass, so they equal
-    :func:`earliest_starts` bit for bit.  A leaf's sequencing starts from
-    the assignment search's heads and tails.
+    Whenever ``_assign`` runs, ``succ`` and ``pred`` hold only precedence
+    arcs (the sequencing search removes every arc it adds), in the order
+    ``topo``.  So ``_assign`` pushes the weights, heads and tails on
+    ``frames``, recomputes the weights of its resources' users and rebuilds
+    heads and tails with one :func:`earliest_starts` pass each; ``_unassign``
+    pops them.  ``_add_arc`` u->v raises heads forward from u and tails
+    backward from v in place, logging on ``undo`` what ``_remove_arc``
+    writes back.  Each value is the maximum of the same float sums as in a
+    full pass, so they equal :func:`earliest_starts` bit for bit.  A leaf's
+    sequencing starts from the assignment search's heads and tails.
 
     ``_sequenced`` is the sequencing root: it takes the root's floor
     (most leaves end there, before any pair is built) and hands the pairs
@@ -240,6 +233,7 @@ class _BranchAndBound:
         topo, stuck = topological_order(self.succ)
         if stuck:
             raise CycleError("instance precedence graph is cyclic")
+        self.topo = topo
         self.reverse_topo = topo[::-1]
         self.reach = [0] * n
         for u in self.reverse_topo:
@@ -275,11 +269,6 @@ class _BranchAndBound:
         ]
         self.cand_costs = [[cost for cost, _ in entries] for _, entries in tabled]
 
-        self.suffix_min_cost = [0.0] * (len(self.acts) + 1)
-        for idx in range(len(self.acts) - 1, -1, -1):
-            best = min(self.cand_costs[idx]) if self.cand_costs[idx] else math.inf
-            self.suffix_min_cost[idx] = self.suffix_min_cost[idx + 1] + best
-
         # Wait per resource as a function of its integer assignment count,
         # up to the first unstable count: stable counts form a prefix.
         self.wait_table: list[list[float]] = []
@@ -294,15 +283,16 @@ class _BranchAndBound:
 
         self.chosen: list[int] = []
         self.prefix_costs = [0.0]  # per depth, folded left in ``acts`` order
-        # Node weights (duration plus the largest wait at the current
-        # counts) of the assigned prefix and the assigned users of every
-        # resource (its count), kept up to date by ``_assign``.
+        # Node weights (duration plus the largest wait at the current counts)
+        # and the assigned users of every resource (its count), set by
+        # ``_assign``, which pushes the weights, heads and tails on ``frames``.
         self.weights = list(self.durations)
         self.heads = earliest_starts(n, self.succ, self.weights, topo)
         self.after = earliest_starts(n, self.pred, self.weights, self.reverse_topo)
+        self.frames: list[tuple[list[float], list[float], list[float]]] = []
         self.users: list[list[int]] = [[] for _ in instance.resources]
         self.res_of: list[tuple[int, ...]] = [()] * n
-        self.undo: list[_UndoLog] = []
+        self.undo: list[_UndoLog] = []  # one log per arc the sequencing search added
         self.memo: dict[tuple[int, ...], tuple[float, list[tuple[int, int]] | None]] = {}
         # The current solve, set by ``run``; ``best`` is (chosen, arcs, makespan, cost).
         self.spec: SubproblemSpec | None = None
@@ -325,7 +315,7 @@ class _BranchAndBound:
     # -- bounds -------------------------------------------------------
 
     def _makespan_lb(self) -> float:
-        """Admissible makespan bound: the sink's maintained precedence head
+        """Admissible makespan bound: the sink's precedence head
         (the critical path with the waits implied by the current partial
         counts), versus each resource's one-machine floor, smallest head +
         weights + smallest tail of its assigned users, who run one at a
@@ -348,7 +338,12 @@ class _BranchAndBound:
         return self._floor()
 
     def _cost_lb(self) -> float:
-        return self.prefix_costs[-1] + self.suffix_min_cost[len(self.chosen)]
+        """The prefix's cost plus each remaining activity's cheapest candidate,
+        added left to right as a leaf's cost is: no leaf below costs less."""
+        cost = self.prefix_costs[-1]
+        for costs in self.cand_costs[len(self.chosen):]:
+            cost += costs[0]
+        return cost
 
     def _prunable(self) -> bool:
         spec = self.spec
@@ -362,46 +357,31 @@ class _BranchAndBound:
 
     # -- search -------------------------------------------------------
 
-    def _restore(self) -> None:
-        """Write back the values of the latest log, newest first."""
-        for values, x, old in reversed(self.undo.pop()):
-            values[x] = old
-
     def _assign(self, idx: int, cand_idx: int) -> None:
-        """Give activity ``acts[idx]`` its candidate ``cand_idx``.
-
-        The counts of its resources rise by one, so its weight and those
-        of the other assigned users of those resources are recomputed and
-        the raised heads pushed forward.  Waits never fall as a count
-        rises, so weights and heads only rise.
-        """
+        """Give activity ``acts[idx]`` its candidate ``cand_idx``: its resources'
+        counts rise by one, so their users' weights are recomputed and heads
+        and tails rebuilt over the precedence graph; the old ones wait on ``frames``."""
         u = self.acts[idx]
         resources = self.cand_resources[idx][cand_idx]
-        touched = [u]
+        users, waits, res_of = self.users, self.wait_table, self.res_of
         for k in resources:
-            for x in self.users[k]:
-                if x not in touched:
-                    touched.append(x)
-            self.users[k].append(u)
-        self.res_of[u] = resources
+            users[k].append(u)
+        res_of[u] = resources
         self.prefix_costs.append(self.prefix_costs[-1] + self.cand_costs[idx][cand_idx])
         self.chosen.append(cand_idx)
 
-        undo: _UndoLog = []
-        weights, waits, users, arcs = self.weights, self.wait_table, self.users, self.succ
-        for x in touched:
-            if self.res_of[x]:
-                weight = self.durations[x] + max(waits[k][len(users[k])] for k in self.res_of[x])
-                if weight != weights[x]:
-                    undo.append((weights, x, weights[x]))
-                    weights[x] = weight
-                    _raise_longest_paths(self.heads, arcs, weights, x, arcs[x], undo)
-                    _raise_longest_paths(self.after, self.pred, weights, x, self.pred[x], undo)
-        self.undo.append(undo)
+        self.frames.append((self.weights, self.heads, self.after))
+        weights = list(self.weights)
+        for k in resources:
+            for x in users[k]:
+                weights[x] = self.durations[x] + max(waits[r][len(users[r])] for r in res_of[x])
+        self.weights = weights
+        self.heads = earliest_starts(self.n, self.succ, weights, self.topo)
+        self.after = earliest_starts(self.n, self.pred, weights, self.reverse_topo)
 
     def _unassign(self) -> None:
         """Undo the latest ``_assign``."""
-        self._restore()
+        self.weights, self.heads, self.after = self.frames.pop()
         idx = len(self.chosen) - 1
         cand_idx = self.chosen.pop()
         u = self.acts[idx]
@@ -426,15 +406,16 @@ class _BranchAndBound:
                     reach[x] = new
         self.succ[u].append(v)
         self.pred[v].append(u)
-        _raise_longest_paths(self.heads, self.succ, self.weights, u, [v], undo)
-        _raise_longest_paths(self.after, self.pred, self.weights, v, [u], undo)
+        _raise_longest_paths(self.heads, self.succ, self.weights, u, undo)
+        _raise_longest_paths(self.after, self.pred, self.weights, v, undo)
         self.undo.append(undo)
 
     def _remove_arc(self, u: int, v: int) -> None:
-        """Undo the latest ``_add_arc``, which inserted u->v."""
+        """Undo the latest ``_add_arc``, which inserted u->v, newest value first."""
         self.succ[u].pop()
         self.pred[v].pop()
-        self._restore()
+        for values, x, old in reversed(self.undo.pop()):
+            values[x] = old
 
     def _out_of_budget(self) -> bool:
         if not self.timed_out:

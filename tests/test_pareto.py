@@ -17,6 +17,7 @@ from msrcpspr.schedule import TOL
 from msrcpspr.solver import (
     SolveLimits,
     SubproblemSpec,
+    _BranchAndBound,
     lexicographic_outcome,
     solve,
 )
@@ -294,6 +295,60 @@ class TestEnumerateFront:
     def test_grid_count_validated(self, toy5):
         with pytest.raises(ValueError):
             enumerate_front(toy5, 1)
+
+
+def complete_front(instance) -> list[tuple[float, float]]:
+    """Every nondominated (makespan, cost) point, from ``solve`` alone.
+
+    Minimise makespan under a cost budget just below the last point's cost
+    (the step, 1e-6, exceeds the budget's ``TOL``), then cost at that
+    makespan, until no schedule is left.  No schedule of another point has
+    a makespan within ``TOL`` of a point's and costs less, which is the tie
+    rule of ``dominance_filter``.
+    """
+    search = _BranchAndBound(instance)
+    points: list[tuple[float, float]] = []
+    budget = None
+    while budget is None or budget >= 0:
+        fastest = solve(instance, SubproblemSpec(primary="makespan", budget=budget), warm=search)
+        if fastest.status == "infeasible":
+            break
+        assert fastest.status == "optimal"
+        makespan = fastest.objectives.makespan
+        cheapest = solve(instance, SubproblemSpec(primary="cost", budget=makespan), warm=search)
+        assert cheapest.status == "optimal"
+        points.append((cheapest.objectives.makespan, cheapest.objectives.cost))
+        budget = cheapest.objectives.cost - 1e-6
+    return points
+
+
+class TestCompleteFront:
+    def test_complete_front_is_the_oracle_front(self, corpus):
+        for name, instance in corpus.items():
+            oracle = np.array(brute_force_front(instance).pairs())
+            assert np.array(complete_front(instance)) == pytest.approx(oracle, abs=TOL), name
+
+    @pytest.mark.parametrize("name", ["toy5", "j10", "j20"])
+    def test_every_grid_level_reads_the_complete_front(self, name, request):
+        # A solved level's point is the complete front's fastest point within
+        # its budget; a bypassed level's budget reaches the same point as the
+        # last solved level's.
+        instance = request.getfixturevalue(name)
+        points = complete_front(instance)
+
+        def fastest_within(budget):
+            return min(point for point in points if point[1] <= budget + TOL)
+
+        for grid_count in (5, 10, 20):
+            last_solved = None
+            for rec in enumerate_front(instance, grid_count).grid_log:
+                expected = fastest_within(rec.epsilon)
+                if rec.status == "optimal":
+                    last_solved = (rec.makespan, rec.cost)
+                    assert last_solved == pytest.approx(expected, abs=TOL), (grid_count, rec)
+                else:
+                    assert rec.status == "bypassed", (grid_count, rec)
+                    assert expected == pytest.approx(last_solved, abs=TOL), (grid_count, rec)
 
 
 class TestPlainVersusAugmented:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -599,13 +600,16 @@ def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
 
 
 def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
-    # At every assignment node the maintained weights equal a rebuild from
-    # the chosen candidates and counts, and the maintained heads and tails
-    # equal fresh precedence passes over them, bit for bit.
+    # At every assignment node the weights that ``_assign`` recomputed
+    # equal a rebuild from the chosen candidates and counts, and its heads
+    # and tails equal fresh precedence passes over them, bit for bit.  The
+    # level keeps one frame per depth and no undo log, and a solve hands
+    # back the root's values with no frame left on the stack.
     original = _BranchAndBound._dfs
     checked = []
 
     def checking_dfs(self):
+        assert (len(self.frames), self.undo) == (len(self.chosen), [])
         weights = _rebuilt_weights(self)
         assert self.weights == weights
         assert self.heads == earliest_starts(self.n, pristine[0], weights)
@@ -629,13 +633,13 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
             assert bb.after == root_after, name
             assert bb.users == [[] for _ in instance.resources], name
             assert (bb.succ, bb.pred, bb.reach) == pristine, name
-            assert bb.undo == [], name
+            assert (bb.frames, bb.undo) == ([], []), name
     assert max(checked) > 1
 
 
 def test_wait_tables_are_nondecreasing(corpus, j10):
-    # The assignment search only ever raises weights and heads; that holds
-    # because no wait falls as a resource's count rises.
+    # An assignment node's makespan floor holds for every completion below
+    # it only because no wait falls as a resource's count rises.
     for instance in [*corpus.values(), j10]:
         bb = _BranchAndBound(instance)
         for row in bb.wait_table:
@@ -1258,7 +1262,7 @@ def test_search_of_another_instance_is_refused(j10):
 
 
 _BUILT_STATE = (
-    "weights", "heads", "after", "reach", "succ", "pred",
+    "weights", "heads", "after", "frames", "reach", "succ", "pred",
     "users", "res_of", "chosen", "undo", "prefix_costs", "selected",
 )
 
@@ -1312,6 +1316,27 @@ def test_real_cost_payoff_row_is_proved():
     assert all(rec.status != "timeout" for rec in front.grid_log)
     assert (front.grid_log[-1].grid_point, front.grid_log[-1].status) == (10, "optimal")
     assert not cli._unproven(front)
+
+
+def test_cost_first_rows_are_proved_at_large_costs():
+    # Above 2**22 two ulps exceed TOL, so a cost bound summed in another
+    # order than a leaf's cost could prune stage 1's own leaf in stage 2 of
+    # the cost-first row.  The bound folds left like the leaf, never above
+    # it, so every row is proved at any cost scale.
+    rng = np.random.default_rng(2024)
+    unproved = {}
+    for draw in range(200):
+        instance = random_small_instance(rng)
+        resources = []
+        for res in instance.resources:
+            scale = rng.uniform(1e3, 1e5)
+            costs = tuple((skill, cost * scale) for skill, cost in res.cost_per_skill)
+            resources.append(replace(res, cost_per_skill=costs))
+        instance = replace(instance, resources=tuple(resources))
+        statuses = lexicographic_outcome(instance, ("cost", "makespan")).statuses
+        if statuses != ("optimal", "optimal"):
+            unproved[draw] = statuses
+    assert unproved == {}
 
 
 def test_each_assignment_has_one_cost(monkeypatch):

@@ -33,6 +33,44 @@ def test_every_private_definition_is_referenced():
     assert dead == []
 
 
+def _written_attribute(target: ast.expr) -> str | None:
+    """``x`` for an assignment target ``obj.x`` or ``obj.x[i]``, else None."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return target.attr if isinstance(target, ast.Attribute) else None
+
+
+def test_every_private_attribute_is_read():
+    # State that a private class stores on ``self`` and that no module reads
+    # is dead too.  A read inside a statement that writes the same attribute,
+    # as in ``self.x[i] = self.x[i + 1] + c``, only builds it.
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    stored: dict[str, str] = {}
+    read = set()
+    for path, tree in trees.items():
+        building = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        stored.setdefault(sub.attr, f"{path.name}:{sub.lineno}: {node.name}.{sub.attr}")
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                written = {_written_attribute(target) for target in targets}
+                building.update(
+                    id(sub)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and sub.attr in written
+                )
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in building
+        )
+    assert sorted(where for attr, where in stored.items() if attr not in read) == []
+
+
 def test_perfbench_wraps_attributes_that_exist():
     # The benchmark wraps module attributes by name; a rename in the package
     # must fail here, not only in a benchmark run.  A fresh interpreter, so
