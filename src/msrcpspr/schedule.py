@@ -307,11 +307,9 @@ def tighten_starts(
     usage = (X.sum(axis=1) >= 1).astype(np.int8)
     activity_waits = np.where(usage.any(axis=1), (usage * waits).max(axis=1), 0.0)
 
-    arcs: list[list[int]] = [[] for _ in range(n)]
     union = instance.precedence | (Z != 0)
-    for u in range(n):
-        arcs[u] = list(np.flatnonzero(union[u]))
-    weights = list(instance.duration_array + activity_waits)
+    arcs = [np.flatnonzero(union[u]).tolist() for u in range(n)]
+    weights = (instance.duration_array + activity_waits).tolist()
     starts = earliest_starts(n, arcs, weights)
 
     return ScheduleSolution(

@@ -9,8 +9,9 @@ nodes with heads and tails of the disjunctive graph and a one-machine
 floor per shared resource; an assignment node counts only its assigned
 activities, with their waits at the current counts, and adds the
 cheapest cost of the rest.  An assignment node recomputes its heads and
-tails over the fixed precedence graph; the sequencing search keeps them
-up to date as it inserts arcs (see :class:`_BranchAndBound`).  The
+tails over the fixed precedence graph; the sequencing search raises
+copies of them as it inserts arcs.  Both levels backtrack by popping the
+lists they replaced off one stack (see :class:`_BranchAndBound`).  The
 solves of one front share one search object, so its tables are built
 and each assignment is sequenced once.
 """
@@ -39,9 +40,6 @@ from .schedule import (
 )
 
 EPS_RANGE = (1e-6, 1e-3)
-
-# (array, index, old value) entries, restored in reverse on backtrack.
-_UndoLog = list[tuple[list, int, object]]
 
 
 def check_eps(eps: float) -> None:
@@ -155,24 +153,24 @@ def _raise_longest_paths(
     arcs: list[list[int]],
     weights: list[float],
     source: int,
-    undo: _UndoLog,
-) -> None:
-    """Restore ``values[y] >= values[x] + weights[x]`` along ``arcs`` after
-    an arc out of ``source`` was added to them.
+) -> list[float]:
+    """A copy of ``values`` with ``values[y] >= values[x] + weights[x]``
+    restored along ``arcs`` after an arc out of ``source`` was added to them.
 
     ``values`` held longest paths over ``arcs`` except along the new arc;
     values only rise, so a work list from ``source`` reaches the same
-    maxima as a full pass.  Every overwritten value is logged in ``undo``.
+    maxima as a full pass.  ``values`` itself is left as it was.
     """
+    values = list(values)
     stack = [source]
     while stack:
         x = stack.pop()
         release = values[x] + weights[x]
         for y in arcs[x]:
             if release > values[y]:
-                undo.append((values, y, values[y]))
                 values[y] = release
                 stack.append(y)
+    return values
 
 
 class _BranchAndBound:
@@ -192,16 +190,18 @@ class _BranchAndBound:
     ``succ``), the tails ``after`` (longest path from a node's end to the
     sink's start, over ``pred``), one node count and each prefix's cost.
 
-    Whenever ``_assign`` runs, ``succ`` and ``pred`` hold only precedence
-    arcs (the sequencing search removes every arc it adds), in the order
-    ``topo``.  So ``_assign`` pushes the weights, heads and tails on
-    ``frames``, recomputes the weights of its resources' users and rebuilds
-    heads and tails with one :func:`earliest_starts` pass each; ``_unassign``
-    pops them.  ``_add_arc`` u->v raises heads forward from u and tails
-    backward from v in place, logging on ``undo`` what ``_remove_arc``
-    writes back.  Each value is the maximum of the same float sums as in a
-    full pass, so they equal :func:`earliest_starts` bit for bit.  A leaf's
-    sequencing starts from the assignment search's heads and tails.
+    Both levels backtrack by one stack, ``frames``.  ``_assign`` and
+    ``_add_arc`` push the weights, heads, tails and reach they replace with
+    new lists, and the arc inserted (None for an assignment); ``_unassign``
+    and ``_remove_arc`` pop them back, so no list is written once a frame
+    holds it.  Whenever ``_assign`` runs, ``succ`` and ``pred`` hold only
+    precedence arcs (the sequencing search removes every arc it adds), in
+    the order ``topo``: it recomputes its resources' users' weights, then
+    heads and tails with one :func:`earliest_starts` pass each.  ``_add_arc``
+    u->v raises heads forward from u and tails backward from v.  Each value
+    is the maximum of the same float sums as in a full pass, so they equal
+    :func:`earliest_starts` bit for bit.  A leaf's sequencing starts from
+    the assignment search's heads and tails.
 
     ``_sequenced`` is the sequencing root: it takes the root's floor
     (most leaves end there, before any pair is built) and hands the pairs
@@ -285,14 +285,13 @@ class _BranchAndBound:
         self.prefix_costs = [0.0]  # per depth, folded left in ``acts`` order
         # Node weights (duration plus the largest wait at the current counts)
         # and the assigned users of every resource (its count), set by
-        # ``_assign``, which pushes the weights, heads and tails on ``frames``.
+        # ``_assign``; ``frames`` holds what each ``_assign`` and ``_add_arc`` replaced.
         self.weights = list(self.durations)
         self.heads = earliest_starts(n, self.succ, self.weights, topo)
         self.after = earliest_starts(n, self.pred, self.weights, self.reverse_topo)
-        self.frames: list[tuple[list[float], list[float], list[float]]] = []
+        self.frames: list[tuple[list[float], list[float], list[float], list[int], tuple | None]] = []
         self.users: list[list[int]] = [[] for _ in instance.resources]
         self.res_of: list[tuple[int, ...]] = [()] * n
-        self.undo: list[_UndoLog] = []  # one log per arc the sequencing search added
         self.memo: dict[tuple[int, ...], tuple[float, list[tuple[int, int]] | None]] = {}
         # The current solve, set by ``run``; ``best`` is (chosen, arcs, makespan, cost).
         self.spec: SubproblemSpec | None = None
@@ -302,15 +301,13 @@ class _BranchAndBound:
         self.timed_out = False
         self.best_f = math.inf
         self.best: tuple[list[int], list[tuple[int, int]], float, float] | None = None
-        # The sequencing search of the current full assignment: the
-        # resources ``_floor`` reads (compiled by ``_makespan_lb``), the
-        # root's floor, the value a leaf must beat, the kept leaf
-        # (makespan, arcs) and the arcs selection has added on the path.
+        # The sequencing search of the current full assignment: the resources
+        # ``_floor`` reads (compiled by ``_makespan_lb``), the root's floor,
+        # the value a leaf must beat and the kept leaf (makespan, arcs).
         self.machines: list[tuple[operator.itemgetter, float]] = []
         self.root_bound = -math.inf
         self.seq_best = math.inf
         self.seq_leaf: tuple[float, list[tuple[int, int]]] | None = None
-        self.selected: list[tuple[int, int]] = []
 
     # -- bounds -------------------------------------------------------
 
@@ -370,7 +367,7 @@ class _BranchAndBound:
         self.prefix_costs.append(self.prefix_costs[-1] + self.cand_costs[idx][cand_idx])
         self.chosen.append(cand_idx)
 
-        self.frames.append((self.weights, self.heads, self.after))
+        self.frames.append((self.weights, self.heads, self.after, self.reach, None))
         weights = list(self.weights)
         for k in resources:
             for x in users[k]:
@@ -381,7 +378,7 @@ class _BranchAndBound:
 
     def _unassign(self) -> None:
         """Undo the latest ``_assign``."""
-        self.weights, self.heads, self.after = self.frames.pop()
+        self.weights, self.heads, self.after, self.reach, _ = self.frames.pop()
         idx = len(self.chosen) - 1
         cand_idx = self.chosen.pop()
         u = self.acts[idx]
@@ -391,31 +388,23 @@ class _BranchAndBound:
             self.users[k].pop()
 
     def _add_arc(self, u: int, v: int) -> None:
-        """Insert u->v, which must not close a cycle, raising reach, heads
-        and after."""
-        gain = self.reach[v] | (1 << v)
-        undo: _UndoLog = []
+        """Insert u->v, which must not close a cycle, replacing reach, heads
+        and after with raised copies; the old ones wait on ``frames``."""
         reach = self.reach
+        self.frames.append((self.weights, self.heads, self.after, reach, (u, v)))
+        gain = reach[v] | (1 << v)
         bit_u = 1 << u
-        for x in range(self.n):
-            mask = reach[x]
-            if x == u or mask & bit_u:
-                new = mask | gain
-                if new != mask:
-                    undo.append((reach, x, mask))
-                    reach[x] = new
+        self.reach = [mask | gain if x == u or mask & bit_u else mask for x, mask in enumerate(reach)]
         self.succ[u].append(v)
         self.pred[v].append(u)
-        _raise_longest_paths(self.heads, self.succ, self.weights, u, undo)
-        _raise_longest_paths(self.after, self.pred, self.weights, v, undo)
-        self.undo.append(undo)
+        self.heads = _raise_longest_paths(self.heads, self.succ, self.weights, u)
+        self.after = _raise_longest_paths(self.after, self.pred, self.weights, v)
 
-    def _remove_arc(self, u: int, v: int) -> None:
-        """Undo the latest ``_add_arc``, which inserted u->v, newest value first."""
+    def _remove_arc(self) -> None:
+        """Undo the latest ``_add_arc``."""
+        self.weights, self.heads, self.after, self.reach, (u, v) = self.frames.pop()
         self.succ[u].pop()
         self.pred[v].pop()
-        for values, x, old in reversed(self.undo.pop()):
-            values[x] = old
 
     def _out_of_budget(self) -> bool:
         if not self.timed_out:
@@ -518,8 +507,8 @@ class _BranchAndBound:
 
     def _select(self, decisions: list[tuple[int, int]], idx: int) -> bool:
         """Orient each open pair of ``decisions[idx:]`` against the one
-        orientation that reaches the incumbent, onto ``selected``, until no
-        pair changes; False once a pair reaches it both ways or the floor does."""
+        orientation that reaches the incumbent, by ``_add_arc``, until no pair
+        changes; False once a pair reaches it both ways or the floor does."""
         heads, after, w, reach = self.heads, self.after, self.weights, self.reach
         best, changed = self.seq_best, True
         while changed:
@@ -534,7 +523,7 @@ class _BranchAndBound:
                 if i_first or j_first:
                     arc = (j, i) if i_first else (i, j)
                     self._add_arc(*arc)
-                    self.selected.append(arc)
+                    heads, after, reach = self.heads, self.after, self.reach
                     changed = True
         return self._floor() < best
 
@@ -546,17 +535,19 @@ class _BranchAndBound:
         a child u->v of ``pairs[idx]`` = (i, j), i->j first, has makespan
         ``max(current, head[u] + w[u] + after[v] + w[v])`` and is skipped
         when that reaches ``seq_best``.  The search stops once a leaf reaches
-        the root's floor; the selected arcs are removed on return."""
-        heads, after, w, reach = self.heads, self.after, self.weights, self.reach
+        the root's floor; on return ``frames`` is popped back to its entry."""
         if idx == len(pairs):
-            makespan = heads[self.sink]
+            makespan = self.heads[self.sink]
             if makespan < self.seq_best:
                 self.seq_best = makespan - TIE_TOL
+                reach = self.reach
                 arcs = [(i, j) if (reach[i] >> j) & 1 else (j, i) for i, j in pairs]
                 self.seq_leaf = (makespan, arcs)
             return
-        mark = len(self.selected)
+        mark = len(self.frames)
         if self._select(pairs, idx):
+            # Read after selection replaced them; each child hands these back.
+            heads, after, w, reach = self.heads, self.after, self.weights, self.reach
             current = heads[self.sink]
             i, j = pairs[idx]
             for u, v in ((i, j), (j, i)):
@@ -570,11 +561,11 @@ class _BranchAndBound:
                 self.nodes += 1
                 self._add_arc(u, v)
                 self._branch(pairs, idx + 1)
-                self._remove_arc(u, v)
+                self._remove_arc()
                 if self.seq_best <= self.root_bound:
                     break
-        while len(self.selected) > mark:
-            self._remove_arc(*self.selected.pop())
+        while len(self.frames) > mark:
+            self._remove_arc()
 
     # -- one solve ---------------------------------------------------
 

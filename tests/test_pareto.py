@@ -74,6 +74,12 @@ class TestDominanceFilter:
         assert dominance_filter([]) == []
 
 
+def j20_with_cost_seed(seed: int):
+    """j20's network under ``default_extension(cost_seed=seed)``."""
+    partial = read_psplib(DATA_DIR / "j20.sm")
+    return load_extension(partial, default_extension(partial, cost_seed=seed))
+
+
 def count_grid_solves(monkeypatch) -> list:
     """Record the spec of every grid-level ``solve`` the sweep makes."""
     from msrcpspr import pareto
@@ -110,11 +116,7 @@ class TestEnumerateFront:
         # moves them must say so, and this pins the default sweep's totals.
         from msrcpspr import solver
 
-        if isinstance(name, int):
-            partial = read_psplib(DATA_DIR / "j20.sm")
-            instance = load_extension(partial, default_extension(partial, cost_seed=name))
-        else:
-            instance = request.getfixturevalue(name)
+        instance = j20_with_cost_seed(name) if isinstance(name, int) else request.getfixturevalue(name)
 
         # Every search runs through _BranchAndBound.run: the grid levels'
         # solves and both stages of each payoff row.
@@ -328,12 +330,22 @@ class TestCompleteFront:
             oracle = np.array(brute_force_front(instance).pairs())
             assert np.array(complete_front(instance)) == pytest.approx(oracle, abs=TOL), name
 
-    @pytest.mark.parametrize("name", ["toy5", "j10", "j20"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "toy5",
+            "j10",
+            "j20",
+            # j20 under cost seeds 1..4: about 10 s of solves, so run by
+            # ``pytest -m slow`` and not by default.
+            *(pytest.param(k, marks=pytest.mark.slow, id=f"j20-s{k}") for k in range(1, 5)),
+        ],
+    )
     def test_every_grid_level_reads_the_complete_front(self, name, request):
         # A solved level's point is the complete front's fastest point within
         # its budget; a bypassed level's budget reaches the same point as the
         # last solved level's.
-        instance = request.getfixturevalue(name)
+        instance = j20_with_cost_seed(name) if isinstance(name, int) else request.getfixturevalue(name)
         points = complete_front(instance)
 
         def fastest_within(budget):

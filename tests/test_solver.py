@@ -400,6 +400,7 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
     floors = []
     makespans = {}
     selections = {True: 0, False: 0}
+    selection_frames = {}  # id -> selection frame; holding the frame keeps its id unique
 
     def checking_branch(self, pairs, idx):
         assert self.heads == earliest_starts(self.n, self.succ, self.weights)
@@ -432,23 +433,29 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         floors.append(floor)
         return floor
 
-    def checking_select(self, decisions, idx):
-        # The orientations below this node keep its branch arcs: the arcs
-        # of the graph that are neither precedence arcs nor selected ones.
-        best, mark = self.seq_best, len(self.selected)
-        branch = {
-            (u, v) for u in range(self.n) for v in self.succ[u] if v not in prec_succ[u]
-        } - set(self.selected)
-        is_open = original_select(self, decisions, idx)
+    def checking_select(self, pairs, idx):
+        # The orientations below this node keep its branch arcs, those of
+        # the frames on the path that no ``_select`` pushed; the frames each
+        # call pushed hold its selected arcs.  ``pairs`` starts with the
+        # pairs the graph orients, which the orientations do not list.
+        best, mark = self.seq_best, len(self.frames)
+        arcs_on_path = [frame for frame in self.frames if frame[-1] is not None]
+        branch = {frame[-1] for frame in arcs_on_path if id(frame) not in selection_frames}
+        selected = {frame[-1] for frame in arcs_on_path if id(frame) in selection_frames}
+        is_open = original_select(self, pairs, idx)
+        for frame in self.frames[mark:]:
+            selection_frames[id(frame)] = frame
+            selected.add(frame[-1])
+        decided = idx - (len(pairs) - len(decisions))
         below = [
             set(arcs)
             for arcs, makespan in makespans.items()
-            if makespan < best and set(arcs[:idx]) <= branch
+            if makespan < best and set(arcs[:decided]) <= branch
         ]
         if is_open:
-            selections[True] += len(self.selected) - mark
+            selections[True] += len(self.frames) - mark
             for arcs in below:
-                assert set(self.selected) <= arcs
+                assert selected <= arcs
         else:
             selections[False] += 1
             assert below == []
@@ -478,7 +485,7 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         makespan, dirs = bb._sequenced(math.inf)
         assert floors[roots] == bb.root_bound <= makespan
         assert (makespan, tuple(dirs[len(dirs) - len(decisions) :])) == (brute, first)
-        # Every undo restored its values: the root passes hold again.
+        # Every frame popped restored its lists: the root passes hold again.
         assert bb.heads == earliest_starts(n, prec_succ, weights)
         assert bb.after == earliest_starts(n, prec_pred, weights)
         assert bb.weights == weights
@@ -603,13 +610,14 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
     # At every assignment node the weights that ``_assign`` recomputed
     # equal a rebuild from the chosen candidates and counts, and its heads
     # and tails equal fresh precedence passes over them, bit for bit.  The
-    # level keeps one frame per depth and no undo log, and a solve hands
-    # back the root's values with no frame left on the stack.
+    # level keeps one frame per depth, an assignment's with no arc, and a
+    # solve hands back the root's values with no frame left on the stack.
     original = _BranchAndBound._dfs
     checked = []
 
     def checking_dfs(self):
-        assert (len(self.frames), self.undo) == (len(self.chosen), [])
+        assert len(self.frames) == len(self.chosen)
+        assert all(frame[-1] is None for frame in self.frames)
         weights = _rebuilt_weights(self)
         assert self.weights == weights
         assert self.heads == earliest_starts(self.n, pristine[0], weights)
@@ -633,8 +641,57 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
             assert bb.after == root_after, name
             assert bb.users == [[] for _ in instance.resources], name
             assert (bb.succ, bb.pred, bb.reach) == pristine, name
-            assert (bb.frames, bb.undo) == ([], []), name
+            assert bb.frames == [], name
     assert max(checked) > 1
+
+
+def test_frames_are_never_written_after_the_push(corpus, toy5, monkeypatch):
+    # Backtracking restores the very lists a frame holds, which is sound
+    # only because no list is written once it is pushed: every pop hands
+    # back the objects pushed, still equal to copies taken at the push.
+    # Solves cut at any node limit must unwind the stack the same way.
+    pushed = []  # (frame, copies of its four lists) per frame on the stack
+    popped = {"_unassign": 0, "_remove_arc": 0}
+
+    def pushing(original):
+        def push(self, *args):
+            original(self, *args)
+            frame = self.frames[-1]
+            pushed.append((frame, [list(values) for values in frame[:4]]))
+
+        return push
+
+    def popping(name, original):
+        def pop(self):
+            frame, copies = pushed.pop()
+            assert self.frames[-1] is frame
+            original(self)
+            restored = (self.weights, self.heads, self.after, self.reach)
+            assert all(now is then for now, then in zip(restored, frame[:4]))
+            assert [list(values) for values in restored] == copies
+            popped[name] += 1
+
+        return pop
+
+    for name in ("_assign", "_add_arc"):
+        monkeypatch.setattr(_BranchAndBound, name, pushing(getattr(_BranchAndBound, name)))
+    for name in popped:
+        monkeypatch.setattr(_BranchAndBound, name, popping(name, getattr(_BranchAndBound, name)))
+    rng = np.random.default_rng(7)
+    draws = {f"random{draw}": random_small_instance(rng) for draw in range(30)}
+    for name, instance in {**corpus, **draws}.items():
+        for primary in ("makespan", "cost"):
+            bb = _BranchAndBound(instance)
+            assert solve(instance, SubproblemSpec(primary=primary), warm=bb).status == "optimal"
+            assert (pushed, bb.frames) == ([], []), name
+    spec = SubproblemSpec(primary="makespan")
+    search = _BranchAndBound(toy5)
+    full = solve(toy5, spec, warm=search)
+    for limit in range(1, full.nodes_explored + 1):
+        search.memo.clear()
+        solve(toy5, spec, SolveLimits(node_limit=limit), warm=search)
+        assert (pushed, search.frames) == ([], []), limit
+    assert popped["_unassign"] and popped["_remove_arc"]
 
 
 def test_wait_tables_are_nondecreasing(corpus, j10):
@@ -1263,7 +1320,7 @@ def test_search_of_another_instance_is_refused(j10):
 
 _BUILT_STATE = (
     "weights", "heads", "after", "frames", "reach", "succ", "pred",
-    "users", "res_of", "chosen", "undo", "prefix_costs", "selected",
+    "users", "res_of", "chosen", "prefix_costs",
 )
 
 
