@@ -10,13 +10,13 @@ event-driven simulation of the same dynamics and acts as the independent
 cross-check for the closed form.  The simulation is vectorised: customers
 are mapped to the server's up-time clock and back by merge-ranks over
 sorted arrays, and the queue itself is a running maximum on that clock.
-Each run is streamed in batch-sized pieces, and the breakdown trajectory
-is drawn in blocks beside them and dropped behind them, so a run's memory
-grows with the batch size, not with the number of customers or the
-length of the trajectory.  Every running sum and running maximum writes a
-fresh array: numpy holds the GIL for the whole of an accumulate whose
-``out=`` is its own input, which would serialise the points ``simulate``
-runs on a thread pool.
+Each run is streamed in pieces of at most ``_PIECE`` customers, and the
+breakdown trajectory is drawn in blocks beside them and dropped behind
+them, so a run holds those pieces plus one float per customer of the
+current batch, not the whole run or the whole trajectory.  Every running
+sum and running maximum writes a fresh array: numpy holds the GIL for the
+whole of an accumulate whose ``out=`` is its own input, which would
+serialise the points ``simulate`` runs on a thread pool.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ _CONTROL_COUNT = 3
 # degrees of freedom.
 _T_QUANTILE = 2.0555294386428735
 _CHUNK = 1 << 14
+# Customers simulated at once within the warm-up or a batch.  Unlike
+# _CHUNK it does not shape the random stream, only the working set.
+_PIECE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -338,16 +341,20 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     The run is streamed: one pass counts the arrivals within the horizon
     and one draws their services, keeping neither, which finds where the
     breakdown trajectory's draws start.  A last pass re-draws arrivals and
-    services from the same stream positions in batch-sized pieces, the
-    warm-up first and then one piece per batch, and draws the trajectory
-    from its own generator in blocks as the pieces reach it
+    services from the same stream positions, the warm-up first and then
+    each batch, in pieces of at most ``_PIECE`` customers, and draws the
+    trajectory from its own generator in blocks as the pieces reach it
     (:class:`_Trajectory`), dropping the periods they have left behind.
-    Memory grows with the batch size, not with the number of customers or
-    the trajectory, and every estimate is the one the whole-array run
-    gives.
+    The carried epochs, totals, running maximum and period make every cut
+    exact, and each batch's sojourns fill one buffer whose mean is taken
+    whole.  Memory is the pieces plus one float per customer of the
+    current batch, not the number of customers or the trajectory, and
+    every estimate is the one the whole-array run gives.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not point.is_stable():
         raise InstabilityError(point.arrival_rate, critical_arrival_rate(point.params))
     lam = point.arrival_rate
@@ -379,27 +386,29 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     service_total, running_max, period = 0.0, -math.inf, 0
     batch_means = np.empty(_BATCH_COUNT)
     controls = np.empty((_BATCH_COUNT, _CONTROL_COUNT))
-    warmup_pieces = [min(batch_size, warmup - start) for start in range(0, warmup, batch_size)]
-    for row, size in enumerate(
-        warmup_pieces + [batch_size] * _BATCH_COUNT, start=-len(warmup_pieces)
-    ):
-        arrivals = arrival_rng.exponential(1.0 / lam, size)
-        arrivals[0] += epoch
-        arrivals = np.cumsum(arrivals)
-        window_start, epoch = epoch, float(arrivals[-1])
-        trajectory.cover(epoch)
-        services = service_rng.exponential(1.0 / params.service_rate, size)
-        service_start, op_window_start = service_total, op_epoch
-        op, service_total, running_max, op_epoch = _operational_departures(
-            arrivals, services, *trajectory.window, service_total, running_max
-        )
-        trajectory.cover_up_time(float(op[-1]))
-        sojourns, period = _real_departures(op, *trajectory.window, period, trajectory.base)
-        sojourns -= arrivals
-        # Later arrivals come at or after the epoch, and later departures
-        # map to the carried period or after it.
-        trajectory.trim(epoch, period)
+    sojourns = np.empty(batch_size)
+    for row, size in enumerate([warmup] + [batch_size] * _BATCH_COUNT, start=-1):
+        window_start, service_start, op_window_start = epoch, service_total, op_epoch
+        for start in range(0, size, _PIECE):
+            stop = min(start + _PIECE, size)
+            arrivals = arrival_rng.exponential(1.0 / lam, stop - start)
+            arrivals[0] += epoch
+            arrivals = np.cumsum(arrivals)
+            epoch = float(arrivals[-1])
+            trajectory.cover(epoch)
+            services = service_rng.exponential(1.0 / params.service_rate, stop - start)
+            op, service_total, running_max, op_epoch = _operational_departures(
+                arrivals, services, *trajectory.window, service_total, running_max
+            )
+            trajectory.cover_up_time(float(op[-1]))
+            departures, period = _real_departures(op, *trajectory.window, period, trajectory.base)
+            # Later arrivals come at or after the epoch, and later departures
+            # map to the carried period or after it.
+            trajectory.trim(epoch, period)
+            if row >= 0:
+                np.subtract(departures, arrivals, out=sojourns[start:stop])
         if row >= 0:
+            # Over the whole batch, so the sum is the one the whole-array run takes.
             batch_means[row] = sojourns.mean()
             # The running totals give the batch's gap and service sums.
             window = epoch - window_start

@@ -350,6 +350,7 @@ class TestNonFiniteInput:
             ("sweep --parameter disruption --multipliers 1,inf", "inf"),
             ("simulate --horizon inf", "inf"),
             ("simulate --horizon nan", "nan"),
+            ("simulate --seed=-1", "-1"),
         ],
     )
     def test_exits_two_before_any_solve(self, toy_paths, tmp_path, capsys, monkeypatch,

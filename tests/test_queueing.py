@@ -325,6 +325,16 @@ def _outcome(simulate, point, horizon, seed):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _traced_peak(pt, horizon, seed):
+    """Peak of the memory Python allocators hand out during one run."""
+    tracemalloc.start()
+    try:
+        simulate_queue(pt, horizon, seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _oracle_cases(count):
     """Seeded (point, horizon, seed) cases in four kinds, in turn: horizons
     around the 30 post-warm-up samples the estimate needs, an arrival rate
@@ -454,13 +464,20 @@ class TestSimulation:
         assert np.array_equal(_clock_rank(keys, boundaries, side),
                               np.searchsorted(boundaries, keys, side=side))
 
-    def test_streamed_run_equals_whole_array_run(self):
-        outcomes = []
-        for pt, horizon, seed in _oracle_cases(40):
-            outcomes.append(_outcome(simulate_queue, pt, horizon, seed))
-            assert outcomes[-1] == _outcome(_whole_array_simulate, pt, horizon, seed), (pt, horizon)
-        assert any(isinstance(o, str) and "too short" in o for o in outcomes)
-        assert sum(isinstance(o, SimEstimate) for o in outcomes) >= 25
+    def test_streamed_run_equals_whole_array_run(self, monkeypatch):
+        """The piece size only sets the working set: pieces of 97 cut
+        inside batches and the warm-up, pieces of 1 after every customer
+        (on the cases of at most 400 customers expected), and every
+        outcome stays the whole-array run's."""
+        cases = _oracle_cases(40)
+        wanted = [_outcome(_whole_array_simulate, *case) for case in cases]
+        assert any(isinstance(o, str) and "too short" in o for o in wanted)
+        assert sum(isinstance(o, SimEstimate) for o in wanted) >= 25
+        for piece, most in ((queueing._PIECE, math.inf), (97, math.inf), (1, 400)):
+            monkeypatch.setattr(queueing, "_PIECE", piece)
+            for (pt, horizon, seed), want in zip(cases, wanted):
+                if horizon * pt.arrival_rate <= most:
+                    assert _outcome(simulate_queue, pt, horizon, seed) == want, (piece, pt, horizon)
 
     def test_trajectory_window_paths(self, monkeypatch):
         """The window draws blocks as the run reaches them, trims across
@@ -528,14 +545,17 @@ class TestSimulation:
 
     def test_peak_memory_at_the_worst_j10_point(self):
         # j10's heaviest operating point: 6 M customers at the default
-        # horizon.  Drawing the trajectory whole peaked at 44 MiB.
-        tracemalloc.start()
-        try:
-            simulate_queue(point(6.0, 14.0, 0.5, 0.5), 1e6, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 << 20
+        # horizon.  Drawing the trajectory whole peaked at 44 MiB, streaming
+        # whole batches of 180k customers at 9.62 MiB, and pieces of at
+        # most _PIECE customers with one batch-sized buffer at 4.03 MiB.
+        assert _traced_peak(point(6.0, 14.0, 0.5, 0.5), 1e6, 7) < 6 << 20
+
+    @pytest.mark.slow
+    def test_peak_memory_stays_bounded_at_ten_times_the_horizon(self):
+        # 60 M customers, about 5 s: 15.7 MiB, of which 13.7 MiB is the one
+        # buffer of 1.8 M sojourns.  Streaming whole batches peaked at
+        # 85.6 MiB here, nine times its figure at the default horizon.
+        assert _traced_peak(point(6.0, 14.0, 0.5, 0.5), 1e7, 7) < 20 << 20
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(7)
