@@ -230,6 +230,9 @@ def simulation_rows(
     # Imported here: it costs the other commands' cold start ~12 ms.
     from concurrent.futures import ThreadPoolExecutor
 
+    # Checked before the pool starts: a point already running cannot be cancelled.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     total_demand = int(problem.requirement_matrix.sum())
     points = []
     for res in problem.resources:

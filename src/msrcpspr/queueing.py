@@ -141,49 +141,77 @@ def _arrival_count(rng: np.random.Generator, rate: float, horizon: float) -> int
 
 
 class _Trajectory:
-    """A window on the server's alternating up/down trajectory.
+    """The server's alternating up/down trajectory, which maps each piece of
+    a run onto its up-time clock (cumulative up-time) and back.
 
-    The server starts up at 0.  The window holds the periods from the
-    global index ``base`` on: period ``base + k`` spans real time
-    [up_starts[k], up_starts[k] + up_lengths[k]) and begins at cumulative
-    up-time op_offsets[k].  Periods are drawn only when a run reaches
-    them, in blocks of ``_CHUNK`` up lengths followed by ``_CHUNK`` down
-    lengths, and both start times are sequential cumsums carried from
-    block to block, so every period has the values of the trajectory
-    drawn whole from the same stream.  :meth:`trim` drops the periods a
-    run has left behind.
+    The server starts up at 0.  Held period k spans real time
+    [_up_starts[k], _up_starts[k] + _up_lengths[k]) and begins at up-time
+    _op_offsets[k].  Periods are drawn only when a run reaches them, in
+    blocks of ``_CHUNK`` up lengths followed by ``_CHUNK`` down lengths,
+    and both start times are sequential cumsums carried from block to
+    block, so every period has the values of the trajectory drawn whole
+    from the same stream.  :meth:`real_time` drops the periods a run has
+    left behind.
     """
 
     def __init__(self, rng: np.random.Generator, disruption: float, retrieval: float):
         self._rng = rng
         self._up_mean, self._down_mean = 1.0 / disruption, 1.0 / retrieval
-        self.base = 0
-        self.up_starts = self.up_lengths = self.op_offsets = np.empty(0)
+        self._up_starts = self._up_lengths = self._op_offsets = np.empty(0)
         # Real start and up-time offset of the first period not drawn yet.
         self._next_start = self._next_offset = 0.0
+        # Window indices of the last mapped arrival's and departure's periods.
+        self._arrival_period = self._departure_period = 0
 
-    @property
-    def window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(up_starts, up_lengths, op_offsets) of the periods held."""
-        return self.up_starts, self.up_lengths, self.op_offsets
+    def up_time(self, arrivals: np.ndarray) -> np.ndarray:
+        """The up-time clock of a piece's ``arrivals``, as a fresh array.
 
-    def cover(self, t: float) -> None:
-        """Draw until a period starting after real time ``t`` is drawn."""
-        while self._next_start <= t:
+        The arrivals must be non-empty, non-decreasing and none before the
+        previous piece's last one.  The mapping is a merge-rank
+        (:func:`_clock_rank`): it picks the same up periods as
+        ``np.searchsorted(up_starts, arrivals, "right") - 1``, and the
+        arithmetic is the same.
+        """
+        while self._next_start <= arrivals[-1]:
             self._extend()
+        idx = _clock_rank(arrivals, self._up_starts, "right") - 1
+        self._arrival_period = int(idx[-1])
+        op = arrivals - self._up_starts[idx]
+        np.minimum(op, self._up_lengths[idx], out=op)
+        op += self._op_offsets[idx]
+        return op
 
-    def cover_up_time(self, op: float) -> None:
-        """Draw until the drawn periods hold at least ``op`` of up-time."""
-        while self._next_offset < op:
+    def real_time(self, op: np.ndarray) -> np.ndarray:
+        """Real times of the piece's up-time departures ``op``, mapped back in
+        place, after :meth:`up_time` has mapped the piece's arrivals.
+
+        Departures never go back to an earlier period, so the mapping
+        starts from the previous departure's period, and a run cut anywhere
+        maps as the uncut run does.  A merge-rank against the up-period
+        ends from there on, it picks the same periods as
+        ``np.searchsorted(op_offsets + up_lengths, op, "left")`` on the
+        whole trajectory.  Later arrivals come at or after the piece's last
+        one, and later departures map to the last one's period or after
+        it, so the periods before both are dropped.
+        """
+        while self._next_offset < op[-1]:
             self._extend()
-
-    def trim(self, t: float, period: int) -> None:
-        """Drop the periods before both the global index ``period`` and the
-        period that holds real time ``t``."""
-        first = int(np.searchsorted(self.up_starts, t, side="right")) - 1
-        first = min(first, period - self.base)
-        self.up_starts, self.up_lengths, self.op_offsets = (a[first:] for a in self.window)
-        self.base += first
+        # Only periods from the previous departure's up to the first that
+        # starts at or after the last departure can end before a departure
+        # of this piece.
+        first = self._departure_period
+        end = int(np.searchsorted(self._op_offsets, op[-1], side="left"))
+        j = _clock_rank(op, self._op_offsets[first:end] + self._up_lengths[first:end], "left")
+        j += first
+        op -= self._op_offsets[j]
+        op += self._up_starts[j]
+        last = int(j[-1])
+        drop = min(self._arrival_period, last)
+        self._up_starts, self._up_lengths, self._op_offsets = (
+            a[drop:] for a in (self._up_starts, self._up_lengths, self._op_offsets)
+        )
+        self._departure_period = last - drop
+        return op
 
     def _extend(self) -> None:
         ups = self._rng.exponential(self._up_mean, _CHUNK)
@@ -193,9 +221,9 @@ class _Trajectory:
         op_ends = ups.copy()
         op_ends[0] += self._next_offset
         op_ends = np.cumsum(op_ends)
-        self.up_starts = np.concatenate((self.up_starts, [self._next_start], ends[:-1]))
-        self.up_lengths = np.concatenate((self.up_lengths, ups))
-        self.op_offsets = np.concatenate((self.op_offsets, [self._next_offset], op_ends[:-1]))
+        self._up_starts = np.concatenate((self._up_starts, [self._next_start], ends[:-1]))
+        self._up_lengths = np.concatenate((self._up_lengths, ups))
+        self._op_offsets = np.concatenate((self._op_offsets, [self._next_offset], op_ends[:-1]))
         self._next_start, self._next_offset = float(ends[-1]), float(op_ends[-1])
 
 
@@ -245,42 +273,23 @@ def _clock_rank(keys: np.ndarray, boundaries: np.ndarray, side: str) -> np.ndarr
 
 
 def _operational_departures(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    up_starts: np.ndarray,
-    up_lengths: np.ndarray,
-    op_offsets: np.ndarray,
-    service_total: float,
-    running_max: float,
-) -> tuple[np.ndarray, float, float, float]:
-    """FIFO departure epochs of one piece of a run on the operational clock
-    (cumulative server up-time), the carried service total and running
-    maximum after the piece, and the operational clock of its last arrival.
+    op: np.ndarray, services: np.ndarray, service_total: float, running_max: float
+) -> tuple[np.ndarray, float, float]:
+    """FIFO departure epochs of one piece of a run on the up-time clock, from
+    the piece's arrivals ``op`` on that clock (overwritten), and the carried
+    service total and running maximum after the piece.
 
     On that clock the halted-server system is an ordinary single-server
     queue, whose departures follow the Lindley recursion.  The service
     total and running maximum of the customers before the piece are
     carried in (0 and -inf start a run); a cumsum carried in sequence and
     a maximum are exact, so a run cut anywhere gives the uncut run's
-    values bit for bit.
-
-    The arrival mapping is a merge-rank (:func:`_clock_rank`), so
-    ``arrivals`` must be non-empty and non-decreasing, and the trajectory
-    window must hold the period of every arrival; then the operational
-    departures are non-decreasing too, a running sum of services plus a
-    running maximum (rounding is monotone).  It picks the same up periods
-    as ``np.searchsorted(up_starts, arrivals, "right") - 1``, and the
-    arithmetic is the same.  The elementwise steps run in place; the
+    values bit for bit.  Non-decreasing arrivals give non-decreasing
+    departures, a running sum of services plus a running maximum
+    (rounding is monotone).  The elementwise steps run in place; the
     running sum and maximum write fresh arrays, which lets numpy release
     the GIL for them (see the module docstring).
     """
-    idx = _clock_rank(arrivals, up_starts, "right") - 1
-    op = arrivals - up_starts[idx]
-    np.minimum(op, up_lengths[idx], out=op)
-    op += op_offsets[idx]
-    del idx
-    last_arrival = float(op[-1])
-
     # delta_n = max(alpha_n, delta_{n-1}) + s_n, unrolled to a running max.
     service_cum = services.copy()
     service_cum[0] += service_total
@@ -290,38 +299,7 @@ def _operational_departures(
     op = np.maximum.accumulate(op)
     service_total, running_max = float(service_cum[-1]), float(op[-1])
     op += service_cum
-    return op, service_total, running_max, last_arrival
-
-
-def _real_departures(
-    op: np.ndarray,
-    up_starts: np.ndarray,
-    up_lengths: np.ndarray,
-    op_offsets: np.ndarray,
-    period: int,
-    base: int,
-) -> tuple[np.ndarray, int]:
-    """Real times of the operational departures ``op``, mapped back in
-    place, and the global up period of the last one.
-
-    ``period`` is carried in: the global up period of the previous
-    departure (0 starts a run).  Departures never go back to an earlier
-    period, so a run cut anywhere maps as the uncut run does.  The window
-    starts at the global period ``base`` and must hold every period from
-    the carried one up to the one that holds the last departure.  A
-    merge-rank against the up-period ends from ``period`` on, it picks the
-    same periods as ``np.searchsorted(op_offsets + up_lengths, op, "left")``
-    on the whole trajectory.
-    """
-    # Only periods from the carried one up to the first that starts at or
-    # after the last departure can end before a departure of this piece.
-    first = period - base
-    end = int(np.searchsorted(op_offsets, op[-1], side="left"))
-    j = _clock_rank(op, op_offsets[first:end] + up_lengths[first:end], "left")
-    j += first
-    op -= op_offsets[j]
-    op += up_starts[j]
-    return op, int(j[-1]) + base
+    return op, service_total, running_max
 
 
 def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> SimEstimate:
@@ -345,11 +323,12 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     each batch, in pieces of at most ``_PIECE`` customers, and draws the
     trajectory from its own generator in blocks as the pieces reach it
     (:class:`_Trajectory`), dropping the periods they have left behind.
-    The carried epochs, totals, running maximum and period make every cut
-    exact, and each batch's sojourns fill one buffer whose mean is taken
-    whole.  Memory is the pieces plus one float per customer of the
-    current batch, not the number of customers or the trajectory, and
-    every estimate is the one the whole-array run gives.
+    The carried epochs, totals and running maximum, and the periods the
+    trajectory keeps, make every cut exact, and each batch's sojourns
+    fill one buffer whose mean is taken whole.  Memory is the pieces plus
+    one float per customer of the current batch, not the number of
+    customers or the trajectory, and every estimate is the one the
+    whole-array run gives.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -383,7 +362,7 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
     arrival_rng, service_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     service_rng.bit_generator.state = services_state
     epoch, op_epoch = 0.0, 0.0
-    service_total, running_max, period = 0.0, -math.inf, 0
+    service_total, running_max = 0.0, -math.inf
     batch_means = np.empty(_BATCH_COUNT)
     controls = np.empty((_BATCH_COUNT, _CONTROL_COUNT))
     sojourns = np.empty(batch_size)
@@ -395,16 +374,13 @@ def simulate_queue(point: QueueOperatingPoint, horizon: float, seed: int) -> Sim
             arrivals[0] += epoch
             arrivals = np.cumsum(arrivals)
             epoch = float(arrivals[-1])
-            trajectory.cover(epoch)
+            op = trajectory.up_time(arrivals)
+            op_epoch = float(op[-1])
             services = service_rng.exponential(1.0 / params.service_rate, stop - start)
-            op, service_total, running_max, op_epoch = _operational_departures(
-                arrivals, services, *trajectory.window, service_total, running_max
+            op, service_total, running_max = _operational_departures(
+                op, services, service_total, running_max
             )
-            trajectory.cover_up_time(float(op[-1]))
-            departures, period = _real_departures(op, *trajectory.window, period, trajectory.base)
-            # Later arrivals come at or after the epoch, and later departures
-            # map to the carried period or after it.
-            trajectory.trim(epoch, period)
+            departures = trajectory.real_time(op)
             if row >= 0:
                 np.subtract(departures, arrivals, out=sojourns[start:stop])
         if row >= 0:

@@ -23,7 +23,6 @@ from msrcpspr.queueing import (
     _clock_rank,
     _controlled_mean,
     _operational_departures,
-    _real_departures,
     critical_arrival_rate,
     simulate_queue,
     waiting_time,
@@ -235,17 +234,39 @@ def _reference_departures(arrivals, services, up_starts, up_lengths, op_offsets)
     return np.array(departures)
 
 
-def _departure_times(arrivals, services, up_starts, up_lengths, op_offsets,
-                     carry=(0.0, -math.inf, 0), base=0):
-    """Departures of one piece of a run, the two clock mappings chained as
-    ``simulate_queue`` chains them, and the carry (service total, running
-    maximum, up period of the last departure) that continues the run."""
-    service_total, running_max, period = carry
-    op, service_total, running_max, _ = _operational_departures(
-        arrivals, services, up_starts, up_lengths, op_offsets, service_total, running_max
-    )
-    departures, period = _real_departures(op, up_starts, up_lengths, op_offsets, period, base)
-    return departures, (service_total, running_max, period)
+class _FixedTrajectory(_Trajectory):
+    """A trajectory preset to the up periods given, the last of which must
+    outlast every customer of the run: drawing more periods fails.  It
+    records how many periods it holds as each piece starts."""
+
+    def __init__(self, up_starts, up_lengths, op_offsets):
+        super().__init__(None, 1.0, 1.0)
+        self._up_starts, self._up_lengths, self._op_offsets = up_starts, up_lengths, op_offsets
+        self._next_start = up_starts[-1] + up_lengths[-1]
+        self._next_offset = op_offsets[-1] + up_lengths[-1]
+        self.held = []
+
+    def up_time(self, arrivals):
+        self.held.append(self._up_starts.size)
+        return super().up_time(arrivals)
+
+    def _extend(self):
+        raise AssertionError("the preset up periods do not cover the run")
+
+
+def _piece_departures(trajectory, arrivals, services, carry=(0.0, -math.inf)):
+    """Departures of one piece of a run, the clock mappings and the Lindley
+    recursion chained as ``simulate_queue`` chains them, and the carry
+    (service total, running maximum) that continues the run."""
+    op = trajectory.up_time(arrivals)
+    op, service_total, running_max = _operational_departures(op, services, *carry)
+    return trajectory.real_time(op), (service_total, running_max)
+
+
+def _departure_times(arrivals, services, up_starts, up_lengths, op_offsets):
+    """Departures of a whole run mapped in one piece."""
+    trajectory = _FixedTrajectory(up_starts, up_lengths, op_offsets)
+    return _piece_departures(trajectory, arrivals, services)[0]
 
 
 def _searchsorted_departures(arrivals, services, up_starts, up_lengths, op_offsets):
@@ -355,23 +376,14 @@ def _oracle_cases(count):
     return cases
 
 
-def _cut_run(arrivals, services, environment, bounds, trim=False):
-    """Departures of a run fed to ``_departure_times`` in the pieces between
-    consecutive ``bounds``, the carry passed from piece to piece.  With
-    ``trim``, each piece sees only a window of the trajectory: the periods
-    before both the carried one and the one that holds the piece's first
-    arrival are dropped."""
-    carry = (0.0, -math.inf, 0)
-    base, window = 0, environment
+def _cut_run(trajectory, arrivals, services, bounds):
+    """Departures of a run fed to one trajectory in the pieces between
+    consecutive ``bounds``, the carry passed from piece to piece; after
+    each piece the trajectory drops the periods the run has left behind."""
+    carry = (0.0, -math.inf)
     pieces = []
     for lo, hi in zip(bounds, bounds[1:]):
-        if trim:
-            holder = int(np.searchsorted(environment[0], arrivals[lo], side="right")) - 1
-            base = min(holder, carry[2])
-            window = [a[base:] for a in environment]
-        departures, carry = _departure_times(
-            arrivals[lo:hi], services[lo:hi], *window, carry, base
-        )
+        departures, carry = _piece_departures(trajectory, arrivals[lo:hi], services[lo:hi], carry)
         pieces.append(departures)
     return np.concatenate(pieces)
 
@@ -402,7 +414,7 @@ class TestSimulation:
         op_offsets = np.array([0.0, 1.0])
         arrivals = np.array([0.0, 1.0])
         services = np.array([2.0, 2.0])
-        departures, _ = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
+        departures = _departure_times(arrivals, services, up_starts, up_lengths, op_offsets)
         # First job: 1 unit before the breakdown, resumes at 3, done at 4.
         # Second job: queued behind it, served on [4, 6).
         assert departures == pytest.approx([4.0, 6.0])
@@ -411,6 +423,7 @@ class TestSimulation:
 
     def test_bit_identical_to_searchsorted_mapping(self):
         rng = np.random.default_rng(11)
+        trimmed = 0
         for _ in range(40):
             n = int(rng.integers(1, 3000))
             arrivals = np.cumsum(rng.exponential(rng.uniform(0.2, 2.0), n))
@@ -420,10 +433,13 @@ class TestSimulation:
             ups[-1] += arrivals[-1] + services.sum()
             case = (arrivals, services, *_environment_from(ups, rng.exponential(0.8, periods)))
             want = _searchsorted_departures(*case)
-            assert np.array_equal(_departure_times(*case)[0], want)
+            assert np.array_equal(_departure_times(*case), want)
             bounds = np.unique([0, n, *rng.integers(0, n, 8)]).tolist()
-            for trim in (False, True):
-                assert np.array_equal(_cut_run(arrivals, services, case[2:], bounds, trim), want)
+            trajectory = _FixedTrajectory(*case[2:])
+            assert np.array_equal(_cut_run(trajectory, arrivals, services, bounds), want)
+            trimmed += min(trajectory.held) < periods
+        # Most cut runs mapped a piece after the trajectory had dropped periods.
+        assert trimmed >= 30
 
     @settings(max_examples=300, deadline=None)
     @given(_tied_queues())
@@ -435,13 +451,13 @@ class TestSimulation:
         np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.5, 0.5]), *_environment_from([1e3], [1.0]),
     ))
     def test_bit_identical_under_ties(self, case):
-        assert np.array_equal(_departure_times(*case)[0], _searchsorted_departures(*case))
+        assert np.array_equal(_departure_times(*case), _searchsorted_departures(*case))
         # The up-time clock of the last arrival, read by one binary search.
         arrivals, _, up_starts, up_lengths, op_offsets = case
         t = arrivals[-1]
         i = int(np.searchsorted(up_starts, t, "right")) - 1
         want = op_offsets[i] + min(t - up_starts[i], up_lengths[i])
-        assert _operational_departures(*case, 0.0, -math.inf)[3] == want
+        assert _FixedTrajectory(up_starts, up_lengths, op_offsets).up_time(arrivals)[-1] == want
 
     @settings(max_examples=300, deadline=None)
     @given(_tied_queues(), st.data())
@@ -449,9 +465,9 @@ class TestSimulation:
         arrivals, services, *environment = case
         n = arrivals.size
         bounds = [0, *sorted(set(data.draw(st.lists(st.integers(1, n), max_size=n))) - {n}), n]
-        whole = _departure_times(*case)[0]
-        for trim in (False, True):
-            assert np.array_equal(_cut_run(arrivals, services, environment, bounds, trim), whole)
+        whole = _departure_times(*case)
+        cut = _cut_run(_FixedTrajectory(*environment), arrivals, services, bounds)
+        assert np.array_equal(cut, whole)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -480,9 +496,9 @@ class TestSimulation:
                     assert _outcome(simulate_queue, pt, horizon, seed) == want, (piece, pt, horizon)
 
     def test_trajectory_window_paths(self, monkeypatch):
-        """The window draws blocks as the run reaches them, trims across
-        block boundaries and grows while mapping departures back, and the
-        run still equals the whole-array run bit for bit."""
+        """The trajectory draws blocks as the run reaches them, drops periods
+        across block boundaries and grows while mapping departures back,
+        and the run still equals the whole-array run bit for bit."""
         runs = []
 
         class Recording(_Trajectory):
@@ -495,15 +511,15 @@ class TestSimulation:
                 super()._extend()
                 self.blocks += 1
 
-            def cover_up_time(self, op):
-                before = self.blocks
-                super().cover_up_time(op)
-                self.departure_blocks += self.blocks - before
+            def dropped(self):
+                return self.blocks * _CHUNK - self._up_starts.size
 
-            def trim(self, t, period):
-                before = self.base
-                super().trim(t, period)
-                self.boundary_trims += self.base // _CHUNK > before // _CHUNK
+            def real_time(self, op):
+                blocks, dropped = self.blocks, self.dropped()
+                departures = super().real_time(op)
+                self.departure_blocks += self.blocks - blocks
+                self.boundary_trims += self.dropped() // _CHUNK > dropped // _CHUNK
+                return departures
 
         monkeypatch.setattr(queueing, "_Trajectory", Recording)
         # With breakdowns and repairs at rate 40, a block of 16,384 periods
@@ -568,7 +584,7 @@ class TestSimulation:
             downs = rng.exponential(0.8, pieces + 200)
             up_starts = np.concatenate(([0.0], np.cumsum(ups + downs)[:-1]))
             op_offsets = np.concatenate(([0.0], np.cumsum(ups)[:-1]))
-            got, _ = _departure_times(arrivals, services, up_starts, ups, op_offsets)
+            got = _departure_times(arrivals, services, up_starts, ups, op_offsets)
             want = _reference_departures(arrivals, services, up_starts, ups, op_offsets)
             assert got == pytest.approx(want, abs=1e-9)
 
