@@ -8,12 +8,17 @@ which keeps the whole problem combinatorial.  Both levels bound their
 nodes with heads and tails of the disjunctive graph and a one-machine
 floor per shared resource; an assignment node counts only its assigned
 activities, with their waits at the current counts, and adds the
-cheapest cost of the rest.  An assignment node recomputes its heads and
-tails over the fixed precedence graph; the sequencing search raises
-copies of them as it inserts arcs.  Both levels backtrack by popping the
-lists they replaced off one stack (see :class:`_BranchAndBound`).  The
-solves of one front share one search object, so its tables are built
-and each assignment is sequenced once.
+cheapest cost of the rest.  An assignment node is first screened with
+its parent's heads and tails: waits do not fall as counts rise, and
+longest paths are max/+ sums with monotone rounding, so a parent's heads
+and tails never exceed its child's, that floor never exceeds the node's
+own, and every prune rule is monotone in the floor.  Only a node the
+screen leaves open recomputes its heads and tails over the fixed
+precedence graph; the sequencing search raises copies of them as it
+inserts arcs.  Both levels backtrack by popping the lists they replaced
+off one stack (see :class:`_BranchAndBound`).  The solves of one front
+share one search object, so its tables are built and each assignment is
+sequenced once.
 """
 
 from __future__ import annotations
@@ -195,11 +200,15 @@ class _BranchAndBound:
     new lists, and the arc inserted (None for an assignment); ``_unassign``
     and ``_remove_arc`` pop them back, so no list is written once a frame
     holds it.  Whenever ``_assign`` runs, ``succ`` and ``pred`` hold only
-    precedence arcs (the sequencing search removes every arc it adds), in
-    the order ``topo``: it recomputes its resources' users' weights, then
-    heads and tails with one :func:`earliest_starts` pass each.  ``_add_arc``
-    u->v raises heads forward from u and tails backward from v.  Each value
-    is the maximum of the same float sums as in a full pass, so they equal
+    precedence arcs (the sequencing search removes every arc it adds): it
+    raises a copy of the weights of its resources' users to their new wait,
+    with no rebuild, and keeps the parent's heads and tails.  ``_prunable`` screens the node with
+    them (``_raised_floor``); a node left open takes ``_longest_paths``, one
+    :func:`earliest_starts` pass each in the order ``topo``, so heads and
+    tails are the parent's at a screened node and fresh at every expanded
+    node and every leaf that is sequenced.  ``_add_arc`` u->v raises heads
+    forward from u and tails backward from v.  Each value is the maximum of
+    the same float sums as in a full pass, so they equal
     :func:`earliest_starts` bit for bit.  A leaf's sequencing starts from
     the assignment search's heads and tails.
 
@@ -283,15 +292,15 @@ class _BranchAndBound:
 
         self.chosen: list[int] = []
         self.prefix_costs = [0.0]  # per depth, folded left in ``acts`` order
-        # Node weights (duration plus the largest wait at the current counts)
-        # and the assigned users of every resource (its count), set by
-        # ``_assign``; ``frames`` holds what each ``_assign`` and ``_add_arc`` replaced.
+        # Node weights (duration plus the largest wait at the current counts),
+        # the assigned users of every resource (its count) and, once it has
+        # two, a stack of getters over them, set by ``_assign``; ``frames``
+        # holds what each ``_assign`` and ``_add_arc`` replaced.
         self.weights = list(self.durations)
-        self.heads = earliest_starts(n, self.succ, self.weights, topo)
-        self.after = earliest_starts(n, self.pred, self.weights, self.reverse_topo)
+        self._longest_paths()  # sets ``heads`` and ``after``
         self.frames: list[tuple[list[float], list[float], list[float], list[int], tuple | None]] = []
         self.users: list[list[int]] = [[] for _ in instance.resources]
-        self.res_of: list[tuple[int, ...]] = [()] * n
+        self.getters: list[list[operator.itemgetter]] = [[] for _ in instance.resources]
         self.memo: dict[tuple[int, ...], tuple[float, list[tuple[int, int]] | None]] = {}
         # The current solve, set by ``run``; ``best`` is (chosen, arcs, makespan, cost).
         self.spec: SubproblemSpec | None = None
@@ -317,8 +326,16 @@ class _BranchAndBound:
         counts), versus each resource's one-machine floor, smallest head +
         weights + smallest tail of its assigned users, who run one at a
         time.  Waits only rise as counts rise, so no node below does better.
-        At a full assignment this is the sequencing root's floor: the
-        resources compiled here are the ``machines`` that ``_floor`` reads.
+        It reads fresh heads and tails and each shared resource's getter off
+        ``getters``; a load is a left fold in ``users`` order.  At a full
+        assignment this is the sequencing root's floor: the resources
+        compiled here are the ``machines`` that ``_floor`` reads.
+
+        ``_raised_floor`` is this bound from the parent's heads and tails,
+        over the resources the latest activity joined.  Waits do not fall,
+        and longest paths are max/+ sums with monotone rounding, so the
+        parent's heads and tails never exceed the node's, and that floor
+        never exceeds this one, bit for bit.
 
         Rounding: the bound holds in exact arithmetic.  In floats a floor
         adds head + load + tail in an order that no path uses, so it can
@@ -327,12 +344,25 @@ class _BranchAndBound:
         of 6015 on one drawn instance).  A node it prunes has no leaf better
         than ``best_f`` by more than ``TIE_TOL`` plus that rounding."""
         weights = self.weights
-        self.machines = [
-            (operator.itemgetter(*nodes), sum(weights[u] for u in nodes))
-            for nodes in self.users
-            if len(nodes) > 1
-        ]
+        self.machines = [(stack[-1], sum(stack[-1](weights))) for stack in self.getters if stack]
         return self._floor()
+
+    def _raised_floor(self) -> float:
+        """The sink's head, versus the one-machine floor of each shared
+        resource the latest activity joined, from the heads and tails that
+        ``_assign`` left in place (the parent's) at the node's weights: at
+        most ``_makespan_lb`` at the node (see there)."""
+        heads, after, weights = self.heads, self.after, self.weights
+        floor = heads[self.sink]
+        if self.chosen:
+            getters = self.getters
+            for k in self.cand_resources[len(self.chosen) - 1][self.chosen[-1]]:
+                if getters[k]:
+                    get = getters[k][-1]
+                    machine = min(get(heads)) + sum(get(weights)) + min(get(after))
+                    if machine > floor:
+                        floor = machine
+        return floor
 
     def _cost_lb(self) -> float:
         """The prefix's cost plus each remaining activity's cheapest candidate,
@@ -342,49 +372,77 @@ class _BranchAndBound:
             cost += costs[0]
         return cost
 
-    def _prunable(self) -> bool:
+    def _closes(self, floor: float) -> bool:
+        """The spec's prune rule with ``floor`` as the makespan bound; each
+        rule is monotone in it, and an unbudgeted cost primary reads none."""
         spec = self.spec
-        primary_lb = self._makespan_lb() if spec.primary == "makespan" else self._cost_lb()
+        primary_lb = floor if spec.primary == "makespan" else self._cost_lb()
         if spec.budget is None:
             return primary_lb >= self.best_f - TIE_TOL
-        secondary_lb = self._cost_lb() if spec.primary == "makespan" else self._makespan_lb()
+        secondary_lb = self._cost_lb() if spec.primary == "makespan" else floor
         if secondary_lb > spec.budget + TOL:
             return True
         return primary_lb - _slack_reward(spec, secondary_lb) >= self.best_f - TIE_TOL
 
+    def _prunable(self) -> bool:
+        """Whether no leaf below the current assignment node can replace the
+        kept one.  The node is screened at ``_raised_floor``, which never
+        exceeds its own floor, so it closes only nodes that ``_makespan_lb``
+        closes.  A node left open is brought current by ``_longest_paths``
+        and decided at ``_makespan_lb``, so every expanded node and every
+        leaf that reaches ``_sequenced`` holds fresh heads and tails."""
+        reads_floor = self.spec.primary == "makespan" or self.spec.budget is not None
+        if self._closes(self._raised_floor() if reads_floor else -math.inf):
+            return True
+        self._longest_paths()
+        return reads_floor and self._closes(self._makespan_lb())
+
     # -- search -------------------------------------------------------
+
+    def _longest_paths(self) -> None:
+        """Replace heads and tails with one :func:`earliest_starts` pass each
+        over the current graph and weights; the old lists are not written."""
+        self.heads = earliest_starts(self.n, self.succ, self.weights, self.topo)
+        self.after = earliest_starts(self.n, self.pred, self.weights, self.reverse_topo)
 
     def _assign(self, idx: int, cand_idx: int) -> None:
         """Give activity ``acts[idx]`` its candidate ``cand_idx``: its resources'
-        counts rise by one, so their users' weights are recomputed and heads
-        and tails rebuilt over the precedence graph; the old ones wait on ``frames``."""
+        counts rise by one, so their users' weights are raised to their new
+        wait, and each resource with two users or more pushes a getter over
+        them.  Heads and tails stay the parent's (see ``_prunable``); the
+        replaced weights wait on ``frames``."""
         u = self.acts[idx]
         resources = self.cand_resources[idx][cand_idx]
-        users, waits, res_of = self.users, self.wait_table, self.res_of
-        for k in resources:
-            users[k].append(u)
-        res_of[u] = resources
+        users, getters = self.users, self.getters
         self.prefix_costs.append(self.prefix_costs[-1] + self.cand_costs[idx][cand_idx])
         self.chosen.append(cand_idx)
 
         self.frames.append((self.weights, self.heads, self.after, self.reach, None))
         weights = list(self.weights)
+        durations = self.durations
         for k in resources:
-            for x in users[k]:
-                weights[x] = self.durations[x] + max(waits[r][len(users[r])] for r in res_of[x])
+            nodes = users[k]
+            nodes.append(u)
+            if len(nodes) > 1:
+                getters[k].append(operator.itemgetter(*nodes))
+            # Waits do not fall as counts rise and rounding is monotone, so
+            # this keeps each weight at its duration plus its largest wait.
+            wait = self.wait_table[k][len(nodes)]
+            for x in nodes:
+                raised = durations[x] + wait
+                if raised > weights[x]:
+                    weights[x] = raised
         self.weights = weights
-        self.heads = earliest_starts(self.n, self.succ, weights, self.topo)
-        self.after = earliest_starts(self.n, self.pred, weights, self.reverse_topo)
 
     def _unassign(self) -> None:
         """Undo the latest ``_assign``."""
         self.weights, self.heads, self.after, self.reach, _ = self.frames.pop()
         idx = len(self.chosen) - 1
         cand_idx = self.chosen.pop()
-        u = self.acts[idx]
         self.prefix_costs.pop()
-        self.res_of[u] = ()
         for k in self.cand_resources[idx][cand_idx]:
+            if len(self.users[k]) > 1:
+                self.getters[k].pop()
             self.users[k].pop()
 
     def _add_arc(self, u: int, v: int) -> None:

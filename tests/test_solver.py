@@ -1,7 +1,9 @@
+import copy
 import itertools
 import math
 import operator
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,7 +35,7 @@ from conftest import (
     relabel,
     single1_instance,
 )
-from test_pareto import sufficient_grid
+from test_pareto import j20_with_cost_seed, sufficient_grid
 
 
 class TestEnumerateAssignments:
@@ -310,7 +312,8 @@ class TestSolve:
 
 def _sequencing_case(rng: np.random.Generator):
     """A small project with zero durations and tied weights, one random
-    assignment fixed, and the sharing pairs that precedence leaves open."""
+    assignment fixed and brought current as the search brings a leaf, and
+    the sharing pairs that precedence leaves open."""
     n = int(rng.integers(6, 10))
     durations = {1: 0, n: 0}
     successors = {}
@@ -331,6 +334,7 @@ def _sequencing_case(rng: np.random.Generator):
     bb = _BranchAndBound(instance)
     for idx in range(len(bb.acts)):
         bb._assign(idx, int(rng.integers(len(bb.candidates[idx]))))
+    bb._longest_paths()
     pairs = {p for nodes in bb.users for p in itertools.combinations(sorted(nodes), 2)}
     reach = bb.reach
     decisions = [
@@ -479,7 +483,7 @@ def test_sequencing_search_matches_exhaustive_orientations(monkeypatch):
         makespans = _orientation_makespans(bb, decisions)
         first = _first_kept(makespans, makespans.get)
         brute = makespans[first]
-        # The leaf starts from the assignment search's heads, with no pass.
+        # The leaf starts from the assignment search's current heads.
         assert leaf_heads == earliest_starts(n, prec_succ, weights)
         roots = len(floors)
         makespan, dirs = bb._sequenced(math.inf)
@@ -607,25 +611,47 @@ def _rebuilt_weights(bb: _BranchAndBound) -> list[float]:
 
 
 def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
-    # At every assignment node the weights that ``_assign`` recomputed
-    # equal a rebuild from the chosen candidates and counts, and its heads
-    # and tails equal fresh precedence passes over them, bit for bit.  The
+    # At every assignment node the weights that ``_assign`` raised in place
+    # equal a rebuild from the chosen candidates and counts, bit for bit.
+    # Heads and tails are the parent's at a screened node: fresh precedence
+    # passes over the parent's weights (at the root, its own).  At every
+    # expanded node, when it assigns a child, and at every leaf that is
+    # sequenced, they are fresh passes over the node's own weights.  The
     # level keeps one frame per depth, an assignment's with no arc, and a
     # solve hands back the root's values with no frame left on the stack.
     original = _BranchAndBound._dfs
+    original_assign = _BranchAndBound._assign
+    original_sequenced = _BranchAndBound._sequenced
     checked = []
+    current = {"expanded": 0, "sequenced": 0}
+
+    def fresh(self, weights):
+        return self.heads == earliest_starts(self.n, pristine[0], weights) and (
+            self.after == earliest_starts(self.n, pristine[1], weights)
+        )
 
     def checking_dfs(self):
         assert len(self.frames) == len(self.chosen)
         assert all(frame[-1] is None for frame in self.frames)
         weights = _rebuilt_weights(self)
         assert self.weights == weights
-        assert self.heads == earliest_starts(self.n, pristine[0], weights)
-        assert self.after == earliest_starts(self.n, pristine[1], weights)
+        assert fresh(self, self.frames[-1][0] if self.frames else weights)
         checked.append(len(self.chosen))
         original(self)
 
+    def checking_assign(self, idx, cand_idx):
+        assert fresh(self, self.weights)
+        current["expanded"] += 1
+        original_assign(self, idx, cand_idx)
+
+    def checking_sequenced(self, upper):
+        assert fresh(self, self.weights)
+        current["sequenced"] += 1
+        return original_sequenced(self, upper)
+
     monkeypatch.setattr(_BranchAndBound, "_dfs", checking_dfs)
+    monkeypatch.setattr(_BranchAndBound, "_assign", checking_assign)
+    monkeypatch.setattr(_BranchAndBound, "_sequenced", checking_sequenced)
     rng = np.random.default_rng(7)
     draws = {f"random{draw}": random_small_instance(rng) for draw in range(30)}
     specs = (SubproblemSpec(primary="makespan"), SubproblemSpec(primary="cost"))
@@ -642,7 +668,7 @@ def test_assignment_search_keeps_weights_and_heads_exact(corpus, monkeypatch):
             assert bb.users == [[] for _ in instance.resources], name
             assert (bb.succ, bb.pred, bb.reach) == pristine, name
             assert bb.frames == [], name
-    assert max(checked) > 1
+    assert max(checked) > 1 and current["expanded"] and current["sequenced"]
 
 
 def test_frames_are_never_written_after_the_push(corpus, toy5, monkeypatch):
@@ -694,13 +720,65 @@ def test_frames_are_never_written_after_the_push(corpus, toy5, monkeypatch):
     assert popped["_unassign"] and popped["_remove_arc"]
 
 
-def test_wait_tables_are_nondecreasing(corpus, j10):
+def test_wait_tables_are_nondecreasing(corpus, j10, j20):
     # An assignment node's makespan floor holds for every completion below
-    # it only because no wait falls as a resource's count rises.
-    for instance in [*corpus.values(), j10]:
+    # it, and its parent's heads and tails never exceed its own, only
+    # because no wait falls as a resource's count rises.
+    seeded = [j20_with_cost_seed(k) for k in range(1, 5)]
+    for instance in [*corpus.values(), j10, j20, *seeded]:
         bb = _BranchAndBound(instance)
         for row in bb.wait_table:
             assert all(a <= b for a, b in zip(row, row[1:]))
+
+
+def test_raised_floor_closes_only_what_the_full_floor_closes(corpus, j10, monkeypatch):
+    # The screen reads the parent's heads and tails, which never exceed the
+    # node's own.  At every node it screens, the raised floor is at most the
+    # full floor, computed on a side copy brought current, and every node
+    # the spec's rule closes at the raised floor it closes at the full one.
+    # The screen must close some node under each spec that reads a floor.
+    original = _BranchAndBound._raised_floor
+    closing = set()
+
+    def checking(self):
+        raised = original(self)
+        side = copy.copy(self)
+        side._longest_paths()
+        full = side._makespan_lb()
+        assert raised <= full
+        if self._closes(raised):
+            assert self._closes(full)
+            closing.add(self.spec)
+        return raised
+
+    monkeypatch.setattr(_BranchAndBound, "_raised_floor", checking)
+    rng = np.random.default_rng(20261022)
+    draws = {f"random{draw}": random_small_instance(rng) for draw in range(30)}
+    for name, instance in {**corpus, "j10": j10, **draws}.items():
+        search = _BranchAndBound(instance)
+        fastest = solve(instance, SubproblemSpec(primary="makespan"), warm=search).objectives
+        cheapest = solve(instance, SubproblemSpec(primary="cost"), warm=search).objectives
+        cost_budget = (fastest.cost + cheapest.cost) / 2
+        makespan_budget = (fastest.makespan + cheapest.makespan) / 2
+        specs = (
+            SubproblemSpec(primary="makespan", budget=cost_budget),
+            SubproblemSpec(primary="cost", budget=makespan_budget),
+            SubproblemSpec(
+                primary="makespan",
+                budget=cost_budget,
+                eps=1e-4,
+                objective_range=max(fastest.cost - cheapest.cost, 1.0),
+            ),
+        )
+        for spec in specs:
+            assert solve(instance, spec, warm=search).status == "optimal", (name, spec)
+    kinds = {(spec.primary, spec.budget is not None, spec.eps > 0) for spec in closing}
+    assert kinds == {
+        ("makespan", False, False),
+        ("makespan", True, False),
+        ("cost", True, False),
+        ("makespan", True, True),
+    }
 
 
 class TestBounds:
@@ -801,6 +879,38 @@ class TestJ20Exact:
         assert outcome.statuses == ("optimal", "optimal")
         assert outcome.objectives.makespan == pytest.approx(205 / 3, abs=1e-9)
         assert outcome.objectives.cost == pytest.approx(65500.0, abs=1e-9)
+
+
+# Six generated networks beyond j20, written once under tests/data: PSPLIB
+# networks of n executable activities (four renewable types, arc density
+# 0.35) drawn with ``default_rng([99, n, key])`` and sidecars from
+# ``default_extension(cost_seed=key)``, each redrawn from the same
+# generator until every activity has a candidate.  Their stage 1 (makespan,
+# no budget) at a node limit that cuts it: (status, incumbent makespan, nodes).
+NETWORK_PINS = {
+    "net25_0": ("timeout", 433.25, 200_000),
+    "net25_1": ("timeout", 459.5, 200_000),
+    "net25_2": ("timeout", 494.0, 200_000),
+    "net30_0": ("timeout", 571.0, 200_000),
+    "net30_1": ("timeout", 585.0, 200_000),
+    "net30_2": ("timeout", 699.4, 200_000),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(NETWORK_PINS))
+def test_generated_network_at_a_node_limit(name):
+    # About 5 s each.  The node limit ends every search and the time limit
+    # never binds, so the pin is the same on any machine.
+    from msrcpspr.instance import instance_from_files
+
+    data = Path(__file__).resolve().parent / "data"
+    instance = instance_from_files(data / f"{name}.sm", data / f"{name}_skills.json")
+    search = _BranchAndBound(instance)
+    status = search.run(
+        SubproblemSpec(primary="makespan"), SolveLimits(node_limit=200_000, time_limit=600)
+    )
+    assert (status, search.best[2], search.nodes) == NETWORK_PINS[name]
 
 
 def _sized_instance(activities: int, resources: int, skills: int):
@@ -1093,6 +1203,7 @@ def test_makespan_bound_is_admissible(instance):
     bb = _BranchAndBound(instance)
 
     def walk(idx):
+        bb._longest_paths()  # as the search brings an open node current
         bound = bb._makespan_lb()
         if idx == len(bb.acts):
             reach = bb.reach
@@ -1131,6 +1242,7 @@ def test_makespan_bound_adds_the_one_machine_floor():
     bb = _BranchAndBound(instance)
     bb._assign(0, 0)
     bb._assign(1, 0)
+    bb._longest_paths()
     wait = bb.wait_table[0][2]
     assert bb.heads[bb.sink] == 4 + wait
     assert bb._makespan_lb() == pytest.approx(7 + 2 * wait)
@@ -1201,6 +1313,7 @@ def test_memo_entries_equal_fresh_sequencing(j10, monkeypatch):
     for key, (value, arcs) in searches[0].memo.items():
         for idx, cand_idx in enumerate(key):
             bb._assign(idx, cand_idx)
+        bb._longest_paths()
         for upper in (value - 1.0, value, value + 1e-9, value + 10.0, math.inf):
             bb.memo = {}
             outcome = bb._sequenced(upper)
@@ -1320,7 +1433,7 @@ def test_search_of_another_instance_is_refused(j10):
 
 _BUILT_STATE = (
     "weights", "heads", "after", "frames", "reach", "succ", "pred",
-    "users", "res_of", "chosen", "prefix_costs",
+    "users", "getters", "chosen", "prefix_costs",
 )
 
 
